@@ -1,13 +1,13 @@
 """Fault-tolerant sweep runtime: what supervision and journaling cost.
 
-The supervised executor paths (retry/timeout bookkeeping, the durable
-trial journal, crash-safe resume) wrap the same trial engine the plain
-paths use, and the wrapper must stay cheap: fault tolerance that taxes
-every healthy sweep would be paid for constantly and used rarely.
+Supervision (retry/timeout bookkeeping, the durable trial journal,
+crash-safe resume) runs in the same batched loop as a plain, fail-fast
+run, and it must stay cheap: fault tolerance that taxes every healthy
+sweep would be paid for constantly and used rarely.
 
 The workload is the standard detection-probability estimate (sim-low
 protocol, one grid point, seeded trials).  Each row measures, against
-the plain serial path:
+a plain serial run:
 
 * ``supervised`` — retry policy engaged, no faults, no journal;
 * ``journal`` — every completed trial fsync'd to a JSONL journal;

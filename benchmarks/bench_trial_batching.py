@@ -1,13 +1,13 @@
-"""Batched trial engine vs the per-trial reference path (PR 7).
+"""Batched trial engine vs the per-trial reference (PR 7).
 
 The workload is the repo's bread-and-butter experiment: estimating a
 protocol's detection probability at one grid point by running many
-seeded trials against one instance.  The historical path pays the full
-cost per trial — rebuild the instance, rebuild the players, reseed the
-coins.  The batched engine (``run_trials(..., batch=True)`` on
-shared-instance specs) builds the instance once per grid point, reuses
-the players' packed adjacency rows across the repetition axis, and
-constructs all trial coin streams in one pass.
+seeded trials against one instance.  The per-trial reference
+(``TrialTask.__call__`` on every spec) pays the full cost per trial —
+rebuild the instance, rebuild the players, reseed the coins.
+``run_trials`` on shared-instance specs builds the instance once per
+grid point, reuses the players' packed adjacency rows across the
+repetition axis, and constructs all trial coin streams in one pass.
 
 Every row asserts the acceptance bar before any speedup is reported:
 
@@ -41,7 +41,13 @@ from timing_helpers import quiet_generator_shortfall
 
 from repro.analysis.experiments import DefaultInstanceBuilder
 from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
-from repro.runtime import ParallelExecutor, SerialExecutor, build_specs, run_trials
+from repro.runtime import (
+    ParallelExecutor,
+    SerialExecutor,
+    TrialTask,
+    build_specs,
+    run_trials,
+)
 
 FULL_NS = [2000, 3000, 4000]
 QUICK_NS = [2000, 4000]
@@ -68,17 +74,17 @@ def _trial(n: int) -> dict:
                         shared_instances=True)
 
     start = time.perf_counter()
-    per_trial = run_trials(sim_low_protocol, builder, specs,
-                           executor=SerialExecutor())
+    task = TrialTask(builder, sim_low_protocol)
+    per_trial = [task(spec) for spec in specs]
     per_trial_s = time.perf_counter() - start
 
     start = time.perf_counter()
     batched = run_trials(sim_low_protocol, builder, specs,
-                         executor=SerialExecutor(), batch=True)
+                         executor=SerialExecutor())
     batched_s = time.perf_counter() - start
 
     parallel = run_trials(sim_low_protocol, builder, specs,
-                          executor=ParallelExecutor(workers=2), batch=True)
+                          executor=ParallelExecutor(workers=2))
 
     detection_rate = sum(1 for r in batched if r.found) / TRIALS
     return {

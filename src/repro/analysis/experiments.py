@@ -178,7 +178,6 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
               cache: InstanceCache | None = None,
               instance_key: str | None = None,
               metrics=None,
-              batch: bool = True,
               shared_instances: bool = False,
               retry=None,
               journal=None,
@@ -190,6 +189,11 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
 
     ``instance_fn(n, d, seed)`` must honour k itself (close over it); the
     k recorded in the point is taken from the grid.
+
+    Each grid point runs as one batch through
+    :func:`repro.runtime.executor.run_trials`: its instances are built
+    once per batch and its coin streams in one batched construction,
+    with records identical to running every trial on its own.
 
     Keyword knobs (all optional, defaults reproduce the serial harness):
 
@@ -224,11 +228,6 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
         ``True`` attaches a per-trial phase cost breakdown to
         ``records[...].extras["profile"]`` — opt-in because it changes
         the record (see :mod:`repro.obs.profile`).
-    batch:
-        ``True`` (default) runs each grid point as one batch — instances
-        built once per batch, coins from one batched construction.
-        ``False`` is the historical per-trial path, kept as the
-        differential reference.  Records are identical either way.
     shared_instances:
         ``True`` runs all of a grid point's trials against *one*
         instance (fresh coins per trial) instead of a fresh instance per
@@ -240,12 +239,15 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
         :class:`~repro.runtime.executor.RetryPolicy` for error capture,
         timeouts and bounded retry; a
         :class:`~repro.runtime.journal.RunJournal` (or path) durably
-        recording every completed trial; ``resume=True`` to skip specs
-        the journal already holds (byte-identical records to an
+        recording every completed grid point; ``resume=True`` to skip
+        specs the journal already holds (byte-identical records to an
         uninterrupted run); a
         :class:`~repro.runtime.faults.FaultPlan` for deterministic
-        fault injection.  Any of them engages the supervised engine;
-        all default off, leaving historical behaviour untouched.
+        fault injection.  The unit of retry, timeout and journaling is
+        one grid point.  With all of them off (the default) the sweep
+        fails fast: the first trial exception propagates unchanged;
+        with any of them, failed trials become records counted in
+        ``SweepPoint.errors``.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -260,14 +262,13 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
         if registry is not None:
             stack.enter_context(obs_metrics.use_metrics(registry))
         with obs_trace.span("sweep", points=len(grid), trials=trials,
-                            seed=seed, batch=batch):
+                            seed=seed):
             specs = build_specs(grid, trials, seed,
                                 shared_instances=shared_instances)
             records = run_trials(
                 protocol, instance_fn, specs,
                 workers=workers, executor=executor,
                 cache=cache, instance_key=instance_key, metrics=hook,
-                batch=batch,
                 retry=retry, journal=journal, resume=resume,
                 fault_plan=fault_plan, profile=profile,
             )

@@ -602,7 +602,6 @@ def row_oneway_streaming_lower(quick: bool = True, seed: int = 0, *,
                 _ReservoirStreamProtocol(size, seed), builder, specs,
                 workers=workers, cache=sample_cache,
                 instance_key=f"{MU_STREAM_KEY}:{part_size}",
-                batch=True,
                 journal=_sweep_journal(
                     journal_dir, f"t1-r3-part{part_size}-res{size}.jsonl"
                 ),
@@ -779,7 +778,6 @@ def row_bm_lower(quick: bool = True, seed: int = 0, *,
         _bm_dichotomy_protocol, _BMPairBuilder(),
         _loop_specs(trials, n, seed),
         workers=workers, cache=cache, instance_key=BM_DICHOTOMY_KEY,
-        batch=True,
         journal=_sweep_journal(journal_dir, "t1-r6.jsonl"), resume=resume,
     )
     verified = sum(1 for r in results if r.found)

@@ -29,6 +29,7 @@ the trade-off the Ω(n^{1/4}) bound constrains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.comm.encoding import edge_bits
 from repro.comm.oneway import OneWayRun, run_extended_oneway
@@ -37,13 +38,7 @@ from repro.comm.randomness import SharedRandomness
 from repro.graphs.graph import Edge, iter_bits
 from repro.graphs.triangles import triangle_edges
 from repro.lowerbounds.distributions import MuDistribution, MuSample
-from repro.runtime import (
-    Executor,
-    InstanceCache,
-    TrialResult,
-    TrialSpec,
-    default_executor,
-)
+from repro.runtime import Executor, InstanceCache, TrialSpec, run_trials
 
 __all__ = [
     "oneway_triangle_edge_protocol",
@@ -137,6 +132,13 @@ class OneWayCurvePoint:
     """Fraction of far inputs where the output is a genuine triangle edge."""
 
 
+class _CurveOutcome(NamedTuple):
+    """One curve trial: the bits sent and whether the output was right."""
+
+    total_bits: int
+    found: bool
+
+
 def budget_success_curve(mu: MuDistribution, budgets: list[int],
                          trials: int = 8, seed: int = 0, *,
                          workers: int | None = None,
@@ -148,45 +150,46 @@ def budget_success_curve(mu: MuDistribution, budgets: list[int],
     a triangle edge) so the curve measures *correct* solutions of the
     paper's task, not lucky guesses.
 
-    Trials are executed through the experiment runtime: serial by
-    default, or fanned out over a process pool with ``workers=`` /
-    ``executor=`` (the PR 1 seam).  Every trial's randomness is fully
-    determined by ``seed`` and its trial index, so serial and parallel
+    Trials run through :func:`repro.runtime.run_trials`: one grid point
+    per budget (the budget rides in ``spec.d``), serial by default or
+    fanned out over a process pool with ``workers=`` / ``executor=``.
+    Trial ``t`` uses the same far sample (``spec.instance_seed``) at
+    every budget and protocol coins ``seed + t``, so serial and parallel
     sweeps return byte-identical curves.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     cache = InstanceCache(max_entries=max(8, trials))
 
-    def build_sample_with_truth(trial: int):
-        sample = mu.sample_far(seed=seed + 1009 * trial, min_packing=1)
+    def build_sample_with_truth(sample_seed: int):
+        sample = mu.sample_far(seed=sample_seed, min_packing=1)
         return sample, triangle_edges(sample.graph)
 
-    def far_sample_with_truth(trial: int):
-        return cache.get_or_build(
-            ("mu-far", trial), lambda: build_sample_with_truth(trial)
+    def budgeted_input(n: int, budget: float, sample_seed: int):
+        # The sample is shared across budgets; only the budget differs.
+        sample, truth = cache.get_or_build(
+            ("mu-far", sample_seed),
+            lambda: build_sample_with_truth(sample_seed),
         )
+        return sample, truth, int(budget)
 
-    def run_one(spec: TrialSpec) -> TrialResult:
-        sample, truth = far_sample_with_truth(spec.trial_index)
-        run = oneway_triangle_edge_protocol(
-            sample, budgets[spec.point_index], seed=spec.seed
-        )
+    def protocol(instance, protocol_seed: int) -> _CurveOutcome:
+        sample, truth, budget = instance
+        run = oneway_triangle_edge_protocol(sample, budget, seed=protocol_seed)
         success = run.output is not None and run.output in truth
-        return TrialResult.from_outcome(
-            spec, bits=run.total_bits, found=success
-        )
+        return _CurveOutcome(run.total_bits, success)
 
     specs = [
         TrialSpec(
             point_index=point, trial_index=trial, n=mu.n,
             d=float(budget), k=3, seed=seed + trial,
+            instance_seed=seed + 1009 * trial,
         )
         for point, budget in enumerate(budgets)
         for trial in range(trials)
     ]
-    chosen = executor if executor is not None else default_executor(workers)
-    results = chosen.run_trials(run_one, specs)
+    results = run_trials(protocol, budgeted_input, specs,
+                         workers=workers, executor=executor)
 
     points: list[OneWayCurvePoint] = []
     for point, budget in enumerate(budgets):

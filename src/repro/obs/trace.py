@@ -148,8 +148,10 @@ class TraceRecorder:
                 # stack and file handle belong to the parent.  Reopen a
                 # per-pid sibling file and start a fresh stack so the
                 # child's spans never interleave into the parent's file.
+                # The clock origin stays the parent's: a span the child
+                # opened before this first write measured its start
+                # from it, and the header records it for the new file.
                 self._tls = threading.local()
-                self._start = time.monotonic()
                 self._open_for_pid()
             file = self._file
             if file is None or file.closed:

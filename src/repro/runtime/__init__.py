@@ -11,13 +11,14 @@ Table 1 benchmark drivers:
 * :class:`InstanceCache` — memory/disk reuse of generated instances
   across the protocols compared at a grid point
   (:mod:`repro.runtime.cache`);
-* :class:`SerialExecutor` / :class:`ParallelExecutor` — interchangeable
-  engines, chosen by ``workers=`` or the ``REPRO_WORKERS`` env var
-  (:mod:`repro.runtime.executor`);
+* :func:`run_trials` with :class:`SerialExecutor` /
+  :class:`ParallelExecutor` — one batched, supervised loop, in-process
+  or over a process pool, chosen by ``workers=`` or the
+  ``REPRO_WORKERS`` env var (:mod:`repro.runtime.executor`);
 * :class:`RunJournal` — durable, checksummed record of completed trials
   for crash-safe resume (:mod:`repro.runtime.journal`);
-* :class:`RetryPolicy` — error capture, per-trial timeouts, and bounded
-  retry-with-backoff for the supervised execution paths
+* :class:`RetryPolicy` — error capture, per-batch timeouts, and bounded
+  retry-with-backoff; without one a run fails fast
   (:mod:`repro.runtime.executor`);
 * :class:`FaultPlan` — deterministic runtime fault injection, the seam
   every recovery path is tested through (:mod:`repro.runtime.faults`).

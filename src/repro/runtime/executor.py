@@ -1,70 +1,67 @@
-"""Trial executors: serial and process-pool-parallel with identical output.
+"""Trial execution: one batched, supervised loop, in-process or pooled.
 
-The contract every executor honours: given the same :class:`TrialTask`
-and the same spec list, ``run_trials`` returns the same
-:class:`~repro.runtime.spec.TrialResult` list in the same (spec) order.
-Parallelism changes wall-clock only, never records — each trial's
-randomness is fully determined by its spec's derived seed, so there is
-no shared RNG state to race on.
+The unit of work is a :class:`~repro.runtime.spec.TrialBatch` — every
+trial of one grid point.  :meth:`TrialTask.run_batch` builds (or
+cache-fetches) each distinct instance once per batch, builds the
+trials' coin streams in one batched construction, and runs the trials
+against them.  :meth:`TrialTask.__call__` runs one spec on its own,
+sharing nothing; it is the per-trial oracle the batched records are
+tested against.
 
-``ParallelExecutor`` distributes work over a ``ProcessPoolExecutor``
-and supports every start method:
+:func:`run_trials` groups specs into batches, runs them through an
+executor's ``run_batches``, and deals the results back out in input
+spec order.  Parallelism changes wall-clock only, never records — each
+trial's randomness is fully determined by its spec's derived seed, so
+there is no shared RNG state to race on.
+
+``Executor.run_batches`` runs batches in-process, one after another.
+``ParallelExecutor.run_batches`` shards whole batches over a
+``ProcessPoolExecutor`` (so instance reuse never crosses a process
+boundary) and supports every start method:
 
 * **fork** (the fast path where available): protocol and instance
   callables are typically closures (every Table 1 row builds them
   inline), which do not pickle; instead of pickling them per call, the
   active task is parked in a module global immediately before the pool
   forks, so workers inherit it through copy-on-write and only the small
-  ``TrialSpec`` / ``TrialResult`` dataclasses ever cross the pipe.
+  ``TrialBatch`` / ``TrialResult`` dataclasses ever cross the pipe.
 * **spawn / forkserver** (Windows, macOS, and Python 3.14's default):
   the task is pickled *once* and shipped to each worker through the
   pool initializer, which parks it in the same module global — the
-  per-trial traffic is identical to the fork path.  Tasks that do not
+  per-batch traffic is identical to the fork path.  Tasks that do not
   pickle (closure-built) fall back to serial execution transparently;
   module-level callables (and the picklable callables in
   :mod:`repro.analysis.experiments`) parallelise everywhere.
 
-Either way the records are byte-identical to serial execution: each
-trial's randomness is fully determined by its spec's derived seed.
+Both loops are supervised by a :class:`RetryPolicy`.  Without one —
+``run_trials`` given none of ``retry=``, ``journal=``, ``resume=``,
+``fault_plan=`` — the loop fails fast: one attempt, no watchdog, and
+the first trial exception propagates unchanged.  With one, each batch
+gets:
 
-The **batched** path (``run_trials(..., batch=True)``) regroups specs
-into per-grid-point :class:`~repro.runtime.spec.TrialBatch` units and
-runs each through :meth:`TrialTask.run_batch`, which builds (or
-cache-fetches) each distinct instance once per batch and reuses it
-across the repetition axis.  Parallel sharding is by whole batch, so
-instance reuse never crosses a process boundary and the records stay
-byte-identical to per-trial execution in either engine.
-
-The **supervised** path (engaged whenever ``run_trials`` is given a
-``retry=``, ``journal=``, ``resume=``, or ``fault_plan=``) adds the
-fault-tolerance layer:
-
-* per-trial / per-batch **error capture** — a trial that raises becomes
-  a ``status="error"`` :class:`TrialResult` instead of killing the
-  sweep;
-* a **wall-clock watchdog** (``RetryPolicy.timeout``) per unit of work
-  — a hung trial times out instead of stalling the sweep forever (in
+* **error capture** — a trial that raises becomes a ``status="error"``
+  :class:`TrialResult` instead of killing the sweep;
+* a **wall-clock watchdog** (``RetryPolicy.timeout``) per attempt — a
+  hung batch times out instead of stalling the sweep forever (in
   parallel mode the hung worker's pool is killed and rebuilt, because a
   running pool worker cannot be cancelled);
-* **bounded deterministic retry-with-backoff** — failed units are
+* **bounded deterministic retry-with-backoff** — failed batches are
   re-run up to ``RetryPolicy.max_attempts`` times with a fixed
   (jitter-free) backoff schedule; because trials are pure functions of
   their specs, retries can change wall-clock but never records;
 * **pool rebuild** on ``BrokenProcessPool`` (a worker died), with
   graceful **degradation to serial** execution once
   ``RetryPolicy.max_pool_rebuilds`` is exhausted;
-* incremental **journaling**: each completed unit's ok-results are
+* incremental **journaling**: each completed batch's ok-results are
   durably appended to the :class:`~repro.runtime.journal.RunJournal`
-  the moment they exist, so a crash loses at most the in-flight unit.
+  the moment they exist, so a crash loses at most the in-flight batches.
 """
 
 from __future__ import annotations
 
-import abc
 import contextlib
 import inspect
 import logging
-import math
 import multiprocessing
 import os
 import pickle
@@ -106,22 +103,22 @@ _LOGGER = logging.getLogger(__name__)
 
 
 class TrialTimeout(RuntimeError):
-    """A supervised unit of work exceeded its wall-clock budget."""
+    """A supervised batch exceeded its wall-clock budget."""
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the supervised executors respond to failure.
+    """How the supervised loop responds to failure.
 
-    ``max_attempts`` bounds runs per unit of work (a trial, or a whole
-    batch in batched mode); ``backoff_base * backoff_factor**i`` seconds
-    separate attempt ``i`` from attempt ``i+1`` — a fixed, jitter-free
-    schedule, so failure handling is as deterministic as the trials
-    themselves.  ``timeout`` (seconds per attempt, ``None`` = no
-    watchdog) is the hang guard; in parallel mode a timeout kills and
-    rebuilds the pool, and after ``max_pool_rebuilds`` rebuilds the
-    remaining work degrades to in-process serial execution.  ``sleep``
-    is injectable so tests can run the schedule without waiting it out.
+    ``max_attempts`` bounds runs per batch (one grid point);
+    ``backoff_base * backoff_factor**i`` seconds separate attempt ``i``
+    from attempt ``i+1`` — a fixed, jitter-free schedule, so failure
+    handling is as deterministic as the trials themselves.  ``timeout``
+    (seconds per attempt, ``None`` = no watchdog) is the hang guard; in
+    parallel mode a timeout kills and rebuilds the pool, and after
+    ``max_pool_rebuilds`` rebuilds the remaining work degrades to
+    in-process serial execution.  ``sleep`` is injectable so tests can
+    run the schedule without waiting it out.
     """
 
     max_attempts: int = 3
@@ -149,6 +146,11 @@ class RetryPolicy:
         """Seconds to wait before re-running after attempt ``attempt``."""
         return self.backoff_base * self.backoff_factor ** attempt
 
+
+#: The policy of an unsupervised run (``retry=None``): one attempt, no
+#: watchdog, and no error capture — the first exception propagates.
+_FAIL_FAST = RetryPolicy(max_attempts=1)
+
 #: Any callable mapping an ``EdgePartition``-like instance and a seed to an
 #: object exposing ``total_bits`` and ``found`` (e.g. ``DetectionResult``).
 ProtocolFn = Callable[..., object]
@@ -157,7 +159,7 @@ MetricsFn = Callable[[TrialSpec, object, object], dict]
 
 
 class TrialTask:
-    """Executes one spec: build (or fetch) the instance, run the protocol.
+    """Executes specs: build (or fetch) the instance, run the protocol.
 
     Parameters
     ----------
@@ -178,8 +180,8 @@ class TrialTask:
         Optional ``(spec, instance, outcome) -> dict`` hook whose result
         lands in ``TrialResult.extras`` (picklable primitives only).
     fault_plan:
-        Optional :class:`~repro.runtime.faults.FaultPlan` consulted on
-        the *supervised* execution paths only — the deterministic
+        Optional :class:`~repro.runtime.faults.FaultPlan` consulted
+        before every trial of :meth:`run_batch` — the deterministic
         fault-injection seam the recovery machinery is tested through.
     profile:
         When true, a per-trial phase cost profile (``build`` /
@@ -236,7 +238,7 @@ class TrialTask:
                  local: dict[tuple, object],
                  stream_cost: float = 0.0) -> TrialResult:
         """One trial against a batch-local instance map — the shared core
-        of the plain and supervised batch paths."""
+        of :meth:`run_batch` and the per-trial oracle."""
         if not self.profile:
             return self._execute(spec, stream, local, None, stream_cost)
         with obs_profile.profile_scope() as profile:
@@ -290,11 +292,13 @@ class TrialTask:
         return [None] * len(batch.specs)
 
     def __call__(self, spec: TrialSpec) -> TrialResult:
-        # A one-entry local map makes this exactly the batched core with
-        # nothing to coalesce, so both paths share the instrumentation.
+        """Run one spec on its own: a fresh instance, the protocol's own
+        coin stream, no fault plan.  The per-trial oracle that
+        :meth:`run_batch` must match record for record."""
         return self._run_one(spec, None, {})
 
-    def run_batch(self, batch: TrialBatch) -> list[TrialResult]:
+    def run_batch(self, batch: TrialBatch, *, attempt: int = 0,
+                  capture: bool = False) -> list[TrialResult]:
         """Run one grid point's trials against batch-local instances.
 
         Each distinct instance key is built (or cache-fetched) exactly
@@ -305,59 +309,30 @@ class TrialTask:
         :meth:`~repro.comm.randomness.SharedRandomness.batch`
         construction — draw-for-draw identical to the stream they would
         build internally from the spec seed, so outcomes are unchanged.
-        """
-        with obs_trace.span("batch", point=batch.point_index,
-                            trials=len(batch.specs)):
-            with obs_trace.span("streams"), \
-                    obs_metrics.timer("batch.stream_seconds"):
-                started = time.perf_counter()
-                streams = self._batch_streams(batch)
-                stream_cost = (
-                    (time.perf_counter() - started) / max(1, len(batch.specs))
-                    if self.profile else 0.0
-                )
-            local: dict[tuple, object] = {}
-            return [
-                self._run_one(spec, stream, local, stream_cost)
-                for spec, stream in zip(batch.specs, streams)
-            ]
 
-    # -- supervised entries -------------------------------------------
-    # Same computations as __call__/run_batch, but failures become
-    # structured records instead of escaping, and the fault plan gets
-    # its shot first.  Successful trials produce byte-identical results
-    # on either path.
-
-    def run_supervised(self, spec: TrialSpec, *,
-                       attempt: int = 0) -> TrialResult:
-        """One trial with fault injection and error capture."""
-        try:
-            if self.fault_plan is not None:
-                self.fault_plan.apply(spec, attempt)
-            return self(spec)
-        except Exception as error:
-            return TrialResult.from_error(spec, error)
-
-    def run_batch_supervised(self, batch: TrialBatch, *,
-                             attempt: int = 0) -> list[TrialResult]:
-        """One batch with per-trial fault injection and error capture.
-
-        A failure inside one trial (fault, instance build, protocol)
-        yields an error record for that trial only; the batch's other
-        trials still run.  A failure building the batch coin streams
-        fails the whole batch, since no trial can run without coins.
+        ``attempt`` is the supervisor's attempt counter, handed to the
+        fault plan.  With ``capture``, a failing trial (fault, instance
+        build, protocol, metrics hook) becomes an error record and the
+        batch's other trials still run; a failure building the coin
+        streams fails every trial, since none can run without coins.
+        Without ``capture`` the first exception propagates.
         """
         with obs_trace.span("batch", point=batch.point_index,
                             trials=len(batch.specs), attempt=attempt):
             try:
-                started = time.perf_counter()
-                streams = self._batch_streams(batch)
-                stream_cost = (
-                    (time.perf_counter() - started) / max(1, len(batch.specs))
-                    if self.profile else 0.0
-                )
+                with obs_trace.span("streams"), \
+                        obs_metrics.timer("batch.stream_seconds"):
+                    started = time.perf_counter()
+                    streams = self._batch_streams(batch)
+                    stream_cost = (
+                        (time.perf_counter() - started)
+                        / max(1, len(batch.specs))
+                        if self.profile else 0.0
+                    )
             except Exception as error:
-                return [TrialResult.from_error(s, error) for s in batch.specs]
+                if not capture:
+                    raise
+                return _error_results(batch, error)
             local: dict[tuple, object] = {}
             results: list[TrialResult] = []
             for spec, stream in zip(batch.specs, streams):
@@ -368,6 +343,8 @@ class TrialTask:
                         self._run_one(spec, stream, local, stream_cost)
                     )
                 except Exception as error:
+                    if not capture:
+                        raise
                     results.append(TrialResult.from_error(spec, error))
             return results
 
@@ -392,154 +369,52 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-class Executor(abc.ABC):
-    """Runs trials; subclasses choose how, never what."""
+# ----------------------------------------------------------------------
+# Supervision helpers (shared by the serial and parallel loops)
+# ----------------------------------------------------------------------
 
-    @abc.abstractmethod
-    def run_trials(self, task: Callable[[TrialSpec], TrialResult],
-                   specs: Iterable[TrialSpec]) -> list[TrialResult]:
-        """Execute every spec, returning results in spec order."""
-
-    def run_batches(self, task: TrialTask,
-                    batches: Iterable[TrialBatch]) -> list[TrialResult]:
-        """Execute per-point batches, returning results in batch order.
-
-        The default runs batches in-process one after another;
-        :class:`ParallelExecutor` overrides it to shard whole batches
-        across workers.
-        """
-        results: list[TrialResult] = []
-        for batch in batches:
-            results.extend(task.run_batch(batch))
-        return results
-
-    def run_supervised(self, task: TrialTask,
-                       units: Iterable[TrialSpec | TrialBatch], *,
-                       retry: RetryPolicy,
-                       journal: RunJournal | None = None,
-                       batch: bool = False) -> list[TrialResult]:
-        """Execute units (specs, or batches with ``batch=True``) under
-        supervision: fault injection, error capture, a wall-clock
-        watchdog, bounded retry, and incremental journaling.
-
-        The base implementation runs in-process, one unit at a time —
-        the reference semantics, and the path pool degradation falls
-        back to.  :class:`ParallelExecutor` overrides it with the
-        pool-rebuilding engine.
-        """
-        results: list[TrialResult] = []
-        for unit in units:
-            results.extend(
-                _supervise_serial_unit(task, unit, retry, journal, batch)
-            )
-        return results
+def _error_results(batch: TrialBatch, error: object,
+                   status: str = "error") -> list[TrialResult]:
+    return [
+        TrialResult.from_error(spec, error, status=status)
+        for spec in batch.specs
+    ]
 
 
-class SerialExecutor(Executor):
-    """In-process execution — the reference the parallel path must match."""
-
-    def run_trials(self, task: Callable[[TrialSpec], TrialResult],
-                   specs: Iterable[TrialSpec]) -> list[TrialResult]:
-        return [task(spec) for spec in specs]
-
-
-# The task a ParallelExecutor is currently running.  Fork workers
-# inherit it via copy-on-write; spawn workers receive it pickled through
-# the pool initializer below.
-_ACTIVE_TASK: Callable[[TrialSpec], TrialResult] | None = None
-
-# Every worker function returns ``(payload, metrics_snapshot)``: the
-# snapshot is the worker registry's delta since its last shipment
-# (``None`` when metrics are off, so the common case adds two bytes of
-# pickle).  The driver folds the snapshots into its own registry as the
-# results come home — see repro.obs.metrics.
-
-
-def _run_active_task(spec: TrialSpec) -> tuple[TrialResult, dict | None]:
-    if _ACTIVE_TASK is None:
-        raise RuntimeError("no active task in worker; pool misconfigured")
-    obs_metrics.worker_sync()
-    result = _ACTIVE_TASK(spec)
-    return result, obs_metrics.ship()
-
-
-def _run_active_batch(batch: TrialBatch
-                      ) -> tuple[list[TrialResult], dict | None]:
-    if _ACTIVE_TASK is None:
-        raise RuntimeError("no active task in worker; pool misconfigured")
-    obs_metrics.worker_sync()
-    results = _ACTIVE_TASK.run_batch(batch)
-    return results, obs_metrics.ship()
-
-
-def _run_supervised_trial(payload: tuple[TrialSpec, int]
-                          ) -> tuple[list[TrialResult], dict | None]:
-    spec, attempt = payload
-    if _ACTIVE_TASK is None:
-        raise RuntimeError("no active task in worker; pool misconfigured")
-    obs_metrics.worker_sync()
-    results = [_ACTIVE_TASK.run_supervised(spec, attempt=attempt)]
-    return results, obs_metrics.ship()
-
-
-def _run_supervised_batch(payload: tuple[TrialBatch, int]
-                          ) -> tuple[list[TrialResult], dict | None]:
-    batch, attempt = payload
-    if _ACTIVE_TASK is None:
-        raise RuntimeError("no active task in worker; pool misconfigured")
-    obs_metrics.worker_sync()
-    results = _ACTIVE_TASK.run_batch_supervised(batch, attempt=attempt)
-    return results, obs_metrics.ship()
-
-
-def _spawn_payload(task: object) -> bytes:
-    """Pickle the task (plus whether metrics are on) for spawn workers."""
-    return pickle.dumps((task, obs_metrics.get_metrics() is not None))
-
-
-def _install_pickled_task(payload: bytes) -> None:
-    """Spawn-worker initializer: unpickle the task into the shared slot.
-
-    A spawned worker imports everything fresh, so unlike a fork worker
-    it does not inherit the driver's metrics registry; when the driver
-    had one, install a fresh registry here so the worker's counts are
-    collected and shipped home all the same.
-    """
-    global _ACTIVE_TASK
-    loaded = pickle.loads(payload)
-    if (isinstance(loaded, tuple) and len(loaded) == 2
-            and isinstance(loaded[1], bool)):
-        task, metrics_on = loaded
-    else:  # pre-metrics payload shape: just the task
-        task, metrics_on = loaded, False
-    _ACTIVE_TASK = task
-    if metrics_on and obs_metrics.get_metrics() is None:
-        obs_metrics.set_metrics(obs_metrics.MetricsRegistry())
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _task_name(task: object) -> str:
-    """A human-readable task identity for degradation warnings."""
-    protocol = getattr(task, "protocol", None)
-    if protocol is None:
-        return repr(task)
-    instance_fn = getattr(task, "instance_fn", None)
-
-    def name(fn: object) -> str:
-        return getattr(fn, "__qualname__", None) or repr(fn)
-
-    return (
-        f"TrialTask(protocol={name(protocol)}, "
-        f"instance_fn={name(instance_fn)})"
+def _timeout_results(batch: TrialBatch,
+                     policy: RetryPolicy) -> list[TrialResult]:
+    return _error_results(
+        batch, f"trial timed out after {policy.timeout}s", status="timeout"
     )
 
 
-# ----------------------------------------------------------------------
-# Supervision helpers (shared by the serial and parallel engines)
-# ----------------------------------------------------------------------
+def _journal_batch(journal: RunJournal | None, batch: TrialBatch,
+                   results: Sequence[TrialResult]) -> None:
+    if journal is None:
+        return
+    for spec, result in zip(batch.specs, results):
+        journal.record(spec, result)
+
+
+def _rebind_coordinates(batch: TrialBatch,
+                        outcome: Sequence[TrialResult]) -> list[TrialResult]:
+    """Rebuild worker-returned records on the driver's own spec objects.
+
+    Exactly what a driver-side ``TrialResult.from_outcome`` call would
+    reference: within a grid point the specs share coordinate objects
+    (one ``d`` float per point), so the pickled byte stream of the final
+    record *list* matches serial execution no matter how the records
+    were split across futures on the way home.
+    """
+    return [
+        replace(
+            result,
+            point_index=spec.point_index, trial_index=spec.trial_index,
+            n=spec.n, d=spec.d, k=spec.k, seed=spec.seed,
+        )
+        for spec, result in zip(batch.specs, outcome)
+    ]
+
 
 def _call_with_timeout(fn: Callable[[], object],
                        timeout: float | None) -> object:
@@ -549,8 +424,8 @@ def _call_with_timeout(fn: Callable[[], object],
     surfaces as :class:`TrialTimeout` after ``timeout`` seconds — the
     abandoned thread finishes (or sleeps out its injected hang) in the
     background, and its late result is discarded.  This is the only way
-    to put a watchdog on in-process execution; parallel supervision
-    instead waits on pool futures and kills the hung worker's pool.
+    to put a watchdog on in-process execution; the pool loop instead
+    waits on futures and kills the hung worker's pool.
     """
     if timeout is None:
         return fn()
@@ -572,6 +447,35 @@ def _call_with_timeout(fn: Callable[[], object],
     return box["value"]
 
 
+def _supervise_serial(task: TrialTask, batch: TrialBatch,
+                      retry: RetryPolicy | None,
+                      journal: RunJournal | None) -> list[TrialResult]:
+    """The in-process attempt loop for one batch: timeout, capture,
+    backoff, retry — or, with ``retry=None``, one fail-fast attempt."""
+    policy = retry if retry is not None else _FAIL_FAST
+    outcome: list[TrialResult] = []
+    for attempt in range(policy.max_attempts):
+        if attempt:
+            obs_trace.event("retry", attempt=attempt)
+            obs_metrics.inc("retry.attempts")
+            policy.sleep(policy.backoff(attempt - 1))
+        try:
+            outcome = _call_with_timeout(
+                lambda: task.run_batch(batch, attempt=attempt,
+                                       capture=retry is not None),
+                policy.timeout,
+            )
+        except TrialTimeout:
+            obs_trace.event("timeout", attempt=attempt,
+                            timeout=policy.timeout)
+            outcome = _timeout_results(batch, policy)
+            continue
+        if all(result.ok for result in outcome):
+            break
+    _journal_batch(journal, batch, outcome)
+    return outcome
+
+
 def _kill_pool(pool: _PoolExecutor) -> None:
     """Forcibly tear down a pool that may contain hung or dead workers.
 
@@ -588,113 +492,123 @@ def _kill_pool(pool: _PoolExecutor) -> None:
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _unit_specs(unit: TrialSpec | TrialBatch,
-                batch: bool) -> list[TrialSpec]:
-    return list(unit.specs) if batch else [unit]  # type: ignore[union-attr]
+class Executor:
+    """Runs batches of trials; subclasses choose how, never what."""
+
+    def run_batches(self, task: TrialTask, batches: Iterable[TrialBatch], *,
+                    retry: RetryPolicy | None = None,
+                    journal: RunJournal | None = None) -> list[TrialResult]:
+        """Execute per-point batches in-process, one after another,
+        returning results in batch order.
+
+        ``retry=None`` fails fast; a :class:`RetryPolicy` engages error
+        capture, the watchdog and bounded retry per batch.  Each
+        finished batch is journaled.  :class:`ParallelExecutor`
+        overrides this with the pool loop, which falls back to it.
+        """
+        results: list[TrialResult] = []
+        for batch in batches:
+            results.extend(_supervise_serial(task, batch, retry, journal))
+        return results
 
 
-def _rebind_coordinates(unit: TrialSpec | TrialBatch, batch: bool,
-                        outcome: Sequence[TrialResult]) -> list[TrialResult]:
-    """Rebuild worker-returned records on the driver's own spec objects.
+class SerialExecutor(Executor):
+    """In-process execution — the reference the parallel path must match."""
 
-    Exactly what a driver-side ``TrialResult.from_outcome`` call would
-    reference: within a grid point the specs share coordinate objects
-    (one ``d`` float per point), so the pickled byte stream of the final
-    record *list* matches serial execution no matter how the records
-    were split across futures on the way home.
+
+# The task a ParallelExecutor is currently running.  Fork workers
+# inherit it via copy-on-write; spawn workers receive it pickled through
+# the pool initializer below.
+_ACTIVE_TASK: TrialTask | None = None
+
+
+def _run_batch_in_worker(payload: tuple[TrialBatch, int, bool]
+                         ) -> tuple[list[TrialResult], dict | None]:
+    """The pool's one entry point: ``(batch, attempt, capture)`` in,
+    ``(results, metrics_snapshot)`` out.
+
+    The snapshot is the worker registry's delta since its last shipment
+    (``None`` when metrics are off, so the common case adds two bytes of
+    pickle); the driver folds it into its own registry as the results
+    come home — see :mod:`repro.obs.metrics`.
     """
-    return [
-        replace(
-            result,
-            point_index=spec.point_index, trial_index=spec.trial_index,
-            n=spec.n, d=spec.d, k=spec.k, seed=spec.seed,
+    batch, attempt, capture = payload
+    if _ACTIVE_TASK is None:
+        raise RuntimeError("no active task in worker; pool misconfigured")
+    obs_metrics.worker_sync()
+    results = _ACTIVE_TASK.run_batch(batch, attempt=attempt, capture=capture)
+    return results, obs_metrics.ship()
+
+
+def _install_pickled_task(payload: bytes) -> None:
+    """Spawn-worker initializer: unpickle the task into the shared slot.
+
+    A spawned worker imports everything fresh, so unlike a fork worker
+    it does not inherit the driver's metrics registry; when the driver
+    had one, install a fresh registry here so the worker's counts are
+    collected and shipped home all the same.
+    """
+    global _ACTIVE_TASK
+    _ACTIVE_TASK, metrics_on = pickle.loads(payload)
+    if metrics_on and obs_metrics.get_metrics() is None:
+        obs_metrics.set_metrics(obs_metrics.MetricsRegistry())
+
+
+def _task_name(task: TrialTask) -> str:
+    """A human-readable task identity for degradation warnings."""
+
+    def name(fn: object) -> str:
+        return getattr(fn, "__qualname__", None) or repr(fn)
+
+    return (
+        f"TrialTask(protocol={name(task.protocol)}, "
+        f"instance_fn={name(task.instance_fn)})"
+    )
+
+
+def _pool_kwargs(task: TrialTask, method: str) -> dict | None:
+    """How ``task`` reaches the workers of a ``method`` pool.
+
+    Fork workers inherit it (no extra pool arguments).  Spawned workers
+    import this module fresh, so the task (plus whether metrics are on)
+    is pickled once and shipped through the initializer.  ``None``
+    means it cannot travel — a closure-built task under spawn — and the
+    caller runs serially instead.
+    """
+    if method == "fork":
+        return {}
+    try:
+        payload = pickle.dumps((task, obs_metrics.get_metrics() is not None))
+    except Exception as error:
+        _LOGGER.warning(
+            "%s does not pickle under start method %r (%s); "
+            "falling back to serial execution — records are "
+            "identical but parallelism is disabled for this run",
+            _task_name(task), method, error,
         )
-        for spec, result in zip(_unit_specs(unit, batch), outcome)
-    ]
-
-
-def _timeout_results(unit: TrialSpec | TrialBatch, batch: bool,
-                     retry: RetryPolicy) -> list[TrialResult]:
-    message = f"trial timed out after {retry.timeout}s"
-    return [
-        TrialResult.from_error(spec, message, status="timeout")
-        for spec in _unit_specs(unit, batch)
-    ]
-
-
-def _worker_lost_results(unit: TrialSpec | TrialBatch,
-                         batch: bool) -> list[TrialResult]:
-    return [
-        TrialResult.from_error(spec, "worker process died (pool broken)")
-        for spec in _unit_specs(unit, batch)
-    ]
-
-
-def _journal_unit(journal: RunJournal | None,
-                  unit: TrialSpec | TrialBatch, batch: bool,
-                  results: Sequence[TrialResult]) -> None:
-    if journal is None:
-        return
-    for spec, result in zip(_unit_specs(unit, batch), results):
-        journal.record(spec, result)
-
-
-def _attempt_serial(task: TrialTask, unit: TrialSpec | TrialBatch,
-                    attempt: int, batch: bool) -> list[TrialResult]:
-    if batch:
-        return task.run_batch_supervised(unit, attempt=attempt)
-    return [task.run_supervised(unit, attempt=attempt)]
-
-
-def _supervise_serial_unit(task: TrialTask, unit: TrialSpec | TrialBatch,
-                           retry: RetryPolicy, journal: RunJournal | None,
-                           batch: bool) -> list[TrialResult]:
-    """The in-process attempt loop: timeout, capture, backoff, retry."""
-    outcome: list[TrialResult] = []
-    for attempt in range(retry.max_attempts):
-        if attempt:
-            obs_trace.event("retry", attempt=attempt)
-            obs_metrics.inc("retry.attempts")
-            retry.sleep(retry.backoff(attempt - 1))
-        try:
-            outcome = _call_with_timeout(
-                lambda: _attempt_serial(task, unit, attempt, batch),
-                retry.timeout,
-            )
-        except TrialTimeout:
-            obs_trace.event("timeout", attempt=attempt,
-                            timeout=retry.timeout)
-            outcome = _timeout_results(unit, batch, retry)
-            continue
-        if all(result.ok for result in outcome):
-            break
-    _journal_unit(journal, unit, batch, outcome)
-    return outcome
+        return None
+    return {"initializer": _install_pickled_task, "initargs": (payload,)}
 
 
 class ParallelExecutor(Executor):
-    """Fan trials out over a process pool, in chunks.
+    """Fan batches out over a process pool, one grid point per task.
 
     ``workers=None`` means all cores.  ``start_method=None`` picks
     ``fork`` where the platform offers it and ``spawn`` otherwise
     (Windows, macOS defaults, Python 3.14+); passing ``"fork"`` /
     ``"spawn"`` / ``"forkserver"`` pins it.  Falls back to serial
     execution when there is nothing to parallelise (one worker, one
-    spec), when re-entered from within another parallel run (the shared
+    batch), when re-entered from within another parallel run (the shared
     task slot is single-occupancy), or when a spawn-method pool is asked
     to run a task that does not pickle.
     """
 
-    def __init__(self, workers: int | None = None,
-                 chunk_size: int | None = None,
+    def __init__(self, workers: int | None = None, *,
                  start_method: str | None = None) -> None:
         self.workers = (
             resolve_workers(workers) if workers is not None
             else (os.cpu_count() or 1)
         )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.chunk_size = chunk_size
         if start_method is not None:
             available = multiprocessing.get_all_start_methods()
             if start_method not in available:
@@ -704,161 +618,54 @@ class ParallelExecutor(Executor):
                 )
         self.start_method = start_method
 
-    def _chunk(self, total: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        # ~4 chunks per worker balances scheduling overhead against the
-        # skew of heterogeneous grid points (big-n trials dwarf small-n).
-        return max(1, math.ceil(total / (self.workers * 4)))
-
     def _resolve_start_method(self) -> str:
         if self.start_method is not None:
             return self.start_method
+        available = multiprocessing.get_all_start_methods()
         env = os.environ.get("REPRO_START_METHOD", "").strip()
-        if env:
-            available = multiprocessing.get_all_start_methods()
-            if env not in available:
-                raise ValueError(
-                    f"REPRO_START_METHOD={env!r} not available here "
-                    f"(choose from {available})"
-                )
-            return env
-        return "fork" if _fork_available() else "spawn"
+        if env and env not in available:
+            raise ValueError(
+                f"REPRO_START_METHOD={env!r} not available here "
+                f"(choose from {available})"
+            )
+        return env or ("fork" if "fork" in available else "spawn")
 
-    def run_trials(self, task: Callable[[TrialSpec], TrialResult],
-                   specs: Iterable[TrialSpec]) -> list[TrialResult]:
-        global _ACTIVE_TASK
-        spec_list = list(specs)
-        workers = min(self.workers, len(spec_list))
-        if workers <= 1 or _ACTIVE_TASK is not None:
-            return SerialExecutor().run_trials(task, spec_list)
-        method = self._resolve_start_method()
-        pool_kwargs: dict = {}
-        if method != "fork":
-            # Spawned workers import this module fresh: ship the task
-            # once, pickled, through the initializer.  Closure-built
-            # tasks cannot travel that way — run them serially.
-            try:
-                payload = _spawn_payload(task)
-            except Exception as error:
-                _LOGGER.warning(
-                    "%s does not pickle under start method %r (%s); "
-                    "falling back to serial execution — records are "
-                    "identical but parallelism is disabled for this run",
-                    _task_name(task), method, error,
-                )
-                return SerialExecutor().run_trials(task, spec_list)
-            pool_kwargs = {
-                "initializer": _install_pickled_task,
-                "initargs": (payload,),
-            }
-        _ACTIVE_TASK = task
-        try:
-            context = multiprocessing.get_context(method)
-            with _PoolExecutor(max_workers=workers,
-                               mp_context=context, **pool_kwargs) as pool:
-                results: list[TrialResult] = []
-                for result, shipped in pool.map(
-                        _run_active_task, spec_list,
-                        chunksize=self._chunk(len(spec_list))):
-                    obs_metrics.absorb(shipped)
-                    results.append(result)
-                return results
-        finally:
-            _ACTIVE_TASK = None
+    def run_batches(self, task: TrialTask, batches: Iterable[TrialBatch], *,
+                    retry: RetryPolicy | None = None,
+                    journal: RunJournal | None = None) -> list[TrialResult]:
+        """The pool loop.
 
-    def run_batches(self, task: TrialTask,
-                    batches: Iterable[TrialBatch]) -> list[TrialResult]:
+        Work proceeds in *waves*: every unresolved batch is submitted to
+        the pool, results are collected in batch order with the
+        watchdog's per-attempt budget, and failed batches re-enter the
+        next wave with an incremented attempt counter (after the backoff
+        pause).  With ``retry=None`` there is one wave and the first
+        failure propagates.
+
+        A timeout or a dead worker poisons the pool — running workers
+        cannot be cancelled — so the pool is killed and rebuilt between
+        waves, up to ``retry.max_pool_rebuilds`` times; after that the
+        remaining batches degrade to the in-process loop (where ``kill``
+        faults downgrade to ``raise``, and the sweep still finishes with
+        structured error records at worst).  A wave-wide
+        ``BrokenProcessPool`` cannot be attributed to one batch, so every
+        batch still unresolved in that wave is charged an attempt — this
+        keeps the faulty batch's counter advancing (and fault plans
+        deterministic) at the price of innocent batches occasionally
+        burning an attempt alongside it.
+        """
         global _ACTIVE_TASK
         batch_list = list(batches)
         workers = min(self.workers, len(batch_list))
-        if workers <= 1 or _ACTIVE_TASK is not None:
-            return super().run_batches(task, batch_list)
-        method = self._resolve_start_method()
-        pool_kwargs: dict = {}
-        if method != "fork":
-            try:
-                payload = _spawn_payload(task)
-            except Exception as error:
-                _LOGGER.warning(
-                    "%s does not pickle under start method %r (%s); "
-                    "falling back to serial execution — records are "
-                    "identical but parallelism is disabled for this run",
-                    _task_name(task), method, error,
-                )
-                return super().run_batches(task, batch_list)
-            pool_kwargs = {
-                "initializer": _install_pickled_task,
-                "initargs": (payload,),
-            }
-        _ACTIVE_TASK = task
-        try:
-            context = multiprocessing.get_context(method)
-            with _PoolExecutor(max_workers=workers,
-                               mp_context=context, **pool_kwargs) as pool:
-                # A batch is already a coarse unit of work (a whole grid
-                # point), so no further chunking is needed.
-                results: list[TrialResult] = []
-                for group, shipped in pool.map(_run_active_batch,
-                                               batch_list, chunksize=1):
-                    obs_metrics.absorb(shipped)
-                    results.extend(group)
-                return results
-        finally:
-            _ACTIVE_TASK = None
-
-    def run_supervised(self, task: TrialTask,
-                       units: Iterable[TrialSpec | TrialBatch], *,
-                       retry: RetryPolicy,
-                       journal: RunJournal | None = None,
-                       batch: bool = False) -> list[TrialResult]:
-        """The pool-rebuilding supervision engine.
-
-        Work proceeds in *waves*: every unresolved unit is submitted to
-        the pool, results are collected in unit order with the
-        watchdog's per-unit budget, and failed units re-enter the next
-        wave with an incremented attempt counter (after the backoff
-        pause).  A timeout or a dead worker poisons the pool — running
-        workers cannot be cancelled — so the pool is killed and rebuilt
-        between waves, up to ``retry.max_pool_rebuilds`` times; after
-        that the remaining units degrade to the in-process serial
-        engine (where ``kill`` faults downgrade to ``raise``, and the
-        sweep still finishes with structured error records at worst).
-
-        A wave-wide ``BrokenProcessPool`` cannot be attributed to one
-        unit, so every unit still unresolved in that wave is charged an
-        attempt — this keeps the faulty unit's counter advancing (and
-        fault plans deterministic) at the price of innocent units
-        occasionally burning an attempt alongside it.
-        """
-        global _ACTIVE_TASK
-        unit_list = list(units)
-        workers = min(self.workers, len(unit_list))
-        if workers <= 1 or _ACTIVE_TASK is not None:
-            return super().run_supervised(
-                task, unit_list, retry=retry, journal=journal, batch=batch
-            )
-        method = self._resolve_start_method()
-        pool_kwargs: dict = {}
-        if method != "fork":
-            try:
-                payload = _spawn_payload(task)
-            except Exception as error:
-                _LOGGER.warning(
-                    "%s does not pickle under start method %r (%s); "
-                    "falling back to serial execution — records are "
-                    "identical but parallelism is disabled for this run",
-                    _task_name(task), method, error,
-                )
-                return super().run_supervised(
-                    task, unit_list, retry=retry, journal=journal,
-                    batch=batch,
-                )
-            pool_kwargs = {
-                "initializer": _install_pickled_task,
-                "initargs": (payload,),
-            }
-        worker_fn = _run_supervised_batch if batch else _run_supervised_trial
+        pool_kwargs = None
+        if workers > 1 and _ACTIVE_TASK is None:
+            method = self._resolve_start_method()
+            pool_kwargs = _pool_kwargs(task, method)
+        if pool_kwargs is None:
+            return super().run_batches(task, batch_list, retry=retry,
+                                       journal=journal)
+        capture = retry is not None
+        policy = retry if capture else _FAIL_FAST
         context = multiprocessing.get_context(method)
 
         def make_pool() -> _PoolExecutor:
@@ -868,8 +675,8 @@ class ParallelExecutor(Executor):
         _ACTIVE_TASK = task
         pool: _PoolExecutor | None = make_pool()
         rebuilds = 0
-        # unit index -> attempt counter; resolved units leave the map.
-        remaining: dict[int, int] = {i: 0 for i in range(len(unit_list))}
+        # batch index -> attempt counter; resolved batches leave the map.
+        remaining = dict.fromkeys(range(len(batch_list)), 0)
         results: dict[int, list[TrialResult]] = {}
         last_outcome: dict[int, list[TrialResult]] = {}
         try:
@@ -877,71 +684,65 @@ class ParallelExecutor(Executor):
                 if pool is None:
                     _LOGGER.warning(
                         "process pool could not be revived after %d "
-                        "rebuild(s); degrading %d unit(s) to serial "
+                        "rebuild(s); degrading %d batch(es) to serial "
                         "execution", rebuilds, len(remaining),
                     )
                     obs_trace.event("degrade_serial", units=len(remaining),
                                     rebuilds=rebuilds)
                     obs_metrics.inc("pool.degrade_serial")
                     for i in sorted(remaining):
-                        results[i] = _supervise_serial_unit(
-                            task, unit_list[i], retry, journal, batch
+                        results[i] = _supervise_serial(
+                            task, batch_list[i], retry, journal
                         )
-                    remaining.clear()
                     break
                 futures = {
-                    i: pool.submit(worker_fn, (unit_list[i], remaining[i]))
+                    i: pool.submit(_run_batch_in_worker,
+                                   (batch_list[i], remaining[i], capture))
                     for i in sorted(remaining)
                 }
                 break_kind: str | None = None  # None | "timeout" | "broken"
                 failed: list[int] = []
-                for i in sorted(futures):
-                    future = futures[i]
+                for i, future in futures.items():
+                    batch = batch_list[i]
                     if break_kind is not None and not future.done():
-                        # The pool is going down; this unit never got to
+                        # The pool is going down; this batch never got to
                         # run — it re-enters the next wave at the same
                         # attempt (except after a worker death, charged
                         # below to keep fault counters advancing).
                         future.cancel()
                         if break_kind == "broken":
                             failed.append(i)
-                            last_outcome[i] = _worker_lost_results(
-                                unit_list[i], batch
+                            last_outcome[i] = _error_results(
+                                batch, "worker process died (pool broken)"
                             )
                         continue
                     try:
-                        wait = None if future.done() else retry.timeout
+                        wait = None if future.done() else policy.timeout
                         outcome, shipped = future.result(timeout=wait)
-                        obs_metrics.absorb(shipped)
-                    except _FuturesTimeout:
-                        break_kind = break_kind or "timeout"
+                    except Exception as error:
+                        if not capture:
+                            raise
                         failed.append(i)
-                        obs_trace.event("timeout", unit=i,
-                                        timeout=retry.timeout)
-                        last_outcome[i] = _timeout_results(
-                            unit_list[i], batch, retry
-                        )
+                        if isinstance(error, _FuturesTimeout):
+                            break_kind = break_kind or "timeout"
+                            obs_trace.event("timeout", unit=i,
+                                            timeout=policy.timeout)
+                            last_outcome[i] = _timeout_results(batch, policy)
+                        elif isinstance(error, BrokenExecutor):
+                            break_kind = "broken"
+                            obs_trace.event("worker_lost", unit=i)
+                            obs_metrics.inc("pool.worker_lost")
+                            last_outcome[i] = _error_results(
+                                batch, "worker process died (pool broken)"
+                            )
+                        else:  # defensive: capture happens worker-side
+                            last_outcome[i] = _error_results(batch, error)
                         continue
-                    except BrokenExecutor:
-                        break_kind = "broken"
-                        failed.append(i)
-                        obs_trace.event("worker_lost", unit=i)
-                        obs_metrics.inc("pool.worker_lost")
-                        last_outcome[i] = _worker_lost_results(
-                            unit_list[i], batch
-                        )
-                        continue
-                    except Exception as error:  # defensive: capture happens
-                        failed.append(i)       # worker-side, so this is rare
-                        last_outcome[i] = [
-                            TrialResult.from_error(spec, error)
-                            for spec in _unit_specs(unit_list[i], batch)
-                        ]
-                        continue
-                    outcome = _rebind_coordinates(unit_list[i], batch, outcome)
+                    obs_metrics.absorb(shipped)
+                    outcome = _rebind_coordinates(batch, outcome)
                     if all(result.ok for result in outcome):
                         results[i] = outcome
-                        _journal_unit(journal, unit_list[i], batch, outcome)
+                        _journal_batch(journal, batch, outcome)
                         del remaining[i]
                     else:
                         failed.append(i)
@@ -950,11 +751,9 @@ class ParallelExecutor(Executor):
                 backoff_from = None
                 for i in failed:
                     attempt = remaining[i]
-                    if attempt + 1 >= retry.max_attempts:
+                    if attempt + 1 >= policy.max_attempts:
                         results[i] = last_outcome[i]
-                        _journal_unit(
-                            journal, unit_list[i], batch, last_outcome[i]
-                        )
+                        _journal_batch(journal, batch_list[i], results[i])
                         del remaining[i]
                     else:
                         remaining[i] = attempt + 1
@@ -971,14 +770,18 @@ class ParallelExecutor(Executor):
                                     rebuilds=rebuilds)
                     obs_metrics.inc("pool.rebuilds")
                     pool = (
-                        make_pool() if rebuilds <= retry.max_pool_rebuilds
+                        make_pool() if rebuilds <= policy.max_pool_rebuilds
                         else None
                     )
                 if remaining and backoff_from is not None:
-                    retry.sleep(retry.backoff(backoff_from))
+                    policy.sleep(policy.backoff(backoff_from))
+            if pool is not None:
+                # Reap the workers before returning, so a caller reading
+                # the children's peak RSS sees them.
+                pool.shutdown(wait=True)
             return [
                 result
-                for i in range(len(unit_list))
+                for i in range(len(batch_list))
                 for result in results[i]
             ]
         finally:
@@ -1035,31 +838,35 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
                cache: InstanceCache | None = None,
                instance_key: str | None = None,
                metrics: MetricsFn | None = None,
-               batch: bool = False,
                retry: RetryPolicy | None = None,
                journal: RunJournal | str | os.PathLike | None = None,
                resume: bool = False,
                fault_plan: "FaultPlan | None" = None,
                profile: bool = False) -> list[TrialResult]:
-    """One-call convenience: wrap the callables in a task and execute.
+    """Run every spec, one batch per grid point; results in spec order.
 
-    ``batch=True`` routes through the per-grid-point batched engine
-    (instances built once per batch, coins from one batched
-    construction); ``batch=False`` is the per-trial reference path.
-    Both return the same records in the same (input spec) order.
+    The callables are wrapped in a :class:`TrialTask`, the specs are
+    grouped into per-point :class:`~repro.runtime.spec.TrialBatch`
+    units (instances built once per batch, coins from one batched
+    construction), and the batches run on ``executor`` (default: serial
+    or a pool by ``workers=`` / ``REPRO_WORKERS``).  Records equal the
+    per-trial oracle :meth:`TrialTask.__call__`, in input spec order.
 
-    Fault-tolerance knobs (any of them engages the supervised engine;
-    all default off, leaving the historical paths byte-for-byte):
+    With none of ``retry``, ``journal``, ``resume``, ``fault_plan`` the
+    run fails fast: the first trial exception propagates unchanged.
+    Passing any of them turns failures into records.  The unit of
+    retry, timeout and journaling is one grid point (batch).
 
     retry:
-        A :class:`RetryPolicy` — error capture, per-unit wall-clock
+        A :class:`RetryPolicy` — error capture, per-batch wall-clock
         timeout, bounded deterministic retry-with-backoff, pool rebuild
         on worker death, serial degradation when the pool cannot be
-        revived.
+        revived.  Defaults to one attempt when another knob is given.
     journal:
         A :class:`~repro.runtime.journal.RunJournal` (or a path one is
         opened at — and closed again — for the duration of the call).
-        Every completed ok-result is durably appended as it exists.
+        Every completed batch's ok-results are durably appended as soon
+        as the batch finishes.
     resume:
         With a journal: specs already recorded are *not* re-run; their
         journaled results are returned verbatim, byte-identical to what
@@ -1073,13 +880,28 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
         ``TrialResult.extras["profile"]`` (opt-in; changes the record —
         see :mod:`repro.obs.profile`).
     """
-    with obs_trace.span("run_trials", specs=len(specs), batch=batch):
-        results = _run_trials_impl(
-            protocol, instance_fn, specs, workers=workers,
-            executor=executor, cache=cache, instance_key=instance_key,
-            metrics=metrics, batch=batch, retry=retry, journal=journal,
-            resume=resume, fault_plan=fault_plan, profile=profile,
+    if resume and journal is None:
+        raise ValueError("resume=True requires a journal")
+    if retry is None and (journal is not None or resume
+                          or fault_plan is not None):
+        retry = RetryPolicy(max_attempts=1)
+    task = TrialTask(instance_fn, protocol, cache=cache,
+                     instance_key=instance_key, metrics=metrics,
+                     fault_plan=fault_plan, profile=profile)
+    chosen = executor if executor is not None else default_executor(workers)
+    with obs_trace.span("run_trials", specs=len(specs)):
+        owns_journal = (
+            journal is not None and not isinstance(journal, RunJournal)
         )
+        journal_obj: RunJournal | None = (
+            RunJournal(journal) if owns_journal else journal  # type: ignore[arg-type]
+        )
+        try:
+            results = _run_with_replay(task, chosen, list(specs), retry,
+                                       journal_obj, resume)
+        finally:
+            if owns_journal and journal_obj is not None:
+                journal_obj.close()
     registry = obs_metrics.get_metrics()
     if registry is not None:
         for result in results:
@@ -1087,85 +909,48 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
     return results
 
 
-def _run_trials_impl(protocol: ProtocolFn, instance_fn: InstanceFn,
-                     specs: Sequence[TrialSpec], *,
-                     workers: int | None,
-                     executor: Executor | None,
-                     cache: InstanceCache | None,
-                     instance_key: str | None,
-                     metrics: MetricsFn | None,
-                     batch: bool,
+def _run_with_replay(task: TrialTask, executor: Executor,
+                     spec_list: list[TrialSpec],
                      retry: RetryPolicy | None,
-                     journal: RunJournal | str | os.PathLike | None,
-                     resume: bool,
-                     fault_plan: "FaultPlan | None",
-                     profile: bool) -> list[TrialResult]:
-    task = TrialTask(instance_fn, protocol, cache=cache,
-                     instance_key=instance_key, metrics=metrics,
-                     fault_plan=fault_plan, profile=profile)
-    chosen = executor if executor is not None else default_executor(workers)
-    supervised = (
-        retry is not None or journal is not None or resume
-        or fault_plan is not None
+                     journal: RunJournal | None,
+                     resume: bool) -> list[TrialResult]:
+    """Replay what the journal holds (on resume), run the rest in
+    batches, and merge both back into input spec order."""
+    replayed: dict[int, TrialResult] = {}
+    if resume and journal is not None:
+        for index, spec in enumerate(spec_list):
+            recorded = journal.get(spec)
+            if recorded is not None:
+                # Rebuild the record on the caller's own spec coordinate
+                # objects, exactly as a live ``TrialResult.from_outcome``
+                # would — this keeps the within-point object sharing (and
+                # hence the pickled byte stream of the whole record list)
+                # identical to an uninterrupted run.
+                replayed[index] = replace(
+                    recorded,
+                    point_index=spec.point_index,
+                    trial_index=spec.trial_index,
+                    n=spec.n, d=spec.d, k=spec.k, seed=spec.seed,
+                )
+    if replayed:
+        obs_metrics.inc("journal.replayed", len(replayed))
+        obs_trace.event("resume", replayed=len(replayed),
+                        pending=len(spec_list) - len(replayed))
+    pending_indices = [
+        i for i in range(len(spec_list)) if i not in replayed
+    ]
+    pending = [spec_list[i] for i in pending_indices]
+    batches = batch_specs(pending)
+    fresh = _deal_batches(
+        batches,
+        executor.run_batches(task, batches, retry=retry, journal=journal),
+        pending,
     )
-    if not supervised:
-        if not batch:
-            return chosen.run_trials(task, specs)
-        spec_list = list(specs)
-        batches = batch_specs(spec_list)
-        return _deal_batches(
-            batches, chosen.run_batches(task, batches), spec_list
-        )
-    if resume and journal is None:
-        raise ValueError("resume=True requires a journal")
-    policy = retry if retry is not None else RetryPolicy(max_attempts=1)
-    owns_journal = journal is not None and not isinstance(journal, RunJournal)
-    journal_obj: RunJournal | None = (
-        RunJournal(journal) if owns_journal else journal  # type: ignore[arg-type]
-    )
-    spec_list = list(specs)
-    try:
-        replayed: dict[int, TrialResult] = {}
-        if resume and journal_obj is not None:
-            for index, spec in enumerate(spec_list):
-                recorded = journal_obj.get(spec)
-                if recorded is not None:
-                    # Rebuild the record on the caller's own spec
-                    # coordinate objects, exactly as a live
-                    # ``TrialResult.from_outcome`` would — this keeps
-                    # the within-point object sharing (and hence the
-                    # pickled byte stream of the whole record list)
-                    # identical to an uninterrupted run.
-                    replayed[index] = replace(
-                        recorded,
-                        point_index=spec.point_index,
-                        trial_index=spec.trial_index,
-                        n=spec.n, d=spec.d, k=spec.k, seed=spec.seed,
-                    )
-        if replayed:
-            obs_metrics.inc("journal.replayed", len(replayed))
-            obs_trace.event("resume", replayed=len(replayed),
-                            pending=len(spec_list) - len(replayed))
-        pending_indices = [
-            i for i in range(len(spec_list)) if i not in replayed
-        ]
-        pending = [spec_list[i] for i in pending_indices]
-        if batch:
-            batches = batch_specs(pending)
-            flat = chosen.run_supervised(
-                task, batches, retry=policy, journal=journal_obj, batch=True
-            )
-            fresh = _deal_batches(batches, flat, pending)
-        else:
-            fresh = chosen.run_supervised(
-                task, pending, retry=policy, journal=journal_obj, batch=False
-            )
-        merged: list[TrialResult | None] = [None] * len(spec_list)
-        for index, result in zip(pending_indices, fresh):
-            merged[index] = result
-        for index, result in replayed.items():
-            merged[index] = result
-        return merged  # type: ignore[return-value]
-    finally:
-        if owns_journal and journal_obj is not None:
-            journal_obj.close()
+    if not replayed:
+        return fresh
+    merged: list[TrialResult | None] = [None] * len(spec_list)
+    for index, result in zip(pending_indices, fresh):
+        merged[index] = result
+    for index, result in replayed.items():
+        merged[index] = result
+    return merged  # type: ignore[return-value]

@@ -6,8 +6,9 @@ death — needs to be exercised on demand in CI, not discovered in
 production.  A :class:`FaultPlan` is the seam: a picklable, frozen
 description of *which* trials fail, *how*, and for *how many attempts*,
 threaded onto a :class:`~repro.runtime.executor.TrialTask` via its
-``fault_plan=`` keyword and consulted only on the supervised execution
-paths (``run_supervised`` / ``run_batch_supervised``).
+``fault_plan=`` keyword and consulted before every trial of
+``TrialTask.run_batch``.  Passing one to ``run_trials`` engages
+supervision, so an injected failure becomes a record, not a dead sweep.
 
 Determinism comes from being attempt-indexed rather than stateful: a
 fault fires iff the trial's coordinates match and the supervisor-passed

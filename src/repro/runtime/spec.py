@@ -62,9 +62,9 @@ class TrialResult:
     only) recorded by a :class:`~repro.runtime.executor.TrialTask`
     metrics hook.
 
-    ``status`` / ``error`` are the supervised executors' structured
-    failure channel: ``"ok"`` (the only status the unsupervised paths
-    ever produce) carries a real measurement, while ``"error"`` and
+    ``status`` / ``error`` are supervised runs' structured failure
+    channel: ``"ok"`` (the only status an unsupervised, fail-fast run
+    ever produces) carries a real measurement, while ``"error"`` and
     ``"timeout"`` records stand in for trials whose every retry failed —
     the sweep survives and reports *what* failed instead of dying.
     Failed records carry ``bits=0.0`` / ``found=False`` placeholders and
@@ -158,7 +158,8 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """All trials of one grid point — the batched engine's unit of work.
+    """All trials of one grid point — the executor's unit of work, and
+    the unit of retry, timeout and journaling in supervised runs.
 
     Sharding stays by grid point: a parallel run hands whole batches to
     workers, so the per-batch instance reuse never crosses a process

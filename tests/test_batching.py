@@ -1,18 +1,23 @@
 """Differential tests for the batched trial engine (PR 7).
 
-The contract under test: ``run_trials(batch=True)`` (and the batched
-``run_sweep`` default) produces `TrialResult` records byte-identical to
-the per-trial reference path, across every protocol family and across
-serial/parallel executors; the batched path builds each grid point's
-instance once when instance seeds are shared; and the migrated Table 1
-loops (T1-R3 / T1-R6) match their historical inline implementations.
+The contract under test: ``run_trials`` (and ``run_sweep``), which run
+one batch per grid point, produce `TrialResult` records byte-identical
+to the per-trial oracle ``TrialTask.__call__``, across every protocol
+family and across serial/parallel executors; the batched path builds
+each grid point's instance once when instance seeds are shared; and the
+migrated Table 1 loops (T1-R3 / T1-R6) match their historical inline
+implementations.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import DefaultInstanceBuilder, run_sweep
+from repro.analysis.experiments import (
+    DefaultInstanceBuilder,
+    _aggregate,
+    run_sweep,
+)
 from repro.analysis.table1 import row_bm_lower, row_oneway_streaming_lower
 from repro.core.exact_baseline import (
     exact_triangle_detection,
@@ -42,6 +47,7 @@ from repro.runtime import (
     ParallelExecutor,
     SerialExecutor,
     TrialSpec,
+    TrialTask,
     batch_specs,
     build_specs,
     run_trials,
@@ -117,6 +123,12 @@ PROTOCOLS = {
 }
 
 
+def per_trial(protocol, builder, specs):
+    """The per-trial oracle: every spec run on its own, nothing shared."""
+    task = TrialTask(builder, protocol)
+    return [task(spec) for spec in specs]
+
+
 class TestBatchSpecs:
     def test_groups_by_point_preserving_order(self):
         specs = build_specs(GRID, trials=3, sweep_seed=0)
@@ -164,10 +176,9 @@ class TestBatchedIdentity:
         protocol = PROTOCOLS[name]
         specs = build_specs(GRID, trials=3, sweep_seed=11)
         builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
-        reference = run_trials(protocol, builder, specs,
-                               executor=SerialExecutor())
+        reference = per_trial(protocol, builder, specs)
         batched = run_trials(protocol, builder, specs,
-                             executor=SerialExecutor(), batch=True)
+                             executor=SerialExecutor())
         assert batched == reference
 
     @pytest.mark.parametrize("name", ["sim-low", "unrestricted"])
@@ -175,24 +186,20 @@ class TestBatchedIdentity:
         protocol = PROTOCOLS[name]
         specs = build_specs(GRID, trials=3, sweep_seed=11)
         builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
-        reference = run_trials(protocol, builder, specs,
-                               executor=SerialExecutor())
+        reference = per_trial(protocol, builder, specs)
         parallel_batched = run_trials(protocol, builder, specs,
-                                      executor=ParallelExecutor(workers=2),
-                                      batch=True)
+                                      executor=ParallelExecutor(workers=2))
         assert parallel_batched == reference
 
     def test_shared_instance_specs_identical_across_paths(self):
         specs = build_specs(GRID, trials=3, sweep_seed=11,
                             shared_instances=True)
         builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
-        reference = run_trials(sim_low_protocol, builder, specs,
-                               executor=SerialExecutor())
+        reference = per_trial(sim_low_protocol, builder, specs)
         batched = run_trials(sim_low_protocol, builder, specs,
-                             executor=SerialExecutor(), batch=True)
+                             executor=SerialExecutor())
         parallel = run_trials(sim_low_protocol, builder, specs,
-                              executor=ParallelExecutor(workers=2),
-                              batch=True)
+                              executor=ParallelExecutor(workers=2))
         assert batched == reference
         assert parallel == reference
 
@@ -200,8 +207,9 @@ class TestBatchedIdentity:
         builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
         batched = run_sweep(sim_low_protocol, builder, GRID,
                             trials=3, seed=4)
-        reference = run_sweep(sim_low_protocol, builder, GRID,
-                              trials=3, seed=4, batch=False)
+        records = per_trial(sim_low_protocol, builder,
+                            build_specs(GRID, trials=3, sweep_seed=4))
+        reference = _aggregate(GRID, 3, records)
         assert batched.records == reference.records
         assert batched.points == reference.points
 
@@ -216,7 +224,7 @@ class TestBatchedCacheSemantics:
         specs = build_specs(GRID, trials=4, sweep_seed=2,
                             shared_instances=True)
         run_trials(sim_low_protocol, builder, specs,
-                   executor=SerialExecutor(), batch=True,
+                   executor=SerialExecutor(),
                    cache=cache, instance_key="batching-test")
         stats = cache.stats()
         assert stats["builds"] == len(GRID)
@@ -232,11 +240,11 @@ class TestBatchedCacheSemantics:
         cache = InstanceCache()
         specs = build_specs(GRID, trials=2, sweep_seed=2)
         run_trials(sim_low_protocol, builder, specs,
-                   executor=SerialExecutor(), batch=True,
+                   executor=SerialExecutor(),
                    cache=cache, instance_key="batching-test")
         assert cache.stats()["misses"] == len(specs)
         run_trials(sim_low_protocol, builder, specs,
-                   executor=SerialExecutor(), batch=True,
+                   executor=SerialExecutor(),
                    cache=cache, instance_key="batching-test")
         assert cache.stats()["hits"] == len(specs)
 

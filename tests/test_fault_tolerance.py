@@ -1,9 +1,11 @@
 """The fault-tolerant sweep runtime: supervision, faults, kill-and-resume.
 
-The acceptance contract of the supervised executor paths:
+The acceptance contract of the supervised executor loop (its unit of
+retry, timeout and journaling is one grid point):
 
 * supervision (retry / journal / fault injection) engaged with no
-  faults produces records byte-identical to the plain paths;
+  faults produces records byte-identical to the plain run and to the
+  per-trial oracle ``TrialTask.__call__``;
 * injected raise / hang / kill faults are retried deterministically and
   surface as structured error records at worst — never a dead sweep;
 * a sweep killed mid-run (a real ``os._exit`` in a subprocess driver)
@@ -35,6 +37,7 @@ from repro.runtime import (
     RetryPolicy,
     RunJournal,
     SerialExecutor,
+    TrialBatch,
     TrialTask,
     build_specs,
     run_trials,
@@ -72,6 +75,12 @@ def build_grid_specs():
 def baseline_records():
     return run_trials(tiny_protocol, tiny_instance, build_grid_specs(),
                       workers=1)
+
+
+def per_trial_records():
+    """The per-trial oracle: every spec run on its own."""
+    task = TrialTask(tiny_instance, tiny_protocol)
+    return [task(spec) for spec in build_grid_specs()]
 
 
 def fast_retry(**overrides):
@@ -136,7 +145,7 @@ class TestSupervisedIdentity:
     """Supervision engaged, no faults: records byte-identical to plain."""
 
     def test_serial_per_trial(self):
-        base = baseline_records()
+        base = per_trial_records()
         supervised = run_trials(tiny_protocol, tiny_instance,
                                 build_grid_specs(), workers=1,
                                 retry=fast_retry())
@@ -147,11 +156,11 @@ class TestSupervisedIdentity:
         base = baseline_records()
         supervised = run_trials(tiny_protocol, tiny_instance,
                                 build_grid_specs(), workers=1,
-                                retry=fast_retry(), batch=True)
+                                retry=fast_retry())
         assert pickle.dumps(supervised) == pickle.dumps(base)
 
     def test_parallel_per_trial(self):
-        base = baseline_records()
+        base = per_trial_records()
         supervised = run_trials(
             tiny_protocol, tiny_instance, build_grid_specs(),
             executor=ParallelExecutor(workers=2, start_method="fork"),
@@ -164,7 +173,7 @@ class TestSupervisedIdentity:
         supervised = run_trials(
             tiny_protocol, tiny_instance, build_grid_specs(),
             executor=ParallelExecutor(workers=2, start_method="fork"),
-            retry=fast_retry(), batch=True,
+            retry=fast_retry(),
         )
         assert pickle.dumps(supervised) == pickle.dumps(base)
 
@@ -210,6 +219,8 @@ class TestFaultRecoverySerial:
         assert pickle.dumps(records) == pickle.dumps(base)
 
     def test_permanent_hang_surfaces_timeout_status(self):
+        # The watchdog's unit is one grid point: the hung trial times out
+        # its whole batch, so all of point 1's records read "timeout".
         plan = FaultPlan([
             Fault(kind="hang", point_index=1, trial_index=0, attempts=99,
                   hang_seconds=10.0),
@@ -218,9 +229,10 @@ class TestFaultRecoverySerial:
                              workers=1, fault_plan=plan,
                              retry=fast_retry(max_attempts=2, timeout=0.3))
         bad = [r for r in records if not r.ok]
-        assert len(bad) == 1
-        assert bad[0].status == "timeout"
-        assert "timed out" in bad[0].error
+        assert len(bad) == TRIALS
+        assert all(r.point_index == 1 for r in bad)
+        assert all(r.status == "timeout" for r in bad)
+        assert all("timed out" in r.error for r in bad)
 
     def test_kill_fault_downgrades_in_process(self):
         # A kill fault executing in the driver would take the sweep
@@ -297,7 +309,7 @@ class TestFaultRecoveryParallel:
         plan = FaultPlan([Fault(kind="raise", point_index=1, trial_index=2)])
         records = run_trials(tiny_protocol, tiny_instance, build_grid_specs(),
                              executor=self.executor(), fault_plan=plan,
-                             retry=fast_retry(), batch=True)
+                             retry=fast_retry())
         assert pickle.dumps(records) == pickle.dumps(base)
 
 
@@ -413,10 +425,12 @@ class TestKillAndResumeAcceptance:
         return path
 
     def test_crashed_sweep_resumes_byte_identical(self, tmp_path):
+        # The crash hits point 1's second trial.  The journal unit is one
+        # grid point, so it holds exactly point 0's completed trials.
         base = baseline_records()
         path = self.interrupt(tmp_path, kill_after=4)
         journal = RunJournal(path)
-        assert len(journal) == 4  # exactly the trials that completed
+        assert len(journal) == TRIALS  # the completed grid point
         journal.close()
         for name, executor in (
             ("serial", SerialExecutor()),
@@ -607,13 +621,15 @@ class TestSweepIntegration:
 
 
 class TestSupervisedTaskUnits:
+    """``run_batch`` with error capture, on one-spec batches."""
+
     def test_run_supervised_captures_metrics_failure(self):
         def bad_metrics(spec, instance, outcome):
             raise KeyError("metrics bug")
 
         task = TrialTask(tiny_instance, tiny_protocol, metrics=bad_metrics)
-        spec = build_grid_specs()[0]
-        result = task.run_supervised(spec)
+        batch = TrialBatch(0, (build_grid_specs()[0],))
+        (result,) = task.run_batch(batch, capture=True)
         assert not result.ok
         assert "metrics bug" in result.error
 
@@ -622,8 +638,8 @@ class TestSupervisedTaskUnits:
             Fault(kind="raise", point_index=0, trial_index=0, attempts=99),
         ])
         task = TrialTask(tiny_instance, tiny_protocol, fault_plan=plan)
-        spec = build_grid_specs()[0]
-        first = task.run_supervised(spec, attempt=1)
-        second = task.run_supervised(spec, attempt=1)
+        batch = TrialBatch(0, (build_grid_specs()[0],))
+        (first,) = task.run_batch(batch, attempt=1, capture=True)
+        (second,) = task.run_batch(batch, attempt=1, capture=True)
         assert first == second
         assert pickle.dumps(first) == pickle.dumps(second)

@@ -15,7 +15,9 @@ self-time partition, the logging bridge, and `InstanceCache.reset`.
 
 import json
 import logging
+import os
 import pickle
+import time
 
 import pytest
 
@@ -27,7 +29,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.summarize import load_trace, main as summarize_main, summarize
 from repro.obs.trace import TraceRecorder
-from repro.runtime import InstanceCache, ParallelExecutor
+from repro.runtime import InstanceCache, ParallelExecutor, TrialTask, build_specs
 
 GRID = [(120, 4.0, 3), (200, 4.0, 3)]
 
@@ -202,6 +204,32 @@ class TestTraceRecorder:
         names = {r["name"] for r in load_trace(tmp_path)}
         assert names == {"trace.jsonl", "trace-p123.jsonl"}
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_child_span_keeps_parent_clock(self, tmp_path):
+        """A span a fork child opens before its first write (as a pool
+        worker's first ``batch`` span does, ahead of its first ``trial``)
+        must time from the same clock origin it is closed against."""
+        nap = 0.05
+        with TraceRecorder(tmp_path / "trace.jsonl") as recorder:
+            with recorder.span("parent"):
+                pass
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    with recorder.span("child"):
+                        time.sleep(nap)
+                        with recorder.span("first-write"):
+                            pass
+                    code = 0
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        (child,) = [r for r in load_trace(tmp_path) if r["name"] == "child"]
+        assert child["pid"] == pid
+        assert child["dur"] >= nap
+
     def test_disabled_tracing_uses_shared_null_span(self):
         assert obs_trace.get_recorder() is None
         assert obs_trace.span("x") is obs_trace.span("y")
@@ -246,11 +274,17 @@ class TestByteIdentity:
         assert pickle.dumps(observed.records) == pickle.dumps(plain.records)
 
     def test_serial_per_trial(self, tmp_path):
-        plain = sweep(workers=1, batch=False)
-        observed = sweep(workers=1, batch=False,
-                         trace=tmp_path / "t.jsonl",
-                         metrics=MetricsRegistry())
-        assert pickle.dumps(observed.records) == pickle.dumps(plain.records)
+        # The per-trial oracle, traced and untraced, against the sweep.
+        task = TrialTask(spawn_helpers.spawn_instance,
+                         spawn_helpers.spawn_protocol)
+        specs = build_specs(GRID, trials=2, sweep_seed=9)
+        plain = [task(spec) for spec in specs]
+        with TraceRecorder(tmp_path / "t.jsonl") as recorder, \
+                obs_trace.use_recorder(recorder), \
+                obs_metrics.use_metrics(MetricsRegistry()):
+            observed = [task(spec) for spec in specs]
+        assert pickle.dumps(observed) == pickle.dumps(plain)
+        assert pickle.dumps(sweep(workers=1).records) == pickle.dumps(plain)
 
     def test_parallel_fork(self, tmp_path):
         plain = sweep(workers=1)

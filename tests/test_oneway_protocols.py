@@ -5,6 +5,7 @@ import pytest
 from repro.graphs.triangles import triangle_edges
 from repro.lowerbounds.distributions import MuDistribution
 from repro.lowerbounds.oneway_protocols import (
+    OneWayCurvePoint,
     budget_success_curve,
     oneway_triangle_edge_protocol,
 )
@@ -102,6 +103,19 @@ class TestCurveParallel:
             executor=ParallelExecutor(workers=4),
         )
         assert serial == parallel
+
+    def test_curve_pinned(self):
+        """The curve the per-trial executor loop produced, pinned so the
+        move onto batched ``run_trials`` cannot shift a single trial."""
+        points = budget_success_curve(MU, [2, 16, 64], trials=6, seed=3)
+        assert points == [
+            OneWayCurvePoint(alice_budget=2, mean_bits=56.0,
+                             success_rate=0.0),
+            OneWayCurvePoint(alice_budget=16, mean_bits=448.0,
+                             success_rate=4 / 6),
+            OneWayCurvePoint(alice_budget=64, mean_bits=1792.0,
+                             success_rate=1.0),
+        ]
 
     def test_workers_arg_matches_default(self):
         budgets = [4, 32]

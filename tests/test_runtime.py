@@ -131,16 +131,18 @@ class TestExecutorIdentity:
         assert pickle.dumps(serial.records) == pickle.dumps(parallel.records)
 
     def test_parallel_chunking_preserves_order(self):
+        # Interleaved points: the pool runs one batch per grid point and
+        # the results must be dealt back out in this input order.
         instance_fn = default_instance(epsilon=0.3, k=3)
-        specs = build_specs(GRID, trials=4, sweep_seed=2)
+        by_point = build_specs(GRID, trials=4, sweep_seed=2)
+        specs = [spec for pair in zip(by_point[:4], by_point[4:])
+                 for spec in pair]
         chunked = run_trials(
             sim_low_protocol, instance_fn, specs,
-            executor=ParallelExecutor(workers=3, chunk_size=1),
+            executor=ParallelExecutor(workers=3),
         )
-        reference = run_trials(
-            sim_low_protocol, instance_fn, specs,
-            executor=SerialExecutor(),
-        )
+        task = TrialTask(instance_fn, sim_low_protocol)
+        reference = [task(spec) for spec in specs]
         assert chunked == reference
         assert [r.point_index for r in chunked] == [
             s.point_index for s in specs
@@ -171,6 +173,28 @@ class TestExecutorIdentity:
             sim_low_protocol, instance_fn, GRID, trials=2, seed=4, workers=1
         )
         assert by_knob.records == serial.records
+
+
+def failing_protocol(partition, seed):
+    raise KeyError(f"protocol broke at seed {seed}")
+
+
+class TestFailFast:
+    """Without retry/journal/resume/fault_plan a run is unsupervised: the
+    first trial exception escapes with its own type and message."""
+
+    @pytest.mark.parametrize("executor", [
+        SerialExecutor(), ParallelExecutor(workers=2, start_method="fork"),
+    ], ids=["serial", "fork"])
+    def test_trial_exception_propagates_unchanged(self, executor):
+        specs = build_specs(GRID, trials=2, sweep_seed=6)
+        with pytest.raises(KeyError) as excinfo:
+            run_trials(failing_protocol, default_instance(epsilon=0.3, k=3),
+                       specs, executor=executor)
+        assert excinfo.type is KeyError
+        assert excinfo.value.args == (
+            f"protocol broke at seed {specs[0].seed}",
+        )
 
 
 class TestSpawnExecutor:
