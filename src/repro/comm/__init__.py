@@ -36,7 +36,7 @@ from repro.comm.oneway import (
     run_oneway_chain,
 )
 from repro.comm.players import Player, make_players
-from repro.comm.randomness import SharedRandomness
+from repro.comm.randomness import PublicOrder, SharedRandomness
 from repro.comm.simultaneous import SimultaneousRun, run_simultaneous
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "run_oneway_chain",
     "Player",
     "make_players",
+    "PublicOrder",
     "SharedRandomness",
     "SimultaneousRun",
     "run_simultaneous",

@@ -10,7 +10,8 @@ reveals anything about other players or the ground-truth graph.
 The methods mirror the local steps of Sections 3.1, 3.3 and 3.4:
 
 * degree bookkeeping (``local_degree``, ``degree_msb_index``, ``B~_i^j``),
-* permutation-ranked minima (Algorithm 1's unbiased sampling trick),
+* permutation-ranked minima (Algorithm 1's unbiased sampling trick; the
+  suspected-bucket pick is one numpy pass over a memoized degree array),
 * edge harvesting against publicly sampled vertex sets (Algorithms 4, 7-10),
 * the closing-edge check that finishes the unrestricted protocol
   ("each player examines its own input ... for an edge that closes a
@@ -35,7 +36,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.graphs.buckets import player_suspected_bucket
+import numpy as np
+
+from repro.comm.randomness import PublicOrder
+from repro.graphs.buckets import suspected_degree_bounds
 from repro.graphs.graph import Edge, canonical_edge, iter_bits, mask_of
 
 __all__ = ["Player", "make_players"]
@@ -65,7 +69,7 @@ class Player:
 
     __slots__ = (
         "player_id", "n", "_rows", "_num_edges", "_edges_cache",
-        "_degrees_cache",
+        "_degrees",
     )
 
     def __init__(self, player_id: int, n: int, edges: Iterable[Edge] = (),
@@ -87,7 +91,7 @@ class Player:
         self._rows = rows
         self._num_edges = num_edges
         self._edges_cache: frozenset[Edge] | None = None
-        self._degrees_cache: dict[int, int] | None = None
+        self._degrees: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Introspection (local, free)
@@ -166,18 +170,34 @@ class Player:
             return None
         return degree.bit_length() - 1
 
+    def _suspected_indices(self, index: int, k: int) -> np.ndarray:
+        """B~_i^j as an ascending vertex array over the memoized degrees."""
+        if self._degrees is None:
+            self._degrees = np.fromiter(
+                (row.bit_count() for row in self._rows),
+                dtype=np.int64, count=len(self._rows),
+            )
+        lower, upper = suspected_degree_bounds(index, k)
+        degrees = self._degrees
+        return np.flatnonzero((degrees >= lower) & (degrees <= upper))
+
     def suspected_bucket(self, index: int, k: int) -> set[int]:
         """B~_i^j: vertices with 3^i / k <= d_j(v) <= 3^(i+1)."""
-        if self._degrees_cache is None:
-            self._degrees_cache = {
-                v: row.bit_count()
-                for v, row in enumerate(self._rows) if row
-            }
-        return player_suspected_bucket(self._degrees_cache, index, k)
+        return set(self._suspected_indices(index, k).tolist())
 
     # ------------------------------------------------------------------
     # Permutation-ranked minima (Algorithm 1 and the §3.1 primitives)
     # ------------------------------------------------------------------
+    def first_in_suspected_bucket(self, index: int, k: int,
+                                  order: PublicOrder) -> int | None:
+        """Algorithm 1's local step: the lowest-ranked vertex of B~_i^j.
+
+        One degree-array scan for the bucket and one ``argmin`` over its
+        public keys; equal to ``first_vertex_under_rank(
+        suspected_bucket(index, k), order)``.
+        """
+        return order.argmin(self._suspected_indices(index, k))
+
     def first_vertex_under_rank(self, candidates: Iterable[int],
                                 rank: Callable[[int], tuple]) -> int | None:
         """Lowest-ranked vertex among ``candidates`` (public order).
@@ -186,13 +206,7 @@ class Player:
         over all players' minima is the global minimum — an unbiased,
         duplication-immune uniform sample.
         """
-        best: int | None = None
-        best_rank: tuple | None = None
-        for v in candidates:
-            r = rank(v)
-            if best_rank is None or r < best_rank:
-                best, best_rank = v, r
-        return best
+        return min(candidates, key=rank, default=None)
 
     def first_incident_edge_under_rank(self, v: int,
                                        rank: Callable[[int], tuple]
@@ -213,13 +227,7 @@ class Player:
     def first_edge_under_rank(self, rank: Callable[[Edge], tuple]
                               ) -> Edge | None:
         """Lowest-ranked edge of E_j under a public order on edges."""
-        best: Edge | None = None
-        best_rank: tuple | None = None
-        for edge in self._iter_edges():
-            r = rank(edge)
-            if best_rank is None or r < best_rank:
-                best, best_rank = edge, r
-        return best
+        return min(self._iter_edges(), key=rank, default=None)
 
     # ------------------------------------------------------------------
     # Edge harvesting against public vertex samples

@@ -12,7 +12,21 @@ Determinism contract: two ``SharedRandomness`` instances created with the
 same seed produce identical sample sequences, which is what makes protocol
 runs reproducible end to end.
 
-Two execution paths honour that contract:
+Two constructions sit behind the primitives:
+
+* **counter-based keys** for the per-item primitives
+  (:meth:`SharedRandomness.public_order`, :meth:`~SharedRandomness.permutation_rank`,
+  :meth:`~SharedRandomness.bernoulli_predicate`).  Item ``i``'s key is
+  output ``i`` of a SplitMix64 stream (Steele, Lea & Flood, OOPSLA 2014)
+  seeded by the call's base — a counter-based generator in the sense of
+  Salmon et al., SC'11.  A key costs a few integer operations in Python
+  and evaluates bit-identically as a numpy ``uint64`` expression over an
+  index array, so a player ranks its whole candidate set in one pass;
+* **Mersenne Twister sub-streams** for the subset primitives
+  (``bernoulli_subset[_mask]``, ``sample_without_replacement[_mask]``,
+  ``shuffled``, ``fork``).
+
+The subset primitives have two execution paths honouring the contract:
 
 * the **scalar** reference path draws one index at a time from
   ``random.Random`` (the historical implementation, always available);
@@ -40,7 +54,7 @@ try:  # the vectorized draw path is optional — scalar is always available
 except ImportError:  # pragma: no cover - exercised via the forced-off knob
     _np = None
 
-__all__ = ["SharedRandomness"]
+__all__ = ["PublicOrder", "SharedRandomness", "counter_key", "counter_keys"]
 
 #: Words in an MT19937 state vector (shared by random.Random and numpy).
 _MT_STATE_WORDS = 624
@@ -50,8 +64,83 @@ _MT_STATE_WORDS = 624
 _VECTOR_MIN_EXPECTED = 128
 
 # A large prime used to build per-call independent sub-streams from
-# (seed, tag) pairs without materializing n! permutations.
+# (seed, tag) pairs without materializing n! permutations.  It is also
+# SplitMix64's golden-gamma stream increment.
 _MIX_PRIME = 0x9E3779B97F4A7C15
+
+#: SplitMix64 finalizer multipliers.
+_MIX_MUL_1 = 0xBF58476D1CE4E5B9
+_MIX_MUL_2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+_TWO_64 = float(1 << 64)
+
+
+def counter_key(base: int, item: int) -> int:
+    """Item ``item``'s 64-bit key: output ``item`` of SplitMix64(``base``).
+
+    The counter steps by the golden gamma, not by one, so the finalizer
+    never sees consecutive inputs.  The gamma is odd and the finalizer a
+    bijection, so distinct items below 2^64 get distinct keys under one
+    base.
+    """
+    z = (base + (item + 1) * _MIX_PRIME) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_MUL_1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_MUL_2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def counter_keys(base: int, items) -> "_np.ndarray":
+    """:func:`counter_key` over an array of non-negative items, as uint64.
+
+    numpy's ``uint64`` arithmetic wraps modulo 2^64, so every step equals
+    its masked Python counterpart bit for bit.
+    """
+    z = _np.asarray(items, dtype=_np.int64).astype(_np.uint64)
+    z += _np.uint64(1)
+    z *= _np.uint64(_MIX_PRIME)
+    z += _np.uint64(base & _MASK64)
+    z ^= z >> _np.uint64(30)
+    z *= _np.uint64(_MIX_MUL_1)
+    z ^= z >> _np.uint64(27)
+    z *= _np.uint64(_MIX_MUL_2)
+    z ^= z >> _np.uint64(31)
+    return z
+
+
+class PublicOrder:
+    """A public, uniformly random total order over ``range(universe)``.
+
+    ``order(item)`` is the rank ``(key, item)``; keys are distinct, so the
+    item never breaks a tie and ``min(items, key=order)`` is the unique
+    lowest-keyed item.  :meth:`argmin` computes the same minimum in one
+    numpy pass over an index array — the player side of Algorithm 1.
+    """
+
+    __slots__ = ("universe", "_base")
+
+    def __init__(self, universe: int, base: int) -> None:
+        self.universe = universe
+        self._base = base
+
+    def __call__(self, item: int) -> tuple[int, int]:
+        if not 0 <= item < self.universe:
+            raise ValueError(
+                f"item {item} outside universe of size {self.universe}"
+            )
+        return (counter_key(self._base, item), item)
+
+    def argmin(self, items) -> int | None:
+        """The lowest-ranked of ``items`` (an index array), None if empty."""
+        items = _np.asarray(items, dtype=_np.int64)
+        if items.size == 0:
+            return None
+        low, high = int(items.min()), int(items.max())
+        if low < 0 or high >= self.universe:
+            bad = low if low < 0 else high
+            raise ValueError(
+                f"item {bad} outside universe of size {self.universe}"
+            )
+        return int(items[counter_keys(self._base, items).argmin()])
 
 
 def _mask_from_indices(indices: Iterable[int], universe_size: int) -> int:
@@ -227,33 +316,29 @@ class SharedRandomness:
     # ------------------------------------------------------------------
     # Protocol-level primitives
     # ------------------------------------------------------------------
-    def permutation_rank(self, universe_size: int, tag: int = 0):
+    def public_order(self, universe_size: int, tag: int = 0) -> PublicOrder:
         """A uniformly random total order over ``range(universe_size)``.
 
-        Returns a callable ``rank(item) -> float`` such that comparing ranks
-        realizes a uniformly random permutation (ties have probability zero
-        for practical purposes, and are broken by item id for determinism).
-        Every player evaluates the *same* function, so "the first element of
-        my set under the public permutation" is consistent across players —
-        exactly the trick Algorithm 1 (SampleUniformFromB~i) relies on.
-
-        A lazy hash-based construction is used instead of materializing the
-        permutation, so ranking a handful of elements of a huge universe is
-        cheap.
+        Every player evaluates the *same* order, so "the first element of
+        my set under the public permutation" is consistent across players
+        — exactly the trick Algorithm 1 (SampleUniformFromB~i) relies on.
+        Keys are computed lazily per item (or per index array through
+        :meth:`PublicOrder.argmin`), so ranking a handful of elements of a
+        huge universe is cheap.
         """
         base = (self._seed * _MIX_PRIME + (tag << 17) + self._next_nonce()) & (
             2**63 - 1
         )
+        return PublicOrder(universe_size, base)
 
-        def rank(item: int) -> tuple[float, int]:
-            if not 0 <= item < universe_size:
-                raise ValueError(
-                    f"item {item} outside universe of size {universe_size}"
-                )
-            local = random.Random((base * _MIX_PRIME + item) & (2**63 - 1))
-            return (local.random(), item)
+    def permutation_rank(self, universe_size: int, tag: int = 0):
+        """:meth:`public_order` as a rank callable.
 
-        return rank
+        Returns ``rank(item) -> (key, item)``: comparing ranks realizes a
+        uniformly random permutation, and out-of-universe items raise
+        ``ValueError``.
+        """
+        return self.public_order(universe_size, tag)
 
     def _bernoulli_local(self, probability: float, tag: int) -> random.Random:
         """Main-stream draws (one draw + nonce) behind both subset forms.
@@ -327,10 +412,12 @@ class SharedRandomness:
         base = (self._seed * _MIX_PRIME + (tag << 19) + self._next_nonce()) & (
             2**63 - 1
         )
+        # key < p·2^64 (exact: p·2^64 is a float product by a power of
+        # two, and key is an integer): p=0 never passes, p=1 always does.
+        threshold = math.ceil(probability * _TWO_64)
 
         def pred(item: int) -> bool:
-            local = random.Random((base * _MIX_PRIME + item) & (2**63 - 1))
-            return local.random() < probability
+            return counter_key(base, item) < threshold
 
         return pred
 

@@ -119,6 +119,12 @@ class SetPlayer:
     # ------------------------------------------------------------------
     # Permutation-ranked minima (Algorithm 1 and the §3.1 primitives)
     # ------------------------------------------------------------------
+    def first_in_suspected_bucket(self, index: int, k: int,
+                                  order: Callable[[int], tuple]
+                                  ) -> int | None:
+        """Lowest-ranked vertex of B~_i^j, one scalar rank per member."""
+        return min(self.suspected_bucket(index, k), key=order, default=None)
+
     def first_vertex_under_rank(self, candidates: Iterable[int],
                                 rank: Callable[[int], tuple]) -> int | None:
         """Lowest-ranked vertex among ``candidates`` (public order)."""

@@ -254,18 +254,18 @@ def find_triangle_unrestricted(
 def _sample_uniform_from_suspected(rt: CoordinatorRuntime, bucket: int,
                                    tag: int) -> int | None:
     """One unbiased uniform sample from B~_i, or None if B~_i is empty."""
-    rank = rt.shared.permutation_rank(rt.n, tag=tag)
+    order = rt.shared.public_order(rt.n, tag=tag)
     with rt.scope("SampleUniformFromB~i"):
         firsts = rt.collect(
-            compute=lambda p: p.first_vertex_under_rank(
-                p.suspected_bucket(bucket, rt.k), rank
+            compute=lambda p: p.first_in_suspected_bucket(
+                bucket, rt.k, order
             ),
             response_bits=lambda v: (
                 vertex_bits(rt.n) if v is not None else indicator_bits()
             ),
         )
         present = [v for v in firsts if v is not None]
-        chosen = min(present, key=rank) if present else None
+        chosen = min(present, key=order) if present else None
         rt.broadcast(
             vertex_bits(rt.n) if chosen is not None else indicator_bits()
         )

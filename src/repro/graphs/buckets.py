@@ -18,7 +18,8 @@ instances and the protocol can be instrumented:
   simply add up.
 * ``neighborhood`` N(B_i) and ``r_neighborhood`` N_r(B_i) (Definition 6).
 * ``player_suspected_bucket`` — the player-side set
-  ``B~_i^j = {v : 3^i / k <= d_j(v) <= 3^(i+1)}`` from Section 3.3.
+  ``B~_i^j = {v : 3^i / k <= d_j(v) <= 3^(i+1)}`` from Section 3.3, with
+  its degree bounds in ``suspected_degree_bounds``.
 * ``degree_thresholds`` — d_l = eps*d / (2 log n) and d_h = sqrt(n*d/eps)
   (Definitions 7 and 8), the bucket range the protocol iterates over.
 """
@@ -48,6 +49,7 @@ __all__ = [
     "neighborhood",
     "r_neighborhood_indices",
     "player_suspected_bucket",
+    "suspected_degree_bounds",
     "DegreeThresholds",
     "degree_thresholds",
 ]
@@ -235,13 +237,21 @@ def player_suspected_bucket(view_degrees: dict[int, int], index: int,
     least deg(v)/k of v's edges, and no player holds more than deg(v).
     (The paper states the same bounds in Section 3.3's shifted indexing.)
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    lower = (3 ** max(0, index - 1)) / k
-    upper = 3 ** index
+    lower, upper = suspected_degree_bounds(index, k)
     return {
         v for v, deg in view_degrees.items() if lower <= deg <= upper
     }
+
+
+def suspected_degree_bounds(index: int, k: int) -> tuple[float, int]:
+    """``(lower, upper)``: v is in B~_i^j iff lower <= d_j(v) <= upper.
+
+    The one definition of suspected-bucket membership, shared by the
+    dict form above and the players' degree-array form.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return (3 ** max(0, index - 1)) / k, 3 ** index
 
 
 @dataclass(frozen=True)

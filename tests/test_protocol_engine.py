@@ -213,6 +213,35 @@ def _partition(n: int, d: float, k: int, seed: int, duplicated: bool):
     return partition_disjoint(graph, k, seed=seed + 1)
 
 
+class TestBucketPickDifferential:
+    """Algorithm 1's local pick: mask players' numpy argmin over the
+    suspected bucket equals SetPlayer's scalar min over the same bucket."""
+
+    @given(
+        n=st.integers(min_value=3, max_value=300),
+        d=st.floats(min_value=0.5, max_value=12.0),
+        k=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**20),
+        duplicated=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_first_in_suspected_bucket_agrees(self, n, d, k, seed,
+                                              duplicated):
+        d = min(d, n - 1.0)
+        partition = (partition_with_duplication if duplicated
+                     else partition_disjoint)(gnd(n, d, seed=seed), k,
+                                              seed=seed + 1)
+        shared = SharedRandomness(seed)
+        for mask, ref in zip(make_players(partition),
+                             make_set_players(partition)):
+            for index in range(6):
+                order = shared.public_order(n, tag=index)
+                assert mask.suspected_bucket(index, k) == \
+                    ref.suspected_bucket(index, k)
+                assert mask.first_in_suspected_bucket(index, k, order) == \
+                    ref.first_in_suspected_bucket(index, k, order)
+
+
 class TestProtocolDifferential:
     """Whole protocol runs agree between the two player backends."""
 

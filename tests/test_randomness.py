@@ -1,10 +1,15 @@
 """Unit tests for shared public randomness (repro.comm.randomness)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.randomness import SharedRandomness
+from repro.comm.randomness import (
+    SharedRandomness,
+    counter_key,
+    counter_keys,
+)
 
 
 class TestDeterminism:
@@ -62,6 +67,82 @@ class TestPermutationRank:
             rank(-1)
 
 
+class TestCounterKeys:
+    """SplitMix64 keys behind public_order / permutation_rank / predicates."""
+
+    def test_splitmix64_reference_vectors(self):
+        # SplitMix64 seeded with state 0: the first three outputs of the
+        # reference implementation (Steele, Lea & Flood; Vigna's C code).
+        assert [counter_key(0, i) for i in range(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+        ]
+
+    @given(
+        base=st.integers(min_value=0, max_value=2**64 - 1),
+        items=st.lists(st.integers(min_value=0, max_value=2**62), max_size=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_numpy_keys_equal_scalar_keys(self, base, items):
+        keys = counter_keys(base, np.asarray(items, dtype=np.int64))
+        assert keys.dtype == np.uint64
+        assert [int(key) for key in keys] == [
+            counter_key(base, item) for item in items
+        ]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**40),
+        universe=st.integers(min_value=1, max_value=3000),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_argmin_equals_scalar_min(self, seed, universe, data):
+        members = data.draw(st.sets(
+            st.one_of(
+                st.sampled_from(sorted({0, universe - 1})),
+                st.integers(min_value=0, max_value=universe - 1),
+            ),
+            max_size=60,
+        ))
+        indices = np.asarray(sorted(members), dtype=np.int64)
+        order = SharedRandomness(seed).public_order(universe, tag=3)
+        assert order.argmin(indices) == min(
+            indices.tolist(), key=order, default=None
+        )
+
+    def test_argmin_edge_cases(self):
+        order = SharedRandomness(2).public_order(10)
+        assert order.argmin(np.empty(0, dtype=np.int64)) is None
+        assert order.argmin(np.array([0])) == 0
+        assert order.argmin(np.array([9])) == 9
+        assert order.argmin(np.arange(10)) == min(range(10), key=order)
+
+    def test_both_forms_reject_out_of_universe(self):
+        order = SharedRandomness(0).public_order(10)
+        for bad in (-1, 10):
+            with pytest.raises(ValueError):
+                order(bad)
+            with pytest.raises(ValueError):
+                order.argmin(np.array([0, bad]))
+
+    def test_permutation_rank_is_the_public_order(self):
+        order = SharedRandomness(4).public_order(100, tag=2)
+        rank = SharedRandomness(4).permutation_rank(100, tag=2)
+        assert [rank(i) for i in range(100)] == [order(i) for i in range(100)]
+        assert rank.argmin(np.arange(100)) == order.argmin(np.arange(100))
+
+    def test_rank_draws_one_nonce_like_subset_primitives(self):
+        """A rank or predicate call advances the main stream by one
+        nonce, so every later MT sub-stream draw is unaffected by which
+        key construction the call uses."""
+        a, b = SharedRandomness(8), SharedRandomness(8)
+        a.permutation_rank(50, tag=1)
+        a.bernoulli_predicate(0.5, tag=1)
+        b._next_nonce()
+        b._next_nonce()
+        assert a.bernoulli_subset_mask(500, 0.3, tag=2) == \
+            b.bernoulli_subset_mask(500, 0.3, tag=2)
+
+
 class TestBernoulliSubset:
     def test_probability_zero_empty(self):
         assert SharedRandomness(1).bernoulli_subset(100, 0.0) == set()
@@ -106,6 +187,17 @@ class TestBernoulliPredicate:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
             SharedRandomness(0).bernoulli_predicate(-0.1)
+
+    @given(seed=st.integers(min_value=0, max_value=2**40),
+           items=st.lists(st.integers(min_value=0, max_value=2**62),
+                          max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_endpoints_exact(self, seed, items):
+        shared = SharedRandomness(seed)
+        never = shared.bernoulli_predicate(0.0, tag=1)
+        always = shared.bernoulli_predicate(1.0, tag=1)
+        assert not any(never(item) for item in items)
+        assert all(always(item) for item in items)
 
 
 class TestSampling:
