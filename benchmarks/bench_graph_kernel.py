@@ -56,17 +56,18 @@ from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
 from repro.core.subgraph_detection import SubgraphParams
 from repro.graphs.generators import planted_disjoint_triangles
 from repro.graphs.graph import Graph
-from repro.graphs.reference import (
-    SetGraph,
-    count_triangles_reference,
-    greedy_triangle_packing_reference,
-    iter_triangles_reference,
-)
 from repro.graphs.triangles import (
     count_triangles,
     find_triangle,
     greedy_triangle_packing,
     iter_triangles,
+)
+
+from oracles.graphs import (
+    SetGraph,
+    count_triangles_reference,
+    greedy_triangle_packing_reference,
+    iter_triangles_reference,
 )
 
 #: (n, d): the Table 1 density regimes at kernel-relevant sizes.  The

@@ -6,15 +6,15 @@ engine; this driver measures the three layers PR 4 migrated:
 * **chain-reduction** — the streaming → one-way chain
   (:func:`repro.streaming.reduction.streaming_to_oneway`, row-batched
   feed + rows-serialized states) vs the preserved per-edge pipeline
-  (:func:`repro.streaming.reference.streaming_to_oneway_reference` with
+  (:func:`oracles.streaming.streaming_to_oneway_reference` with
   the ``set[Edge]``-state exact finder);
 * **oneway-curve** — the sample-and-intersect one-way protocol on µ
   (partition-adjacency-row messages, per-U-vertex mask intersection) vs
-  :func:`repro.lowerbounds.reference.oneway_triangle_edge_protocol_reference`;
+  :func:`oracles.lowerbounds.oneway_triangle_edge_protocol_reference`;
 * **blackboard** — deduplicating edge-posting rounds on the posted-rows
   board (:meth:`~repro.comm.blackboard.BlackboardRuntime.post_rows_in_turns`)
   vs the set-of-tuples loop preserved in
-  :func:`repro.comm.reference.post_edges_in_turns_reference`, on an
+  :func:`oracles.comm.post_edges_in_turns_reference`, on an
   all-to-all duplicated input (the Theorem 3.23 regime).
 
 Every trial asserts the mask and reference paths produce identical
@@ -49,21 +49,20 @@ from repro.comm.blackboard import BlackboardRuntime
 from repro.comm.encoding import edge_bits
 from repro.comm.players import make_players
 from repro.comm.randomness import SharedRandomness
-from repro.comm.reference import post_edges_in_turns_reference
 from repro.graphs.generators import gnd
 from repro.graphs.partition import partition_all_to_all
 from repro.lowerbounds.distributions import MuDistribution
 from repro.lowerbounds.oneway_protocols import oneway_triangle_edge_protocol
-from repro.lowerbounds.reference import (
-    oneway_triangle_edge_protocol_reference,
-)
 from repro.streaming.reduction import streaming_to_oneway
-from repro.streaming.reference import (
+from repro.streaming.triangle_stream import CountingExactFinder
+
+from oracles.comm import post_edges_in_turns_reference
+from oracles.lowerbounds import oneway_triangle_edge_protocol_reference
+from oracles.streaming import (
     CountingExactFinderReference,
     state_edges,
     streaming_to_oneway_reference,
 )
-from repro.streaming.triangle_stream import CountingExactFinder
 
 FULL_NS = [2000, 3000, 4000]
 QUICK_NS = [2000]

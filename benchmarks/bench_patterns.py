@@ -5,7 +5,7 @@ exactly as :func:`repro.core.subgraph_detection.find_subgraph_simultaneous`'s
 referee performs it — mask path
 (:func:`repro.core.referee.rows_union_subgraph_referee`, rows union +
 canonical-first engine) vs the historical ``set[Edge]`` union + networkx
-VF2 (:func:`repro.core.referee.set_union_subgraph_referee`) — on the
+VF2 (:func:`oracles.core.set_union_subgraph_referee`) — on the
 protocol's real per-round messages:
 
 * **referee-miss** — messages from a certifiably H-free control
@@ -54,11 +54,7 @@ from timing_helpers import best_of
 
 from repro.comm.players import make_players
 from repro.comm.randomness import SharedRandomness
-from repro.core.referee import (
-    rows_union_subgraph_referee,
-    set_union_subgraph_referee,
-    union_rows,
-)
+from repro.core.referee import rows_union_subgraph_referee, union_rows
 from repro.core.subgraph_detection import SubgraphParams
 from repro.graphs.generators import bipartite_triangle_free
 from repro.graphs.partition import partition_disjoint
@@ -68,7 +64,9 @@ from repro.patterns.plant import (
     incidence_c4_free,
     planted_disjoint_subgraphs,
 )
-from repro.patterns.reference import find_copy_among_reference
+
+from oracles.core import set_union_subgraph_referee
+from oracles.patterns import find_copy_among_reference
 
 FULL_NS = [2000, 3000, 4000]
 QUICK_NS = [2000]

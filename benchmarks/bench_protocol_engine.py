@@ -6,9 +6,10 @@ trials of the simultaneous testers (sim-low, sim-high, oblivious) on the
 canonical epsilon-far disjoint partition, run once with the mask-native
 :class:`~repro.comm.players.Player` (cached partition adjacency rows,
 mask harvests, O(1) ledger) and once with the preserved
-:class:`~repro.comm.reference.SetPlayer` (per-trial frozenset shredding,
+:class:`~oracles.comm.SetPlayer` (per-trial frozenset shredding,
 per-edge Python set harvests).  Both execute the identical protocol code
-through the ``player_factory`` seam, and every ``DetectionResult`` —
+(:func:`oracles.comm.set_players` swaps the protocol modules'
+``make_players``), and every ``DetectionResult`` —
 triangle, witness edges, cost summary, details — is asserted equal
 before a speedup is reported.
 
@@ -37,11 +38,12 @@ from baseline import check_baseline
 from timing_helpers import best_of
 
 from repro.analysis.table1 import far_disjoint_instance
-from repro.comm.players import make_players
-from repro.comm.reference import make_set_players
+from repro.core import oblivious, simultaneous_high, simultaneous_low
 from repro.core.oblivious import ObliviousParams, find_triangle_sim_oblivious
 from repro.core.simultaneous_high import SimHighParams, find_triangle_sim_high
 from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
+
+from oracles.comm import set_players
 
 #: (n, d) on the canonical far instance (epsilon=0.2, k=3, seed 7).
 FULL_GRID = [(2000, 8.0), (3000, 8.0), (4000, 8.0)]
@@ -51,26 +53,25 @@ SPEEDUP_FLOOR = 3.0
 TRIAL_SEED = 1
 K = 3
 
+#: (name, protocol module, run on a partition).
 PROTOCOLS = [
     (
-        "sim-low",
-        lambda part, factory: find_triangle_sim_low(
+        "sim-low", simultaneous_low,
+        lambda part: find_triangle_sim_low(
             part, SimLowParams(epsilon=0.2, delta=0.2), seed=TRIAL_SEED,
-            player_factory=factory,
         ),
     ),
     (
-        "sim-high",
-        lambda part, factory: find_triangle_sim_high(
+        "sim-high", simultaneous_high,
+        lambda part: find_triangle_sim_high(
             part, SimHighParams(epsilon=0.2, delta=0.2, c=2.0),
-            seed=TRIAL_SEED, player_factory=factory,
+            seed=TRIAL_SEED,
         ),
     ),
     (
-        "oblivious",
-        lambda part, factory: find_triangle_sim_oblivious(
+        "oblivious", oblivious,
+        lambda part: find_triangle_sim_oblivious(
             part, ObliviousParams(epsilon=0.2, delta=0.2), seed=TRIAL_SEED,
-            player_factory=factory,
         ),
     ),
 ]
@@ -81,13 +82,12 @@ def run_grid(grid, repeats: int = 5) -> list[dict]:
     rows = []
     for n, d in grid:
         partition = build(n, d, 7)
-        for name, protocol in PROTOCOLS:
-            mask_s, mask_out = best_of(
-                repeats, lambda: protocol(partition, make_players)
-            )
-            set_s, set_out = best_of(
-                repeats, lambda: protocol(partition, make_set_players)
-            )
+        for name, module, protocol in PROTOCOLS:
+            mask_s, mask_out = best_of(repeats, lambda: protocol(partition))
+            with set_players(module):
+                set_s, set_out = best_of(
+                    repeats, lambda: protocol(partition)
+                )
             # Mismatches are recorded, not raised: the JSON must reflect
             # the failing run (it is written before the gate fires).
             rows.append({

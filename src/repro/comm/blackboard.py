@@ -19,9 +19,8 @@ shift-and-test, and the mask form
 :meth:`BlackboardRuntime.post_rows_in_turns` computes a whole player's
 fresh edges as ``harvest_row & ~board_row`` per vertex — word-wide, in
 exactly the ascending canonical order the edge form posts sorted harvests
-in.  The original set-of-tuples dedup loop survives as
-:func:`repro.comm.reference.post_edges_in_turns_reference` for
-differential tests and benchmarks.
+in.  The original set-of-tuples dedup loop survives as a test oracle
+under ``tests/oracles/`` for differential tests and benchmarks.
 """
 
 from __future__ import annotations

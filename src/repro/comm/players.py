@@ -25,7 +25,7 @@ C instead of per-edge Python set work.  The mask-form harvests
 (``edges_within_mask`` and friends) return edges in ascending canonical
 order, which is exactly the ``sorted(...)`` order the protocols previously
 imposed, so messages (and cap truncations) are byte-identical to the
-set-based implementation preserved in :mod:`repro.comm.reference`.
+set-based ``SetPlayer`` preserved under ``tests/oracles/``.
 
 Players built via :func:`make_players` reuse the per-player adjacency rows
 cached on the :class:`~repro.graphs.partition.EdgePartition`, so repeated

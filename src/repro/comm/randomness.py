@@ -35,8 +35,7 @@ The subset primitives have two execution paths honouring the contract:
   from identical word pairs — and replays the geometric-skipping
   recurrence as array operations.  Selected indices are equal element
   for element, so masks are byte-identical; the path is taken
-  automatically for draws big enough to amortize the state transplant
-  and degrades to scalar whenever numpy is unavailable.
+  automatically for draws big enough to amortize the state transplant.
 
 :meth:`SharedRandomness.batch` is the batched construction the trial
 runtime uses: one call yields every trial's coin stream for a grid
@@ -49,10 +48,7 @@ import math
 import random
 from typing import Iterable, Iterator, Sequence
 
-try:  # the vectorized draw path is optional — scalar is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the forced-off knob
-    _np = None
+import numpy as _np
 
 __all__ = ["PublicOrder", "SharedRandomness", "counter_key", "counter_keys"]
 
@@ -255,19 +251,17 @@ class SharedRandomness:
         Seed of the public random string.  Protocol executions with equal
         seeds are bitwise identical.
     vectorized:
-        ``None`` (default) lets big subset draws take the numpy path when
-        numpy is importable; ``False`` forces the scalar reference path;
-        ``True`` insists on numpy and raises without it.  All settings
-        produce identical samples — the knob only trades implementations.
+        ``None`` (default) lets big subset draws take the numpy path;
+        ``False`` forces the scalar reference path; ``True`` is the
+        default made explicit.  All settings produce identical samples —
+        the knob only trades implementations.
     """
 
     def __init__(self, seed: int = 0, *, vectorized: bool | None = None) -> None:
-        if vectorized and _np is None:  # pragma: no cover - numpy is baked in
-            raise RuntimeError("vectorized draws requested but numpy is missing")
         self._seed = seed
         self._rng = random.Random(seed)
         self._draws = 0
-        self._vectorized = (_np is not None) if vectorized is None else vectorized
+        self._vectorized = True if vectorized is None else vectorized
 
     @property
     def seed(self) -> int:

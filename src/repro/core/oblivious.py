@@ -96,20 +96,17 @@ def find_triangle_sim_oblivious(
     params: ObliviousParams | None = None,
     seed: int = 0,
     *,
-    player_factory=make_players,
     shared: SharedRandomness | None = None,
     record_messages: bool = False,
 ) -> DetectionResult:
     """Run Algorithm 11: simultaneous triangle detection, d unknown.
 
-    ``player_factory`` swaps the player backend (mask-native by default;
-    :func:`repro.comm.reference.make_set_players` for differential runs).
     ``shared`` injects a pre-built coin stream (the batched engine passes
     one draw-identical to ``SharedRandomness(seed)``); ``record_messages``
     retains the per-message transcript in ``details["transcript"]``.
     """
     params = params or ObliviousParams()
-    players = player_factory(partition)
+    players = make_players(partition)
     n = partition.graph.n
     k = len(players)
     shared = shared if shared is not None else SharedRandomness(seed)

@@ -83,20 +83,17 @@ def find_triangle_sim_high(
     params: SimHighParams | None = None,
     seed: int = 0,
     *,
-    player_factory=make_players,
     shared: SharedRandomness | None = None,
     record_messages: bool = False,
 ) -> DetectionResult:
     """Run the high-degree simultaneous tester on a partitioned input.
 
-    ``player_factory`` swaps the player backend (mask-native by default;
-    :func:`repro.comm.reference.make_set_players` for differential runs).
     ``shared`` injects a pre-built coin stream (the batched engine passes
     one draw-identical to ``SharedRandomness(seed)``); ``record_messages``
     retains the per-message transcript in ``details["transcript"]``.
     """
     params = params or SimHighParams()
-    players = player_factory(partition)
+    players = make_players(partition)
     n = partition.graph.n
     d = (
         params.known_average_degree

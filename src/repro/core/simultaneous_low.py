@@ -90,21 +90,18 @@ def find_triangle_sim_low(
     params: SimLowParams | None = None,
     seed: int = 0,
     *,
-    player_factory=make_players,
     shared: SharedRandomness | None = None,
     record_messages: bool = False,
 ) -> DetectionResult:
     """Run the low-degree simultaneous tester on a partitioned input.
 
-    ``player_factory`` swaps the player backend (mask-native by default;
-    :func:`repro.comm.reference.make_set_players` for differential runs).
     ``shared`` injects a pre-built coin stream (the batched engine passes
     one draw-identical to ``SharedRandomness(seed)``); ``record_messages``
     retains the per-message transcript in ``details["transcript"]`` —
     left off, nothing beyond aggregate counters is ever materialized.
     """
     params = params or SimLowParams()
-    players = player_factory(partition)
+    players = make_players(partition)
     n = partition.graph.n
     d = (
         params.known_average_degree

@@ -26,17 +26,12 @@ is rows-native: per-round messages fold into per-vertex adjacency masks
 (:func:`repro.core.referee.union_rows`) and
 :func:`repro.patterns.matcher.find_copy_in_rows` walks them, so the
 reported copy is canonical-first — a deterministic function of the union
-itself.  The historical ``set[Edge]`` union + networkx VF2 search is
-preserved as :func:`repro.core.referee.set_union_subgraph_referee`
-behind the ``matcher=`` seam (pass
-:func:`repro.patterns.reference.find_copy_in_rows_reference` for a
-VF2-refereed run).
+itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.comm.encoding import edge_bits
 from repro.comm.players import Player, make_players
@@ -124,25 +119,17 @@ def find_subgraph_simultaneous(
     params: SubgraphParams | None = None,
     seed: int = 0,
     *,
-    player_factory=make_players,
-    matcher: Callable = find_copy_in_rows,
     shared: SharedRandomness | None = None,
     record_messages: bool = False,
 ) -> SubgraphDetectionResult:
     """One-shot simultaneous H-detection with one-sided error.
 
-    ``player_factory`` swaps the player backend (mask-native by default;
-    :func:`repro.comm.reference.make_set_players` for differential runs).
-    ``matcher`` swaps the referee's H-copy search (the rows-native
-    canonical-first engine by default;
-    :func:`repro.patterns.reference.find_copy_in_rows_reference` runs
-    the preserved networkx VF2 matcher on the same rows union).
     ``shared`` injects a pre-built coin stream (the batched engine passes
     one draw-identical to ``SharedRandomness(seed)``); ``record_messages``
     retains the per-message transcript in ``details["transcript"]``.
     """
     params = params or SubgraphParams()
-    players = player_factory(partition)
+    players = make_players(partition)
     n = partition.graph.n
     d = (
         params.known_average_degree
@@ -172,7 +159,7 @@ def find_subgraph_simultaneous(
             rows = union_rows(
                 (message[round_index] for message in messages), n
             )
-            copy = matcher(rows, pattern)
+            copy = find_copy_in_rows(rows, pattern)
             if copy is not None:
                 return copy, round_index
         return None, None

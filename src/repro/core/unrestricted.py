@@ -149,7 +149,6 @@ def find_triangle_unrestricted(
     params: UnrestrictedParams | None = None,
     seed: int = 0,
     *,
-    player_factory=make_players,
     shared: SharedRandomness | None = None,
     record_messages: bool = False,
 ) -> DetectionResult:
@@ -160,14 +159,12 @@ def find_triangle_unrestricted(
     ``1 - delta`` (under the paper's literal sample sizes).
     Expected communication O~(k (nd)^{1/4} + k²).
 
-    ``player_factory`` swaps the player backend (mask-native by default;
-    :func:`repro.comm.reference.make_set_players` for differential runs).
     ``shared`` injects a pre-built coin stream (the batched engine passes
     one draw-identical to ``SharedRandomness(seed)``); ``record_messages``
     retains the per-message transcript in ``details["transcript"]``.
     """
     params = params or UnrestrictedParams()
-    players = player_factory(partition)
+    players = make_players(partition)
     shared = shared if shared is not None else SharedRandomness(seed)
     rt = CoordinatorRuntime(
         players, shared=shared,

@@ -32,7 +32,7 @@ The heavy samplers (``gnp``/``gnd``, ``tripartite_mu``,
 :class:`~repro.comm.randomness.SharedRandomness` style: ``None``
 (default) takes a numpy edge-array path when the expected draw volume
 clears :data:`_VECTOR_MIN_EXPECTED`, ``False`` forces the scalar
-reference loop, ``True`` insists on numpy.  The vectorized paths
+reference loop, ``True`` forces the numpy path.  The vectorized paths
 transplant the scalar generator's exact MT19937 state
 (:func:`repro.comm.randomness._numpy_stream`) and replay the same
 recurrences as array expressions, so the sampled edge set is
@@ -48,14 +48,11 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro.graphs.graph import Graph
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-
-try:  # vectorized generation is optional — scalar is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into CI envs
-    _np = None
 
 __all__ = [
     "gnp",
@@ -96,11 +93,7 @@ _LOGGER = logging.getLogger(__name__)
 def _use_vectorized(vectorized: bool | None, expected_work: float,
                     generator: str = "") -> bool:
     if vectorized is None:
-        chosen = _np is not None and expected_work >= _VECTOR_MIN_EXPECTED
-    elif vectorized and _np is None:  # pragma: no cover - numpy baked in
-        raise RuntimeError(
-            "vectorized generation requested but numpy is missing"
-        )
+        chosen = expected_work >= _VECTOR_MIN_EXPECTED
     else:
         chosen = bool(vectorized)
     path = "vectorized" if chosen else "scalar"
@@ -252,7 +245,7 @@ def planted_disjoint_triangles(n: int, num_triangles: int, seed: int = 0,
         else Graph(n, backend=backend)
     )
     planted: list[tuple[int, int, int]] = []
-    if num_triangles >= _BULK_PLANT_MIN and _np is not None:
+    if num_triangles >= _BULK_PLANT_MIN:
         # Large plants commit through one bulk edge-array insert; the
         # per-triangle sort matches the scalar loop, so the planted
         # tuples and the final edge set are identical either way.
@@ -399,18 +392,8 @@ def powerlaw_host(n: int, d: float, exponent: float = 2.5, seed: int = 0,
         return Graph(n, backend=backend)
     alpha = 1.0 / (exponent - 1.0)
     rng = random.Random(seed)
-    if _np is not None:
-        cum = _np.cumsum(
-            _np.arange(1, n + 1, dtype=_np.float64) ** (-alpha)
-        )
-        total = float(cum[-1])
-    else:  # pragma: no cover - numpy baked into CI envs
-        cum = []
-        running = 0.0
-        for i in range(n):
-            running += (i + 1) ** (-alpha)
-            cum.append(running)
-        total = running
+    cum = _np.cumsum(_np.arange(1, n + 1, dtype=_np.float64) ** (-alpha))
+    total = float(cum[-1])
     if _use_vectorized(vectorized, 2 * draws, "powerlaw_host"):
         stream = _transplanted_stream(rng)
         targets = stream.random_sample(2 * draws) * total

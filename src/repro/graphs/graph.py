@@ -17,8 +17,7 @@ storage and bulk mask arithmetic live in a pluggable *mask kernel*
 ``Graph(n, backend=...)`` picks explicitly; otherwise the
 ``REPRO_GRAPH_BACKEND`` environment variable, then the ``auto`` policy
 (packed above :data:`repro.graphs.kernels.PACKED_AUTO_THRESHOLD`
-vertices) decide — the same seam style as ``player_factory=`` and
-``matcher=``.  Whatever the backend, every query speaks the Python-int
+vertices) decide.  Whatever the backend, every query speaks the Python-int
 mask exchange format, so pinned-seed runs are byte-identical across
 backends and callers never see which kernel is underneath.
 
@@ -33,8 +32,8 @@ Bulk primitives (:meth:`Graph.neighbor_mask`, :meth:`Graph.common_neighbors`,
 :func:`iter_bits` / :func:`mask_of`) expose the masks directly so the
 triangle layer, generators, bucketing, and the streaming reduction can stay
 on the fast path without reaching into private state.  A pure-Python
-``set``-based twin lives in :mod:`repro.graphs.reference` for differential
-testing.
+``set``-based twin, ``SetGraph``, lives with the test oracles under
+``tests/oracles/`` for differential testing.
 """
 
 from __future__ import annotations
@@ -471,26 +470,6 @@ find_triangle_in_rows` or the patterns matcher — no edge tuples are
             f"Graph(n={self._n}, m={self._edge_count}, "
             f"backend={self._kernel.name!r})"
         )
-
-    def to_networkx(self):
-        """Convert to ``networkx.Graph`` (isolated vertices preserved).
-
-        networkx is the optional ``reference`` extra; no production path
-        needs this method.
-        """
-        try:
-            import networkx as nx
-        except ImportError as exc:
-            raise ImportError(
-                "Graph.to_networkx needs networkx, an optional "
-                "dependency used only for reference and differential "
-                "paths; install it via `pip install -e '.[reference]'`"
-            ) from exc
-
-        nx_graph = nx.Graph()
-        nx_graph.add_nodes_from(range(self._n))
-        nx_graph.add_edges_from(self.edges())
-        return nx_graph
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self._n:

@@ -16,7 +16,6 @@ from repro.graphs.kernels.base import (
     iter_bits,
     kernel_names,
     mask_of,
-    packed_available,
     register_kernel,
 )
 from repro.graphs.kernels.bigint import BigintKernel
@@ -27,7 +26,6 @@ __all__ = [
     "get_kernel",
     "register_kernel",
     "kernel_names",
-    "packed_available",
     "iter_bits",
     "mask_of",
     "BACKEND_ENV_VAR",

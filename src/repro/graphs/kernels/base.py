@@ -28,8 +28,7 @@ caller, is the Python-int row mask: bit ``v`` of row ``u`` is set iff
 (:meth:`MaskKernel.row` / :meth:`MaskKernel.from_rows`), which is what
 makes pinned-seed runs byte-identical across backends.
 
-Selection follows the same seam style as ``player_factory=`` and
-``matcher=``: an explicit ``Graph(n, backend=...)`` argument wins, then
+Selection: an explicit ``Graph(n, backend=...)`` argument wins, then
 the ``REPRO_GRAPH_BACKEND`` environment variable, then the ``auto``
 policy.  ``auto`` is density-aware: bigint below
 :data:`PACKED_AUTO_THRESHOLD` vertices, packed above it, csr when the
@@ -59,7 +58,6 @@ __all__ = [
     "get_kernel",
     "register_kernel",
     "kernel_names",
-    "packed_available",
     "BACKEND_ENV_VAR",
     "PACKED_AUTO_THRESHOLD",
     "CSR_AUTO_THRESHOLD",
@@ -259,24 +257,12 @@ def kernel_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY)) + ("auto",)
 
 
-def packed_available() -> bool:
-    """True when the numpy-backed kernels (packed, csr) are importable."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - depends on env
-        return False
-    return True
-
-
 #: Built-in kernels that register themselves on module import; imported
-#: lazily so a numpy-less environment still gets the bigint kernel (and
-#: a pointed error only when a numpy kernel is actually requested).
+#: lazily, on first request, so a bigint-only workload never loads them.
 _LAZY_NUMPY_KERNELS = ("packed", "csr")
 
 
 def _ensure_builtin_registered(name: str | None = None) -> None:
-    if not packed_available():
-        return
     for lazy in _LAZY_NUMPY_KERNELS:
         if name is not None and lazy != name:
             continue
@@ -287,7 +273,7 @@ def _ensure_builtin_registered(name: str | None = None) -> None:
 
 
 def _auto_backend(n: int, expected_edges: int | None) -> str:
-    if n < PACKED_AUTO_THRESHOLD or not packed_available():
+    if n < PACKED_AUTO_THRESHOLD:
         return "bigint"
     if n >= CSR_AUTO_THRESHOLD:
         return "csr"
@@ -326,12 +312,6 @@ def get_kernel(backend: str | None = None, n: int = 0,
                         requested=requested)
     obs_metrics.inc(f"kernel.select.{backend}")
     if backend in _LAZY_NUMPY_KERNELS and backend not in _REGISTRY:
-        if not packed_available():
-            raise ImportError(
-                f"the {backend!r} graph backend needs numpy (a core "
-                "dependency of this package: `pip install -e .`); "
-                "use backend='bigint' in a numpy-less environment"
-            )
         _ensure_builtin_registered(backend)
     cls = _REGISTRY.get(backend)
     if cls is None:

@@ -21,10 +21,10 @@ depend on an uncertified farness claim.
 Everything here runs on the bitset kernel: a common neighbourhood is one
 ``&`` of two adjacency masks, and enumeration walks set bits in ascending
 order, so all outputs are deterministic (vertices ascending) and match the
-order-normalized reference implementations in :mod:`repro.graphs.reference`
-bit for bit.  Kernels with native triangle accelerators — the packed
-kernel's word-level wedge scans, the CSR kernel's merge-intersection
-sweeps over sorted adjacency arrays — are consulted first through
+order-normalized set-based oracles under ``tests/oracles/`` bit for bit.
+Kernels with native triangle accelerators — the packed kernel's
+word-level wedge scans, the CSR kernel's merge-intersection sweeps over
+sorted adjacency arrays — are consulted first through
 ``_kernel_native`` and are contracted to return exactly what the generic
 int-row algorithms would.
 """

@@ -18,8 +18,7 @@ exactly the ``sorted(...)`` order the set-based predecessor imposed, so
 transcripts are byte-identical, including the ``shuffled`` draw
 sequence), and Charlie's intersection is one per-U-vertex mask ``&``
 per candidate edge instead of nested dict-of-set probes.  The per-edge
-predecessor survives as
-:func:`repro.lowerbounds.reference.oneway_triangle_edge_protocol_reference`.
+predecessor survives as a test oracle under ``tests/oracles/``.
 
 Success provably needs Alice's sample to seed Ω(1) complete vees, so the
 budget/success curve measured by :func:`budget_success_curve` is exactly

@@ -9,9 +9,10 @@ workloads:
   monomorphism engine (:func:`find_copy_in_rows` and friends), the
   pattern generalization of the triangle kernel's ascending scan;
 * :mod:`repro.patterns.plant` — planted / mixed / free-by-removal
-  scenario generators on the bulk row primitives;
-* :mod:`repro.patterns.reference` — the networkx VF2 matcher, preserved
-  as the optional-dependency differential seam.
+  scenario generators on the bulk row primitives.
+
+The VF2 matcher the engine is pinned against lives with the
+other test oracles under ``tests/oracles/``.
 """
 
 from repro.patterns.catalog import (

@@ -174,16 +174,6 @@ class SubgraphPattern:
                 count += 1
         return count
 
-    def to_networkx(self):
-        """The networkx twin, for the VF2 reference matcher."""
-        from repro.patterns.reference import _require_networkx
-
-        nx = _require_networkx()
-        pattern = nx.Graph()
-        pattern.add_nodes_from(range(self.num_vertices))
-        pattern.add_edges_from(self.edges)
-        return pattern
-
 
 # ----------------------------------------------------------------------
 # Constructors

@@ -22,8 +22,8 @@ static :attr:`~repro.patterns.catalog.SubgraphPattern.matching_order`:
   hashing, or Python version.  Automorphism-heavy patterns (C4, K4)
   always report the same copy of the same union.
 
-Monomorphism semantics match the referee's need (and the VF2 reference
-in :mod:`repro.patterns.reference`): images are injective and every
+Monomorphism semantics match the referee's need (and the VF2 oracle
+under ``tests/oracles/``): images are injective and every
 pattern edge must be present in the host; extra host edges among image
 vertices are allowed (K4 contains C4).
 """

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.patterns.catalog import SubgraphPattern
@@ -96,18 +98,13 @@ def _plant_images(graph: Graph, pattern: SubgraphPattern,
     """
     total_edges = len(images) * len(pattern.edges)
     if total_edges >= _BULK_PLANT_EDGES:
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy baked into CI envs
-            np = None
-        if np is not None:
-            members = np.asarray(images, dtype=np.int64)
-            src = [u for u, _ in pattern.edges]
-            dst = [v for _, v in pattern.edges]
-            graph.add_edge_arrays(
-                members[:, src].ravel(), members[:, dst].ravel()
-            )
-            return
+        members = np.asarray(images, dtype=np.int64)
+        src = [u for u, _ in pattern.edges]
+        dst = [v for _, v in pattern.edges]
+        graph.add_edge_arrays(
+            members[:, src].ravel(), members[:, dst].ravel()
+        )
+        return
     planted_rows: dict[int, int] = {}
     for image in images:
         for u, v in pattern.edges:
@@ -200,10 +197,8 @@ def planted_mixed_patterns(n: int,
     return MixedPatternInstance(graph=graph, placements=tuple(placements))
 
 
-def subgraph_free_by_removal(
-    graph: Graph, pattern: SubgraphPattern, *,
-    matcher: Callable = find_copy_in_rows,
-) -> tuple[Graph, int]:
+def subgraph_free_by_removal(graph: Graph, pattern: SubgraphPattern
+                             ) -> tuple[Graph, int]:
     """Destroy all copies of H by edge deletion; returns (graph, #removed).
 
     The generalization of the triangle layer's
@@ -220,7 +215,7 @@ def subgraph_free_by_removal(
     removed = 0
     rows = work.adjacency_rows()
     while True:
-        copy = matcher(rows, pattern)
+        copy = find_copy_in_rows(rows, pattern)
         if copy is None:
             return work, removed
         u, v = min(

@@ -15,8 +15,8 @@ from the partition's cached adjacency rows
 edge, which is the mask-kernel fast path for algorithms that implement
 the row form natively (both triangle finders do).  The batched stream is
 the per-edge stream in ascending canonical order, so transcripts and
-outputs are identical to the per-edge feed, which survives behind
-``row_batched=False`` as the reference path.
+outputs are identical to a per-edge feed (the per-edge chain is kept as
+a test oracle under ``tests/oracles/``).
 
 **One-way lower bound → streaming lower bound.**  Contrapositive of the
 above — the paper's Ω(n^{1/4}) one-way bound for triangle-edge detection on
@@ -43,17 +43,12 @@ __all__ = [
 def streaming_to_oneway(
     partition: EdgePartition,
     algorithm_factory: Callable[[], StreamingAlgorithm],
-    *,
-    row_batched: bool = True,
 ) -> OneWayRun:
     """Run a streaming algorithm as a one-way chain protocol.
 
     Player j streams its own edges (ascending canonical order) through
     the algorithm, starting from the forwarded state; the serialized
     state is the message.  The final player's result is the output.
-    ``row_batched=False`` feeds the identical stream through per-edge
-    ``process`` calls — the pre-mask reference path, kept for
-    differential tests and benchmarks.
     """
     players = make_players(partition)
     if len(players) < 2:
@@ -63,12 +58,8 @@ def streaming_to_oneway(
         algorithm = algorithm_factory()
         if state is not None:
             algorithm.import_state(state["state"])
-        if row_batched:
-            for v, partners in canonical_row_batches(player.adjacency_rows()):
-                algorithm.process_row(v, partners)
-        else:
-            for edge in player.sorted_edges():
-                algorithm.process(edge)
+        for v, partners in canonical_row_batches(player.adjacency_rows()):
+            algorithm.process_row(v, partners)
         return algorithm
 
     def step(player: Player, state, _shared):

@@ -4,7 +4,7 @@
 :class:`~repro.comm.players.Player` — a ``frozenset[Edge]`` input plus dict
 adjacency, with every harvest method doing per-edge Python set work — kept
 as an executable specification, mirroring
-:class:`~repro.graphs.reference.SetGraph`:
+:class:`~oracles.graphs.SetGraph`:
 
 * ``tests/test_protocol_engine.py`` drives random edge partitions and
   sample sets through both backends and asserts identical harvests,
@@ -16,14 +16,14 @@ as an executable specification, mirroring
 methods, :meth:`sorted_edges`) the rebuilt protocols call, computed the
 slow way — masks are expanded to vertex sets, the original set algorithms
 run, and results are order-normalized to the kernel's ascending canonical
-order — so any protocol entry point accepting a ``player_factory`` runs
-unmodified on either backend.
-
-Nothing in the production code imports this module.
+order — so every protocol entry point runs unmodified on either backend.
+:func:`set_players` makes the swap: inside it, a protocol module's
+``make_players`` builds set players.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 from repro.graphs.buckets import degrees_from_view, player_suspected_bucket
@@ -32,6 +32,7 @@ from repro.graphs.graph import Edge, canonical_edge, mask_of
 __all__ = [
     "SetPlayer",
     "make_set_players",
+    "set_players",
     "post_edges_in_turns_reference",
 ]
 
@@ -276,6 +277,23 @@ def make_set_players(partition) -> list[SetPlayer]:
     return [
         SetPlayer(j, n, view) for j, view in enumerate(partition.views)
     ]
+
+
+@contextmanager
+def set_players(*modules):
+    """Run the protocols of ``modules`` on :class:`SetPlayer`s.
+
+    Swaps each module's ``make_players`` attribute for
+    :func:`make_set_players` and puts the originals back on exit.
+    """
+    originals = [(module, module.make_players) for module in modules]
+    try:
+        for module, _ in originals:
+            module.make_players = make_set_players
+        yield
+    finally:
+        for module, original in originals:
+            module.make_players = original
 
 
 def post_edges_in_turns_reference(runtime, harvest, per_edge_bits: int,

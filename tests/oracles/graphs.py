@@ -13,7 +13,7 @@ bulk mask primitives, computed the slow way), so:
   set-based algorithms, order-normalized to ascending enumeration) pin
   down the outputs the rewritten hot paths must reproduce exactly.
 
-Nothing in the production code imports this module.
+:func:`to_networkx` converts a :class:`Graph` for networkx-based checks.
 """
 
 from __future__ import annotations
@@ -22,8 +22,11 @@ from typing import Iterable, Iterator
 
 from repro.graphs.graph import Edge, canonical_edge
 
+from oracles import require_networkx
+
 __all__ = [
     "SetGraph",
+    "to_networkx",
     "find_triangle_reference",
     "iter_triangles_reference",
     "count_triangles_reference",
@@ -226,3 +229,12 @@ def make_triangle_free_by_removal_reference(graph):
         busiest = max(counts, key=lambda edge: (counts[edge], edge))
         work.remove_edge(*busiest)
         removed += 1
+
+
+def to_networkx(graph):
+    """``graph`` as a ``networkx.Graph`` (isolated vertices preserved)."""
+    nx = require_networkx("to_networkx")
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(range(graph.n))
+    nx_graph.add_edges_from(graph.edges())
+    return nx_graph

@@ -3,18 +3,16 @@
 This is the pre-mask implementation of
 :func:`repro.lowerbounds.oneway_protocols.oneway_triangle_edge_protocol`,
 preserved verbatim as an executable specification (the same pattern as
-:class:`repro.comm.reference.SetPlayer` and
-:class:`repro.graphs.reference.SetGraph`): Alice's and Bob's messages are
-assembled from per-edge ``frozenset`` views, and Charlie's intersection
-probes nested dict-of-set structures edge by edge.
+:class:`oracles.comm.SetPlayer` and :class:`oracles.graphs.SetGraph`):
+Alice's and Bob's messages are assembled from per-edge ``frozenset``
+views, and Charlie's intersection probes nested dict-of-set structures
+edge by edge.
 
 * ``tests/test_oneway_protocols.py`` asserts the mask-native rewrite
   produces byte-identical :class:`~repro.comm.oneway.OneWayRun`s
   (output, transcript payloads, charged bits) across seeds and budgets,
 * ``benchmarks/bench_mask_migration.py`` measures whole one-way trials
   against this baseline.
-
-Nothing in the production code imports this module.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Reference per-edge streaming chain, kept for differential testing.
 
-The pre-mask (PR 3-era) streaming → one-way pipeline, preserved as an
-executable specification in the same pattern as
-:class:`repro.comm.reference.SetPlayer`:
+The pre-mask streaming → one-way pipeline, preserved as an executable
+specification in the same pattern as :class:`oracles.comm.SetPlayer`:
 
 * :class:`CountingExactFinderReference` — the original exact finder with
   a ``set[Edge]`` edge store and a per-edge ``{"edges": [...]}``
@@ -11,13 +10,14 @@ executable specification in the same pattern as
   feeding each player's segment through per-edge ``process`` calls with
   the step/finalize loop duplicated as it historically was.
 
-The mask pipeline forwards states as upper-bit rows, so transcript
-*payloads* differ in shape; the differential tests therefore compare
-outputs, per-hop charged bits, and the edge sets decoded from each
-state.  ``benchmarks/bench_mask_migration.py`` measures whole chain
-trials against this baseline.
-
-Nothing in the production code imports this module.
+Run with the production algorithm factories, the per-edge chain must
+reproduce :func:`repro.streaming.reduction.streaming_to_oneway` exactly
+(output, charged bits, transcript).  Against the original finder the
+mask pipeline forwards states as upper-bit rows, so transcript
+*payloads* differ in shape; those differential tests compare outputs,
+per-hop charged bits, and the edge sets decoded from each state.
+``benchmarks/bench_mask_migration.py`` measures whole chain trials
+against this baseline.
 """
 
 from __future__ import annotations

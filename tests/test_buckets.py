@@ -1,6 +1,7 @@
 """Unit tests for degree bucketing & Section 3.2 analysis (repro.graphs.buckets)."""
 
 import math
+import sys
 
 import pytest
 
@@ -116,6 +117,19 @@ class TestVeeCounts:
     def test_degree_one_vertex(self):
         graph = Graph(3, [(0, 1)])
         assert disjoint_vee_count(graph, 0) == 0
+
+    def test_exact_count_names_reference_extra_without_networkx(
+        self, monkeypatch
+    ):
+        """The exact default is the one production path into networkx:
+        without it, the error names the extra instead of a bare
+        ModuleNotFoundError."""
+        graph = skewed_hub_graph(50, num_hubs=1, vees_per_hub=5, seed=1)
+        hub = max(range(50), key=graph.degree)
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError, match=r"\[reference\]"):
+            disjoint_vee_count(graph, hub)
+        assert disjoint_vee_count(graph, hub, exact=False) >= 1
 
 
 class TestFullVertices:

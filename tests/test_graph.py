@@ -4,6 +4,8 @@ import pytest
 
 from repro.graphs.graph import Graph, canonical_edge
 
+from oracles.graphs import to_networkx
+
 
 class TestCanonicalEdge:
     def test_orders_endpoints(self):
@@ -144,6 +146,6 @@ class TestInterop:
 
     def test_to_networkx(self):
         graph = Graph(4, [(0, 1), (1, 2)])
-        nx_graph = graph.to_networkx()
+        nx_graph = to_networkx(graph)
         assert nx_graph.number_of_nodes() == 4
         assert nx_graph.number_of_edges() == 2

@@ -1,8 +1,8 @@
 """Differential tests: bitset ``Graph`` vs the set-based reference.
 
 The bitset kernel (one adjacency-mask int per vertex) must be
-observationally identical to :class:`repro.graphs.reference.SetGraph`,
-the executable specification it replaced.  Hypothesis drives random edge
+observationally identical to :class:`oracles.graphs.SetGraph`, the
+executable specification it replaced.  Hypothesis drives random edge
 operation sequences through both backends and compares every query; the
 triangle layer's rewritten hot paths are checked against the
 order-normalized reference routines on the same graphs.
@@ -15,15 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.graph import Graph, iter_bits, mask_of
-from repro.graphs.reference import (
-    SetGraph,
-    count_triangles_reference,
-    find_triangle_reference,
-    greedy_triangle_packing_reference,
-    iter_triangles_reference,
-    make_triangle_free_by_removal_reference,
-    triangle_edges_reference,
-)
 from repro.graphs.triangles import (
     count_triangles,
     find_triangle,
@@ -32,6 +23,16 @@ from repro.graphs.triangles import (
     iter_triangles,
     make_triangle_free_by_removal,
     triangle_edges,
+)
+
+from oracles.graphs import (
+    SetGraph,
+    count_triangles_reference,
+    find_triangle_reference,
+    greedy_triangle_packing_reference,
+    iter_triangles_reference,
+    make_triangle_free_by_removal_reference,
+    triangle_edges_reference,
 )
 
 # An op sequence: each element is (add?, u, v) over a small vertex range.

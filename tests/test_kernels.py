@@ -45,6 +45,8 @@ from repro.graphs.triangles import (
     triangle_edges,
 )
 
+from oracles.graphs import to_networkx
+
 N = 70  # > 64: every differential property crosses the word boundary
 
 # Vertices biased towards the uint64 boundary so word-straddling edges
@@ -273,11 +275,11 @@ class TestToNetworkxImportError:
     def test_pointed_error_names_reference_extra(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "networkx", None)
         with pytest.raises(ImportError, match=r"reference"):
-            Graph(3, [(0, 1)]).to_networkx()
+            to_networkx(Graph(3, [(0, 1)]))
 
     def test_conversion_works_when_available(self):
         pytest.importorskip("networkx")
-        nx_graph = Graph(4, [(0, 1), (1, 2)]).to_networkx()
+        nx_graph = to_networkx(Graph(4, [(0, 1), (1, 2)]))
         assert nx_graph.number_of_nodes() == 4
         assert nx_graph.number_of_edges() == 2
 

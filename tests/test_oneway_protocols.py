@@ -9,10 +9,9 @@ from repro.lowerbounds.oneway_protocols import (
     budget_success_curve,
     oneway_triangle_edge_protocol,
 )
-from repro.lowerbounds.reference import (
-    oneway_triangle_edge_protocol_reference,
-)
 from repro.runtime import ParallelExecutor, SerialExecutor
+
+from oracles.lowerbounds import oneway_triangle_edge_protocol_reference
 
 MU = MuDistribution(part_size=30, gamma=1.3)
 

@@ -40,7 +40,12 @@ from repro.patterns import (
     star,
     subgraph_free_by_removal,
 )
-from repro.patterns.reference import networkx_available
+
+from oracles import networkx_available
+from oracles.patterns import (
+    find_copy_among_reference,
+    find_copy_in_rows_reference,
+)
 
 needs_networkx = pytest.mark.skipif(
     not networkx_available(), reason="optional reference dep networkx missing"
@@ -286,8 +291,6 @@ class TestDifferentialVsVF2:
     @given(host_edge_sets(), st.sampled_from(DEFAULT_CATALOG))
     @settings(max_examples=120, deadline=None)
     def test_catalog_patterns_agree(self, host, pattern):
-        from repro.patterns.reference import find_copy_among_reference
-
         n, edges = host
         mask = find_copy_among(edges, pattern, n=n)
         reference = find_copy_among_reference(edges, pattern)
@@ -300,8 +303,6 @@ class TestDifferentialVsVF2:
     @given(host_edge_sets(), connected_patterns())
     @settings(max_examples=120, deadline=None)
     def test_random_patterns_agree(self, host, pattern):
-        from repro.patterns.reference import find_copy_among_reference
-
         n, edges = host
         mask = find_copy_among(edges, pattern, n=n)
         reference = find_copy_among_reference(edges, pattern)
@@ -312,8 +313,6 @@ class TestDifferentialVsVF2:
     @given(host_edge_sets(), st.sampled_from(DEFAULT_CATALOG))
     @settings(max_examples=60, deadline=None)
     def test_rows_reference_seam_agrees(self, host, pattern):
-        from repro.patterns.reference import find_copy_in_rows_reference
-
         n, edges = host
         rows = rows_of(n, edges)
         mask = find_copy_in_rows(rows, pattern)
@@ -452,8 +451,6 @@ class TestIncidenceC4Free:
 
     @needs_networkx
     def test_c4_free_confirmed_by_reference(self):
-        from repro.patterns.reference import find_copy_among_reference
-
         graph = incidence_c4_free(3)
         assert find_copy_among_reference(
             sorted(graph.edges()), FOUR_CYCLE

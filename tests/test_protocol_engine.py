@@ -4,10 +4,11 @@ Three layers, mirroring the PR 2 graph-kernel suite:
 
 * **Players** — hypothesis drives random edge views and random sample
   sets/masks through the mask-native :class:`repro.comm.players.Player`
-  and the preserved :class:`repro.comm.reference.SetPlayer`, asserting
+  and the preserved :class:`oracles.comm.SetPlayer`, asserting
   every harvest, degree, and ranked-minimum query agrees.
 * **Protocols** — whole runs of sim-low / sim-high / oblivious /
-  unrestricted / subgraph detection with both player backends produce
+  unrestricted / subgraph detection with both player backends (swapped
+  in by :func:`oracles.comm.set_players`) produce
   identical ``DetectionResult``s, including cost summaries, and the
   pinned-seed outputs recorded from the seed commit are reproduced
   bit for bit.
@@ -26,7 +27,13 @@ from repro.analysis.table1 import far_disjoint_instance
 from repro.comm.ledger import COORDINATOR, CommunicationLedger
 from repro.comm.players import Player, make_players
 from repro.comm.randomness import SharedRandomness
-from repro.comm.reference import SetPlayer, make_set_players
+from repro.core import (
+    oblivious,
+    simultaneous_high,
+    simultaneous_low,
+    subgraph_detection,
+    unrestricted,
+)
 from repro.core.oblivious import ObliviousParams, find_triangle_sim_oblivious
 from repro.core.simultaneous_high import SimHighParams, find_triangle_sim_high
 from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
@@ -40,6 +47,8 @@ from repro.graphs.generators import gnd
 from repro.graphs.graph import mask_of
 from repro.graphs.triangles import iter_triangles
 from repro.graphs.partition import partition_disjoint, partition_with_duplication
+
+from oracles.comm import SetPlayer, make_set_players, set_players
 
 N_SMALL = 24
 
@@ -251,9 +260,8 @@ class TestProtocolDifferential:
         partition = _partition(120, 5.0, 3, seed, duplicated)
         params = SimLowParams(epsilon=0.2, delta=0.2)
         mask = find_triangle_sim_low(partition, params, seed=seed)
-        ref = find_triangle_sim_low(
-            partition, params, seed=seed, player_factory=make_set_players
-        )
+        with set_players(simultaneous_low):
+            ref = find_triangle_sim_low(partition, params, seed=seed)
         assert mask == ref
 
     @pytest.mark.parametrize("duplicated", [False, True])
@@ -265,10 +273,8 @@ class TestProtocolDifferential:
                 epsilon=0.2, delta=0.2, bernoulli_sampling=bernoulli
             )
             mask = find_triangle_sim_high(partition, params, seed=seed)
-            ref = find_triangle_sim_high(
-                partition, params, seed=seed,
-                player_factory=make_set_players,
-            )
+            with set_players(simultaneous_high):
+                ref = find_triangle_sim_high(partition, params, seed=seed)
             assert mask == ref
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -276,9 +282,8 @@ class TestProtocolDifferential:
         partition = _partition(120, 6.0, 4, seed, True)
         params = ObliviousParams(epsilon=0.2, delta=0.2)
         mask = find_triangle_sim_oblivious(partition, params, seed=seed)
-        ref = find_triangle_sim_oblivious(
-            partition, params, seed=seed, player_factory=make_set_players
-        )
+        with set_players(oblivious):
+            ref = find_triangle_sim_oblivious(partition, params, seed=seed)
         assert mask == ref
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -289,19 +294,18 @@ class TestProtocolDifferential:
             samples_per_bucket=4, max_candidates=3,
         )
         mask = find_triangle_unrestricted(partition, params, seed=seed)
-        ref = find_triangle_unrestricted(
-            partition, params, seed=seed, player_factory=make_set_players
-        )
+        with set_players(unrestricted):
+            ref = find_triangle_unrestricted(partition, params, seed=seed)
         assert mask == ref
 
     def test_subgraph_identical(self):
         partition = _partition(120, 6.0, 3, 5, False)
         params = SubgraphParams(epsilon=0.2, rounds=2)
         mask = find_subgraph_simultaneous(partition, FOUR_CYCLE, params, seed=3)
-        ref = find_subgraph_simultaneous(
-            partition, FOUR_CYCLE, params, seed=3,
-            player_factory=make_set_players,
-        )
+        with set_players(subgraph_detection):
+            ref = find_subgraph_simultaneous(
+                partition, FOUR_CYCLE, params, seed=3
+            )
         assert mask == ref
 
 

@@ -19,8 +19,6 @@ import pytest
 from repro.core.referee import (
     rows_union_subgraph_referee,
     rows_union_triangle_referee,
-    set_union_subgraph_referee,
-    set_union_triangle_referee,
     union_rows,
 )
 from repro.graphs.generators import gnd
@@ -32,7 +30,9 @@ from repro.graphs.triangles import (
 )
 from repro.patterns.catalog import FOUR_CLIQUE, FOUR_CYCLE, TRIANGLE, star
 from repro.patterns.matcher import is_copy_in_rows
-from repro.patterns.reference import networkx_available
+
+from oracles import networkx_available
+from oracles.core import set_union_subgraph_referee, set_union_triangle_referee
 
 N = 20
 

@@ -263,7 +263,7 @@ class TestBlackboard:
 
     def test_rows_and_edge_forms_match_set_reference(self):
         """Both forms are pinned to the pre-rows set-dedup loop."""
-        from repro.comm.reference import post_edges_in_turns_reference
+        from oracles.comm import post_edges_in_turns_reference
         from repro.graphs.partition import partition_with_duplication
 
         graph = gnd(35, 4.0, seed=10)

@@ -25,6 +25,8 @@ from repro.streaming.triangle_stream import (
     ReservoirTriangleFinder,
 )
 
+from oracles.streaming import streaming_to_oneway_reference
+
 
 def triangle_stream():
     return [(0, 1), (0, 2), (1, 2)]
@@ -288,8 +290,8 @@ class TestReduction:
         """The mask chain is pinned to the per-edge predecessor."""
         instance = far_instance(150, 5.0, 0.3, seed=21)
         partition = partition_disjoint(instance.graph, 3, seed=22)
-        rows = streaming_to_oneway(partition, factory, row_batched=True)
-        edges = streaming_to_oneway(partition, factory, row_batched=False)
+        rows = streaming_to_oneway(partition, factory)
+        edges = streaming_to_oneway_reference(partition, factory)
         assert rows.output == edges.output
         assert rows.total_bits == edges.total_bits
         assert rows.transcript.messages == edges.transcript.messages

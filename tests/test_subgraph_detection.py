@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import subgraph_detection
 from repro.core.subgraph_detection import (
     FIVE_CYCLE,
     FOUR_CLIQUE,
@@ -17,7 +18,9 @@ from repro.graphs.generators import bipartite_triangle_free
 from repro.graphs.graph import Graph
 from repro.graphs.partition import partition_disjoint
 from repro.patterns.matcher import is_copy_in_rows
-from repro.patterns.reference import networkx_available
+
+from oracles import networkx_available
+from oracles.patterns import find_copy_in_rows_reference
 
 
 class TestPatterns:
@@ -208,12 +211,10 @@ class TestRowsRefereeBaseline:
 @pytest.mark.skipif(not networkx_available(),
                     reason="optional reference dep networkx missing")
 class TestMatcherSeamDifferential:
-    """The preserved VF2 referee, through the ``matcher=`` seam."""
+    """The preserved VF2 referee, swapped in for the rows matcher."""
 
     @pytest.mark.parametrize("pattern", [FOUR_CLIQUE, FOUR_CYCLE, FIVE_CYCLE])
     def test_vf2_referee_agrees_on_found_and_bits(self, pattern):
-        from repro.patterns.reference import find_copy_in_rows_reference
-
         instance = planted_disjoint_subgraphs(
             300, pattern, 15, seed=12, background_degree=1.5
         )
@@ -223,10 +224,12 @@ class TestMatcherSeamDifferential:
             mask = find_subgraph_simultaneous(
                 partition, pattern, params, seed=seed
             )
-            vf2 = find_subgraph_simultaneous(
-                partition, pattern, params, seed=seed,
-                matcher=find_copy_in_rows_reference,
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(subgraph_detection, "find_copy_in_rows",
+                              find_copy_in_rows_reference)
+                vf2 = find_subgraph_simultaneous(
+                    partition, pattern, params, seed=seed
+                )
             # Identical messages and charges; identical verdict and
             # winning round.  Only the reported image may differ, and
             # both must be genuine.
@@ -239,8 +242,6 @@ class TestMatcherSeamDifferential:
                 assert is_copy_in_rows(rows, pattern, vf2.copy)
 
     def test_vf2_referee_agrees_on_h_free_control(self):
-        from repro.patterns.reference import find_copy_in_rows_reference
-
         control = bipartite_triangle_free(300, 5.0, seed=14)
         partition = partition_disjoint(control, 3, seed=15)
         params = SubgraphParams(epsilon=0.2, c=2.0, rounds=2)
@@ -248,9 +249,11 @@ class TestMatcherSeamDifferential:
             mask = find_subgraph_simultaneous(
                 partition, pattern, params, seed=16
             )
-            vf2 = find_subgraph_simultaneous(
-                partition, pattern, params, seed=16,
-                matcher=find_copy_in_rows_reference,
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(subgraph_detection, "find_copy_in_rows",
+                              find_copy_in_rows_reference)
+                vf2 = find_subgraph_simultaneous(
+                    partition, pattern, params, seed=16
+                )
             assert not mask.found and not vf2.found
             assert mask == vf2
