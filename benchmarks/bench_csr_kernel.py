@@ -7,22 +7,23 @@ Three claims, one driver:
   reference loop at n = 10^5, produced graphs asserted identical —
   the vectorized contract means the speedup is pure implementation.
 * **CSR triangle natives** (the ≥ 1x bar): merge-intersection
-  ``count_triangles`` / ``greedy_triangle_packing`` vs the packed
-  kernel's wedge scan on sparse planted hosts, outputs asserted
-  identical.  The packed scan walks the full n²/64-word bitmap; the
-  CSR scan is O(m)-shaped, so its advantage *grows* with n at fixed d
-  (measured ~3x at 32768, ~4x at 10^5).
+  ``count_triangles`` / ``greedy_triangle_packing`` vs the bigint
+  kernel's generic edge-AND sweep — the backend ``auto`` picks for
+  these hosts without a density hint — on sparse planted hosts,
+  outputs asserted identical.  The edge-AND sweep pays an n-bit ``&``
+  per edge; the CSR scan is O(m)-shaped, so its advantage *grows* with
+  n at fixed d.
 * **Memory**: per-backend adjacency bytes (``Graph.nbytes``) on the
   same sparse host — the csr column is what makes n = 10^6 fit.
 
 ``--scale-check`` runs the end-to-end demonstration: a full-disclosure
 referee sweep (every player ships its view, referee answers
 ``find_triangle``) on sparse planted epsilon-far hosts — records
-asserted byte-identical across {bigint, packed, csr} at n = 10^4 and
-across {packed, csr} at n = 10^5, then the Table-row-style point at
-**n = 10^6** on the csr backend alone, executed in a subprocess so its
-peak RSS is measured in isolation and gated against
-``MILLION_MEMORY_BUDGET`` (the packed bitmap alone would be 125 GB).
+asserted byte-identical across {bigint, csr} at n = 10^4 and n = 10^5,
+then the Table-row-style point at **n = 10^6** on the csr backend
+alone, executed in a subprocess so its peak RSS is measured in
+isolation and gated against ``MILLION_MEMORY_BUDGET`` (an n-bit row
+per vertex alone would be 125 GB).
 
 ``--check-baseline`` compares the fresh speedups against the committed
 ``BENCH_csr_kernel.json`` (see :mod:`baseline`) before overwriting it.
@@ -77,16 +78,16 @@ GEN_GRID = [(100_000, 8.0)]
 GEN_SPEEDUP_FLOOR = 3.0
 GEN_GATED = ("gnd_generation", "powerlaw_generation")
 
-#: (n, d) for csr vs packed triangle natives, sparse planted hosts.
+#: (n, d) for csr vs bigint triangle scans, sparse planted hosts.
 TRIANGLE_FULL_GRID = [(32768, 8.0), (65536, 8.0), (100_000, 8.0)]
 TRIANGLE_QUICK_GRID = [(32768, 8.0)]
-#: csr must at least match the packed wedge scan on sparse hosts (it
-#: measures ~3-4x ahead; 1.0 is the never-regress line).
+#: csr must at least match the bigint edge-AND sweep on sparse hosts
+#: (1.0 is the never-regress line).
 CSR_TRIANGLE_FLOOR = 1.0
 CSR_GATED = ("count_triangles", "greedy_packing")
 
-#: Memory table sizes; bigint/packed columns only where their footprint
-#: is itself benign to allocate.
+#: Memory table sizes; the bigint column only where its footprint is
+#: itself benign to allocate.
 MEMORY_SMALL_N = 10_000
 MEMORY_MID_N = 100_000
 
@@ -95,7 +96,7 @@ IDENTITY_SMALL_N = 10_000
 IDENTITY_MID_N = 100_000
 #: Peak-RSS budget for the whole n = 10^6 sweep subprocess (instance
 #: generation + partition + protocol).  Measured 2.86 GiB; the budget
-#: leaves ~40% headroom and is still 30x under the packed bitmap alone.
+#: leaves ~40% headroom and is still 30x under an n²/8-byte bitmap.
 MILLION_MEMORY_BUDGET = 4 << 30
 
 
@@ -188,23 +189,23 @@ def run_generation_grid(grid, repeats: int = 2) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Triangle natives: csr vs packed
+# Triangle natives: csr vs bigint
 # ----------------------------------------------------------------------
 def build_sparse_host(n: int, d: float, seed: int = 1):
-    """One planted instance, bit-identical on the packed and csr kernels."""
+    """One planted instance, bit-identical on the bigint and csr kernels."""
     instance = planted_disjoint_triangles(
         n, n // 10, seed=seed, background_degree=d, backend="csr"
     )
     csr = instance.graph
-    packed = csr.to_backend("packed")
-    assert packed.num_edges == csr.num_edges
-    return packed, csr
+    bigint = csr.to_backend("bigint")
+    assert bigint.num_edges == csr.num_edges
+    return bigint, csr
 
 
 def run_triangle_grid(grid, repeats: int = 3) -> list[dict]:
     rows = []
     for n, d in grid:
-        packed, csr = build_sparse_host(n, d)
+        bigint, csr = build_sparse_host(n, d)
         cases = [
             ("count_triangles", count_triangles),
             ("greedy_packing", greedy_triangle_packing),
@@ -212,14 +213,14 @@ def run_triangle_grid(grid, repeats: int = 3) -> list[dict]:
         ]
         for name, fn in cases:
             csr_time, csr_out = best_of(repeats, fn, csr)
-            packed_time, packed_out = best_of(repeats, fn, packed)
-            assert csr_out == packed_out, (
+            bigint_time, bigint_out = best_of(repeats, fn, bigint)
+            assert csr_out == bigint_out, (
                 f"{name} output mismatch at n={n}, d={d}"
             )
             rows.append({
                 "n": n, "d": d, "case": name,
-                "packed_s": packed_time, "csr_s": csr_time,
-                "speedup": packed_time / max(csr_time, 1e-12),
+                "bigint_s": bigint_time, "csr_s": csr_time,
+                "speedup": bigint_time / max(csr_time, 1e-12),
             })
     return rows
 
@@ -227,12 +228,12 @@ def run_triangle_grid(grid, repeats: int = 3) -> list[dict]:
 # ----------------------------------------------------------------------
 # Memory table
 # ----------------------------------------------------------------------
-def run_memory_table(include_mid_packed: bool) -> list[dict]:
+def run_memory_table() -> list[dict]:
     """Per-backend ``Graph.nbytes`` on the same sparse host.
 
-    The bigint column is only sampled at n = 10^4 and the packed column
-    at ≤ 10^5 (full mode): above that, *allocating* those kernels is the
-    cost the csr backend exists to avoid.
+    The bigint column is only sampled at n = 10^4: above that,
+    *allocating* an n-bit row per vertex is the cost the csr backend
+    exists to avoid.
     """
     rows = []
     for n in (MEMORY_SMALL_N, MEMORY_MID_N):
@@ -242,9 +243,6 @@ def run_memory_table(include_mid_packed: bool) -> list[dict]:
         backends = {"csr": csr}
         if n <= MEMORY_SMALL_N:
             backends["bigint"] = csr.to_backend("bigint")
-            backends["packed"] = csr.to_backend("packed")
-        elif include_mid_packed:
-            backends["packed"] = csr.to_backend("packed")
         for backend, graph in backends.items():
             rows.append({
                 "case": "memory", "n": n, "backend": backend,
@@ -277,7 +275,7 @@ def check_triangle_floor(rows) -> list[str]:
         if row["case"] in CSR_GATED and row["speedup"] < CSR_TRIANGLE_FLOOR:
             failures.append(
                 f"csr {row['case']} at n={row['n']}: "
-                f"{row['speedup']:.2f}x < {CSR_TRIANGLE_FLOOR}x vs packed"
+                f"{row['speedup']:.2f}x < {CSR_TRIANGLE_FLOOR}x vs bigint"
             )
     return failures
 
@@ -344,13 +342,13 @@ def run_million_point() -> dict:
 def run_scale_check() -> tuple[list[str], dict]:
     """Identity at 10^4/10^5, then the isolated n = 10^6 point."""
     failures = _run_identity_sweep(
-        IDENTITY_SMALL_N, ("bigint", "packed", "csr"), trials=2
+        IDENTITY_SMALL_N, ("bigint", "csr"), trials=2
     )
     failures += _run_identity_sweep(
-        IDENTITY_MID_N, ("packed", "csr"), trials=1
+        IDENTITY_MID_N, ("bigint", "csr"), trials=1
     )
     # The million point runs in a subprocess so its peak RSS reflects
-    # only that pipeline, not the packed bitmaps allocated above.
+    # only that pipeline, not the bigint rows allocated above.
     child = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--million-child"],
         capture_output=True, text=True, env=os.environ.copy(),
@@ -402,7 +400,7 @@ def print_generation_table(rows) -> None:
 
 def print_triangle_table(rows) -> None:
     header = (
-        f"{'n':>7} {'d':>5} {'case':<20} {'packed':>10} {'csr':>10} "
+        f"{'n':>7} {'d':>5} {'case':<20} {'bigint':>10} {'csr':>10} "
         f"{'x':>7}"
     )
     print(header)
@@ -410,7 +408,7 @@ def print_triangle_table(rows) -> None:
     for row in rows:
         print(
             f"{row['n']:>7} {row['d']:>5.1f} {row['case']:<20} "
-            f"{row['packed_s'] * 1e3:>8.1f}ms "
+            f"{row['bigint_s'] * 1e3:>8.1f}ms "
             f"{row['csr_s'] * 1e3:>8.1f}ms {row['speedup']:>6.1f}x"
         )
 
@@ -444,7 +442,7 @@ def write_json(rows, path: Path, scale_check=None) -> None:
 # ----------------------------------------------------------------------
 # pytest entries (small qualifying sizes)
 # ----------------------------------------------------------------------
-def test_csr_triangle_natives_beat_packed(benchmark, print_row):
+def test_csr_triangle_natives_beat_bigint(benchmark, print_row):
     """pytest entry: csr quick grid, identical outputs, ≥1x floor."""
     rows = benchmark.pedantic(
         lambda: run_triangle_grid(TRIANGLE_QUICK_GRID, repeats=2),
@@ -501,16 +499,16 @@ def main(argv: list[str]) -> int:
     print_triangle_table(triangle_rows)
     failures.extend(check_triangle_floor(triangle_rows))
 
-    memory_rows = run_memory_table(include_mid_packed=not quick)
+    memory_rows = run_memory_table()
     print_memory_table(memory_rows)
 
     all_rows = gen_rows + triangle_rows + memory_rows
 
     if "--check-baseline" in argv:
         # Compare before write_json overwrites the committed copy.  Only
-        # the gated cases: find_triangle's packed early-exit finishes in
-        # ~2ms so its ratio is all noise, and memory rows carry no
-        # speedup at all.
+        # the gated cases: find_triangle's bigint early exit finishes in
+        # well under a millisecond so its ratio is all noise, and memory
+        # rows carry no speedup at all.
         gated_rows = [
             r for r in all_rows
             if r["case"] in GEN_GATED + CSR_GATED
@@ -538,7 +536,7 @@ def main(argv: list[str]) -> int:
         return 1
     print(
         f"ok: generation >= {GEN_SPEEDUP_FLOOR}x vectorized, csr natives "
-        f">= {CSR_TRIANGLE_FLOOR}x vs packed on sparse hosts, "
+        f">= {CSR_TRIANGLE_FLOOR}x vs bigint on sparse hosts, "
         f"outputs identical"
     )
     return 0

@@ -6,7 +6,7 @@ Options:
   --row ID     run a single row by id (e.g. T1-R2a, X-1, L4.5)
   --workers N  process-pool width for sweeps (0 = all cores; default:
                the REPRO_WORKERS env var, else serial)
-  --backend B  graph kernel backend (bigint, packed, csr, auto); sets
+  --backend B  graph kernel backend (bigint, csr, auto); sets
                REPRO_GRAPH_BACKEND for this run — records are
                byte-identical across backends on pinned seeds
   --journal-dir DIR  durably journal every sweep's completed trials to
@@ -35,6 +35,7 @@ from pathlib import Path
 
 from repro.analysis import table1
 from repro.analysis.table1 import generate_table1
+from repro.graphs.kernels import kernel_names
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
@@ -71,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="process-pool width for sweeps "
                              "(0 = all cores; default REPRO_WORKERS)")
     parser.add_argument("--backend", type=str, default=None,
-                        choices=("bigint", "packed", "csr", "auto"),
+                        choices=kernel_names(),
                         help="graph kernel backend "
                              "(sets REPRO_GRAPH_BACKEND for this run)")
     parser.add_argument("--journal-dir", type=str, default=None,

@@ -10,14 +10,13 @@ storage and bulk mask arithmetic live in a pluggable *mask kernel*
   ``v`` is set iff edge ``{u, v}`` exists; ``has_edge`` is a
   shift-and-test, ``degree`` is ``int.bit_count()``, and a common
   neighbourhood is a single ``&`` executed word-at-a-time in C.
-* ``packed`` — a numpy ``uint64`` matrix of shape ``(n, ceil(n/64))``
-  with vectorized bulk ops and word-addressable bit probes; the
-  n = 10^5+ backend.
+* ``csr`` — sorted numpy neighbour-index arrays, O(m) memory; the
+  large sparse-host backend.
 
 ``Graph(n, backend=...)`` picks explicitly; otherwise the
 ``REPRO_GRAPH_BACKEND`` environment variable, then the ``auto`` policy
-(packed above :data:`repro.graphs.kernels.PACKED_AUTO_THRESHOLD`
-vertices) decide.  Whatever the backend, every query speaks the Python-int
+(csr for large sparse hosts, see :func:`repro.graphs.kernels.get_kernel`)
+decide.  Whatever the backend, every query speaks the Python-int
 mask exchange format, so pinned-seed runs are byte-identical across
 backends and callers never see which kernel is underneath.
 
@@ -40,13 +39,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.graphs.kernels.base import (
-    Edge,
-    MaskKernel,
-    get_kernel,
-    iter_bits,
-    mask_of,
-)
+from repro.graphs.kernels import get_kernel
+from repro.graphs.kernels.base import Edge, MaskKernel, iter_bits, mask_of
 
 __all__ = ["Graph", "canonical_edge", "iter_bits", "mask_of"]
 
@@ -69,9 +63,8 @@ class Graph:
     edges:
         Optional iterable of edges (any orientation; canonicalized).
     backend:
-        Mask-kernel name (``"bigint"``, ``"packed"``, ``"csr"``,
-        ``"auto"``) or ``None`` to defer to ``REPRO_GRAPH_BACKEND`` /
-        the auto policy.
+        Mask-kernel name (``"bigint"``, ``"csr"``, ``"auto"``) or
+        ``None`` to defer to ``REPRO_GRAPH_BACKEND`` / the auto policy.
     expected_edges:
         Optional density hint for the ``auto`` policy (generators pass
         their expected edge count so large sparse hosts land on the
@@ -228,14 +221,9 @@ class Graph:
         lo, hi = cls._canonical_edge_arrays(n, us, vs)
         if expected_edges is None:
             expected_edges = int(lo.size)
-        kernel_cls = get_kernel(backend, n, expected_edges)
-        maker = getattr(kernel_cls, "from_edge_array", None)
-        if maker is not None:
-            kernel = maker(n, lo, hi)
-        else:  # registered third-party kernel without the bulk seam
-            kernel = kernel_cls(n)
-            for u, v in zip(lo.tolist(), hi.tolist()):
-                kernel.set_edge(u, v)
+        kernel = get_kernel(backend, n, expected_edges).from_edge_array(
+            n, lo, hi
+        )
         return cls._wrap(n, kernel, int(lo.size))
 
     def add_edge_arrays(self, us, vs) -> int:
@@ -289,12 +277,11 @@ class Graph:
     def nbytes(self) -> int:
         """Approximate adjacency-storage bytes of the active kernel.
 
-        Delegates to the kernel's ``memory_bytes()``; third-party
-        kernels without the seam report 0.  Surfaced per instance in
-        ``InstanceCache.stats()`` so sweep logs show memory at scale.
+        Delegates to the kernel's ``memory_bytes()``.  Surfaced per
+        instance in ``InstanceCache.stats()`` so sweep logs show memory
+        at scale.
         """
-        probe = getattr(self._kernel, "memory_bytes", None)
-        return int(probe()) if probe is not None else 0
+        return int(self._kernel.memory_bytes())
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:

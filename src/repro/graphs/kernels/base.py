@@ -1,95 +1,35 @@
-"""The formal ``MaskKernel`` contract and the backend registry.
+"""The formal ``MaskKernel`` contract and the bit-mask helpers.
 
 A *mask kernel* is the storage engine behind :class:`repro.graphs.graph.Graph`:
 it owns the symmetric adjacency-bit matrix and nothing else.  ``Graph``
 keeps the semantics (validation, edge counting, canonical orientation)
-and delegates every bit of storage and bulk arithmetic to its kernel, so
-new representations plug in without touching any caller.
+and delegates every bit of storage and bulk arithmetic to its kernel.
 
-Three kernels ship:
+Two kernels ship (selected by :func:`repro.graphs.kernels.get_kernel`):
 
 * ``bigint`` (:class:`repro.graphs.kernels.bigint.BigintKernel`) — one
-  arbitrary-precision Python int per vertex, the PR 2 bitset kernel.
-  Optimal up to tens of thousands of vertices, where CPython's bignum
-  ``&`` is effectively memory-bound C.
-* ``packed`` (:class:`repro.graphs.kernels.packed.PackedKernel`) — a
-  ``numpy`` ``uint64`` matrix of shape ``(n, ceil(n/64))``.  Rows are
-  word-addressable, which unlocks vectorized single-word bit probes
-  (the wedge-scan triangle natives) that no flat bignum can offer, and
-  opens the n=10^5 host regime.
+  arbitrary-precision Python int per vertex.  Optimal up to tens of
+  thousands of vertices, where CPython's bignum ``&`` is effectively
+  memory-bound C.
 * ``csr`` (:class:`repro.graphs.kernels.csr.CsrKernel`) — sorted numpy
   index arrays (CSR offsets + indices), O(m) memory instead of O(n²/8).
   The sparse-host kernel: at n = 10^6 a constant-degree host fits in
-  tens of megabytes where the packed bitmap would need ~125 GB.
+  tens of megabytes where an n-bit row per vertex would need ~125 GB.
 
 The *exchange format* between kernels, and between a kernel and every
 caller, is the Python-int row mask: bit ``v`` of row ``u`` is set iff
 ``{u, v}`` is an edge.  Conversion both ways is lossless
 (:meth:`MaskKernel.row` / :meth:`MaskKernel.from_rows`), which is what
 makes pinned-seed runs byte-identical across backends.
-
-Selection: an explicit ``Graph(n, backend=...)`` argument wins, then
-the ``REPRO_GRAPH_BACKEND`` environment variable, then the ``auto``
-policy.  ``auto`` is density-aware: bigint below
-:data:`PACKED_AUTO_THRESHOLD` vertices, packed above it, csr when the
-host is large *and* sparse — above :data:`CSR_AUTO_THRESHOLD`
-unconditionally (the bitmap no longer fits), or above
-:data:`PACKED_AUTO_THRESHOLD` when the caller supplies an
-``expected_edges`` hint showing m < n²/64 (the memory crossover where
-~8 bytes/edge of CSR beats n/8 bytes/row of bitmap).
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Protocol, runtime_checkable
 
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    pass
-
-__all__ = [
-    "Edge",
-    "MaskKernel",
-    "iter_bits",
-    "mask_of",
-    "get_kernel",
-    "register_kernel",
-    "kernel_names",
-    "BACKEND_ENV_VAR",
-    "PACKED_AUTO_THRESHOLD",
-    "CSR_AUTO_THRESHOLD",
-    "SPARSE_DENSITY_WORD_FACTOR",
-]
+__all__ = ["Edge", "MaskKernel", "iter_bits", "mask_of"]
 
 Edge = tuple[int, int]
-
-#: Environment variable naming the default backend (``bigint``,
-#: ``packed``, or ``auto``); an explicit ``backend=`` argument wins.
-BACKEND_ENV_VAR = "REPRO_GRAPH_BACKEND"
-
-#: ``auto`` switches to the packed kernel at this vertex count.  Below
-#: it the bignum kernel's per-op latency wins; above it the packed
-#: kernel's vectorized natives and O(1) word probes win (measured
-#: crossover of the triangle hot path is n ~ 1e4; the threshold is set
-#: a notch higher so existing small-n workloads keep their exact
-#: performance profile).
-PACKED_AUTO_THRESHOLD = 32768
-
-#: Above this vertex count ``auto`` always picks the csr kernel: the
-#: packed bitmap costs n²/8 bytes (8.6 GB at 2^18, 125 GB at 10^6),
-#: which stops being a sane default long before it stops fitting.
-CSR_AUTO_THRESHOLD = 1 << 18
-
-#: Density crossover used when ``auto`` has an ``expected_edges`` hint:
-#: csr stores an edge twice at ~8 bytes a direction while packed pays
-#: n/8 bytes per row, so the memory break-even is m = n² / 64.  Below
-#: that density (m · 64 < n²) csr wins on memory *and* its
-#: merge-intersection natives win on time, so ``auto`` picks csr for
-#: hinted hosts past :data:`PACKED_AUTO_THRESHOLD`.
-SPARSE_DENSITY_WORD_FACTOR = 64
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -129,7 +69,7 @@ class MaskKernel(Protocol):
     generic int-row algorithms (same values, same enumeration order).
     """
 
-    #: Registry name of the backend (``"bigint"``, ``"packed"``).
+    #: Backend name (``"bigint"``, ``"csr"``).
     name: str
 
     @property
@@ -238,88 +178,3 @@ class MaskKernel(Protocol):
         point: O(m) array work instead of m Python-level inserts.
         """
         ...
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_REGISTRY: dict[str, type] = {}
-
-
-def register_kernel(name: str, cls: type) -> None:
-    """Register a kernel class under ``name`` (extension seam)."""
-    _REGISTRY[name] = cls
-
-
-def kernel_names() -> tuple[str, ...]:
-    """Registered backend names plus the ``auto`` policy."""
-    _ensure_builtin_registered()
-    return tuple(sorted(_REGISTRY)) + ("auto",)
-
-
-#: Built-in kernels that register themselves on module import; imported
-#: lazily, on first request, so a bigint-only workload never loads them.
-_LAZY_NUMPY_KERNELS = ("packed", "csr")
-
-
-def _ensure_builtin_registered(name: str | None = None) -> None:
-    for lazy in _LAZY_NUMPY_KERNELS:
-        if name is not None and lazy != name:
-            continue
-        if lazy not in _REGISTRY:
-            import importlib
-
-            importlib.import_module(f"repro.graphs.kernels.{lazy}")
-
-
-def _auto_backend(n: int, expected_edges: int | None) -> str:
-    if n < PACKED_AUTO_THRESHOLD:
-        return "bigint"
-    if n >= CSR_AUTO_THRESHOLD:
-        return "csr"
-    if (
-        expected_edges is not None
-        and expected_edges * SPARSE_DENSITY_WORD_FACTOR < n * n
-    ):
-        return "csr"
-    return "packed"
-
-
-def get_kernel(backend: str | None = None, n: int = 0,
-               expected_edges: int | None = None) -> type:
-    """Resolve a backend name to its kernel class.
-
-    Resolution order: explicit ``backend`` argument, then the
-    ``REPRO_GRAPH_BACKEND`` environment variable, then ``auto``.  The
-    ``auto`` policy is density-aware: ``bigint`` below
-    :data:`PACKED_AUTO_THRESHOLD`, ``csr`` above
-    :data:`CSR_AUTO_THRESHOLD` (the bitmap regime ends there) or when an
-    ``expected_edges`` hint shows the host is sparse
-    (m · :data:`SPARSE_DENSITY_WORD_FACTOR` < n²), ``packed``
-    otherwise.  Generators pass the hint; plain ``Graph(n)``
-    construction has none and keeps the historical bigint/packed split
-    below :data:`CSR_AUTO_THRESHOLD`.
-    """
-    requested = backend
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "auto"
-    if backend == "auto":
-        backend = _auto_backend(n, expected_edges)
-        # Auto-selections are the interesting ones to observe: they
-        # carry the inputs the density policy decided on.
-        obs_trace.event("kernel.selected", backend=backend, n=n,
-                        expected_edges=expected_edges,
-                        requested=requested)
-    obs_metrics.inc(f"kernel.select.{backend}")
-    if backend in _LAZY_NUMPY_KERNELS and backend not in _REGISTRY:
-        _ensure_builtin_registered(backend)
-    cls = _REGISTRY.get(backend)
-    if cls is None:
-        _ensure_builtin_registered()
-        cls = _REGISTRY.get(backend)
-    if cls is None:
-        raise ValueError(
-            f"unknown graph backend {backend!r}; "
-            f"known: {', '.join(kernel_names())}"
-        )
-    return cls

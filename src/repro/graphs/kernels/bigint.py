@@ -1,13 +1,12 @@
 """The bignum mask kernel: one arbitrary-precision int per vertex.
 
-This is the PR 2 bitset representation, refactored behind the
-:class:`~repro.graphs.kernels.base.MaskKernel` protocol: bit ``v`` of
-``rows()[u]`` is set iff the edge ``{u, v}`` exists.  CPython executes
-``&``/``|``/``bit_count`` over 30-bit digits word-at-a-time in C, so a
-common-neighbourhood probe is a single allocation-plus-scan — effectively
-memory-bound — which keeps this kernel optimal up to tens of thousands
-of vertices and makes it the executable specification the packed kernel
-is differential-pinned against.
+The default :class:`~repro.graphs.kernels.base.MaskKernel`: bit ``v``
+of ``rows()[u]`` is set iff the edge ``{u, v}`` exists.  CPython
+executes ``&``/``|``/``bit_count`` over 30-bit digits word-at-a-time in
+C, so a common-neighbourhood probe is a single allocation-plus-scan —
+effectively memory-bound — which keeps this kernel optimal up to tens
+of thousands of vertices and makes it the executable specification the
+csr kernel is differential-pinned against.
 
 Because the int rows *are* the exchange format, ``rows()`` returns the
 live list (no conversion) and ``from_rows`` just materialises the list —
@@ -19,7 +18,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Iterator
 
-from repro.graphs.kernels.base import Edge, iter_bits, register_kernel
+from repro.graphs.kernels.base import Edge, iter_bits
 
 __all__ = ["BigintKernel"]
 
@@ -174,6 +173,3 @@ class BigintKernel:
             )
             rows[int(src[a])] = int.from_bytes(buf.tobytes(), "little")
         return kernel
-
-
-register_kernel("bigint", BigintKernel)

@@ -4,9 +4,9 @@ Adjacency is stored in compressed-sparse-row form — an ``indptr`` array
 of n+1 int64 offsets and an ``indices`` array holding every neighbour
 list concatenated, sorted within each row, both directions of every
 edge present (the matrix stays symmetric like every other kernel).
-Memory is ~8-16 bytes per edge instead of the packed kernel's n²/8-byte
-bitmap, which is the difference between ~24 MB and ~125 GB for a
-constant-degree host at n = 10^6: this kernel is what opens the
+Memory is ~8-16 bytes per edge instead of the n²/8 bytes of one n-bit
+row per vertex, which is the difference between ~24 MB and ~125 GB for
+a constant-degree host at n = 10^6: this kernel is what opens the
 million-vertex regime.
 
 Mutation on a frozen array layout would be O(m) per edge, so single-edge
@@ -26,18 +26,18 @@ rows repeatedly; rebuilding a 125 KB bignum for a high vertex id on
 every probe would swamp the scan).  Any mutation of a vertex evicts its
 cached row.
 
-Triangle natives use merge-intersection over the sorted arrays rather
-than the packed kernel's bit probes: enumerate each strictly-upper edge
-(u, v), take the candidates w ∈ N⁺(v) by one gather, and close the
-wedge with a vectorized ``searchsorted`` membership test against the
-sorted upper-edge key array ``u * n + w``.  Work is O(Σ wedges · log m)
-with no n²-shaped term anywhere, so on sparse hosts (d = O(1)) it beats
-the packed scan, whose upper-CSR extraction alone walks the full
-n²/64-word bitmap.  Each triangle is produced exactly once, at its
-minimum-vertex base edge, in canonical lexicographic order — the same
-values and order as the generic int-row algorithms — and the natives
-return ``NotImplemented`` on dense hosts (same wedge-budget rule as the
-packed kernel) so the dispatcher falls back to the generic path.
+Triangle natives use merge-intersection over the sorted arrays:
+enumerate each strictly-upper edge (u, v), take the candidates
+w ∈ N⁺(v) by one gather, and close the wedge with a vectorized
+``searchsorted`` membership test against the sorted upper-edge key
+array ``u * n + w``.  Work is O(Σ wedges · log m) with no n²-shaped
+term anywhere, so on sparse hosts (d = O(1)) it beats the generic
+edge-AND sweep, which pays an n-bit ``&`` per edge.  Each triangle is
+produced exactly once, at its minimum-vertex base edge, in canonical
+lexicographic order — the same values and order as the generic int-row
+algorithms — and the natives return ``NotImplemented`` on dense hosts
+(wedge count above the edge-AND budget) so the dispatcher falls back
+to the generic path.
 """
 
 from __future__ import annotations
@@ -47,13 +47,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.graphs.kernels.base import Edge, register_kernel
+from repro.graphs.kernels.base import Edge
 
 __all__ = ["CsrKernel"]
 
-#: Same dense-decline rule as the packed kernel: hand back to the
-#: generic edge-AND path once the wedge count exceeds this multiple of
-#: the edge-AND word budget (m edges × n/64-word rows).
+#: Dense-decline rule: hand back to the generic edge-AND path once the
+#: wedge count exceeds this multiple of the edge-AND word budget
+#: (m edges × n/64-word rows).
 _DENSE_FALLBACK_FACTOR = 4
 #: Wedge-closure probes are generated in batches of at most this many
 #: candidates to bound peak memory on skewed degree sequences.
@@ -518,16 +518,15 @@ class CsrKernel:
     def find_triangle(self):
         """First triangle in the generic order, or None.
 
-        The hit stream is lexicographically sorted and the generic
-        edge-scan's first answer is the lexicographic minimum (see
-        :meth:`PackedKernel.find_triangle`'s argument), so the first
-        batch hit is the generic answer — with the early exit intact.
+        The hit stream is lexicographically sorted, and the generic
+        edge scan's first answer is the lexicographically minimal
+        canonical triple (a triangle's canonical triple leads with its
+        minimum vertex, and the scan keys every triangle at exactly
+        that vertex), so the first batch hit is the generic answer —
+        with the early exit intact.
         """
         return self._wedge_scan("find")
 
     def greedy_triangle_packing(self):
         """The generic greedy packing, replayed from the hit stream."""
         return self._wedge_scan("pack")
-
-
-register_kernel("csr", CsrKernel)

@@ -22,11 +22,10 @@ Everything here runs on the bitset kernel: a common neighbourhood is one
 ``&`` of two adjacency masks, and enumeration walks set bits in ascending
 order, so all outputs are deterministic (vertices ascending) and match the
 order-normalized set-based oracles under ``tests/oracles/`` bit for bit.
-Kernels with native triangle accelerators — the packed kernel's
-word-level wedge scans, the CSR kernel's merge-intersection sweeps over
-sorted adjacency arrays — are consulted first through
-``_kernel_native`` and are contracted to return exactly what the generic
-int-row algorithms would.
+Kernels with native triangle accelerators — the CSR kernel's
+merge-intersection sweeps over sorted adjacency arrays — are consulted
+first through ``_kernel_native`` and are contracted to return exactly
+what the generic int-row algorithms would.
 """
 
 from __future__ import annotations
@@ -67,12 +66,12 @@ def _kernel_native(graph: Graph, name: str):
     """The kernel's native accelerator for ``name``, already evaluated.
 
     Kernels may implement ``count_triangles`` / ``find_triangle`` /
-    ``greedy_triangle_packing`` natively (the packed kernel's wedge
-    scans, the CSR kernel's merge-intersection sweeps); natives are
-    contracted to return results identical to the
-    generic int-row algorithms and may answer ``NotImplemented`` to
-    decline (e.g. on dense graphs) — both "no native" and "declined"
-    come back here as ``NotImplemented`` so callers fall through.
+    ``greedy_triangle_packing`` natively (the CSR kernel's
+    merge-intersection sweeps); natives are contracted to return
+    results identical to the generic int-row algorithms and may answer
+    ``NotImplemented`` to decline (e.g. on dense graphs) — both "no
+    native" and "declined" come back here as ``NotImplemented`` so
+    callers fall through.
     """
     native = getattr(getattr(graph, "kernel", None), name, None)
     if native is None:

@@ -1,14 +1,14 @@
 """Differential tests: the sparse CSR kernel vs the bignum kernel.
 
-Same shape as ``test_kernels.py`` (the packed-kernel suite): the bignum
-kernel is the executable specification, and the CSR kernel — sorted
-index arrays plus a delta overlay for single-edge mutation — must be
-observationally identical through every :class:`MaskKernel` primitive,
-with its merge-intersection triangle natives reproducing the generic
-algorithms bit for bit.  Graphs run at n = 70 (> 64) so masks crossing
-the uint64 word boundary exchange correctly with the packed kernel too.
-The density-aware ``auto`` policy, the hot-row LRU, bulk edge-array
-construction, ``memory_bytes`` and pickling are covered here.
+The bignum kernel is the executable specification, and the CSR kernel —
+sorted index arrays plus a delta overlay for single-edge mutation — must
+be observationally identical through every :class:`MaskKernel`
+primitive, with its merge-intersection triangle natives reproducing the
+generic algorithms bit for bit.  Graphs run at n = 70 (> 64) so the
+exchange masks span more than one machine word.  The density-aware
+``auto`` policy's boundaries, the hot-row LRU, bulk edge-array
+construction, ``memory_bytes``, pickling and pinned-seed sweep identity
+are covered here.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from repro.graphs.generators import far_instance
 from repro.graphs.kernels import (
     BACKEND_ENV_VAR,
     CSR_AUTO_THRESHOLD,
-    PACKED_AUTO_THRESHOLD,
     SPARSE_DENSITY_WORD_FACTOR,
+    SPARSE_HINT_THRESHOLD,
     BigintKernel,
     kernel_names,
 )
 from repro.graphs.kernels.csr import CsrKernel
-from repro.graphs.kernels.packed import PackedKernel
 from repro.graphs.triangles import (
     count_triangles,
     find_triangle,
@@ -44,7 +43,7 @@ from repro.graphs.triangles import (
     triangle_edges,
 )
 
-N = 70  # > 64: exchange masks straddle the packed kernel's word boundary
+N = 70  # > 64: exchange masks straddle a 64-bit word boundary
 
 VERTEX = st.one_of(
     st.integers(min_value=0, max_value=N - 1),
@@ -147,7 +146,7 @@ class TestOverlayDifferential:
         bigint, csr = build_both(ops)
         assert bigint.to_backend("csr") == csr
         assert csr.to_backend("bigint") == bigint
-        back = csr.to_backend("packed").to_backend("csr")
+        back = csr.to_backend("bigint").to_backend("csr")
         assert back == csr and back.backend == "csr"
 
 
@@ -189,7 +188,7 @@ class TestBulkEdgeArrays:
         edges = list(bigint.edges())
         us = np.array([u for u, _ in edges], dtype=np.int64)
         vs = np.array([v for _, v in edges], dtype=np.int64)
-        for backend in ("bigint", "packed", "csr"):
+        for backend in ("bigint", "csr"):
             rebuilt = Graph.from_edge_arrays(N, us, vs, backend=backend)
             assert rebuilt == bigint
             assert rebuilt.num_edges == bigint.num_edges
@@ -201,7 +200,7 @@ class TestBulkEdgeArrays:
         assert doubled == bigint and doubled.num_edges == bigint.num_edges
 
     def test_add_edge_arrays_counts_only_new(self):
-        for backend in ("bigint", "packed", "csr"):
+        for backend in ("bigint", "csr"):
             graph = Graph(8, backend=backend)
             us = np.array([0, 1, 2], dtype=np.int64)
             vs = np.array([1, 2, 3], dtype=np.int64)
@@ -223,7 +222,7 @@ class TestBulkEdgeArrays:
             Graph.from_edge_arrays(4, us, np.array([4]))
 
     def test_complete_matches_per_vertex_fill(self):
-        for backend in ("bigint", "packed", "csr"):
+        for backend in ("bigint", "csr"):
             quick = Graph.complete(12, backend=backend)
             slow = Graph(12, backend=backend)
             for u in range(12):
@@ -281,22 +280,28 @@ class TestRegistryAndAutoPolicy:
         assert isinstance(Graph(4, backend="csr").kernel, MaskKernel)
 
     def test_auto_without_hint_keeps_historical_policy(self):
-        assert get_kernel("auto", 0) is BigintKernel
-        assert get_kernel("auto", PACKED_AUTO_THRESHOLD - 1) is BigintKernel
-        assert get_kernel("auto", PACKED_AUTO_THRESHOLD) is PackedKernel
+        for n in (0, SPARSE_HINT_THRESHOLD - 1, SPARSE_HINT_THRESHOLD,
+                  CSR_AUTO_THRESHOLD - 1):
+            assert get_kernel("auto", n) is BigintKernel, n
 
     def test_auto_switches_to_csr_above_hard_threshold(self):
-        assert get_kernel("auto", CSR_AUTO_THRESHOLD - 1) is PackedKernel
+        assert get_kernel("auto", CSR_AUTO_THRESHOLD - 1) is BigintKernel
         assert get_kernel("auto", CSR_AUTO_THRESHOLD) is CsrKernel
         assert get_kernel("auto", 10**6) is CsrKernel
+        # Past the hard threshold even a dense hint stays on csr.
+        dense_edges = CSR_AUTO_THRESHOLD ** 2 // 4
+        assert get_kernel(
+            "auto", CSR_AUTO_THRESHOLD, expected_edges=dense_edges
+        ) is CsrKernel
 
     def test_auto_density_hint_picks_csr_on_sparse_hosts(self):
-        n = PACKED_AUTO_THRESHOLD
-        sparse_edges = 4 * n  # d = 8 — far below the density cut
-        dense_edges = (n * n) // SPARSE_DENSITY_WORD_FACTOR + 1
-        assert get_kernel("auto", n, expected_edges=sparse_edges) is CsrKernel
-        assert get_kernel("auto", n, expected_edges=dense_edges) is PackedKernel
-        # Below the packed threshold the hint never overrides bigint.
+        n = SPARSE_HINT_THRESHOLD
+        # The density cut is strict: m · 64 < n² picks csr.
+        cut = (n * n) // SPARSE_DENSITY_WORD_FACTOR
+        assert get_kernel("auto", n, expected_edges=cut - 1) is CsrKernel
+        assert get_kernel("auto", n, expected_edges=cut) is BigintKernel
+        # Below the hint threshold the hint never overrides bigint.
+        assert get_kernel("auto", n - 1, expected_edges=10) is BigintKernel
         assert get_kernel("auto", 100, expected_edges=10) is BigintKernel
 
     def test_env_var_accepts_csr(self, monkeypatch):
@@ -314,10 +319,8 @@ class TestMemoryReporting:
             np.arange(1, n, dtype=np.int64),
             backend="csr",
         )
-        packed = sparse.to_backend("packed")
-        assert 0 < sparse.nbytes < packed.nbytes
-        # Packed is the n²/8 bitmap regardless of density.
-        assert packed.nbytes == ((n + 63) // 64) * 8 * n
+        bigint = sparse.to_backend("bigint")
+        assert 0 < sparse.nbytes < bigint.nbytes
         # CSR is a few dozen bytes per edge plus the n+1 offsets.
         assert sparse.nbytes < 64 * sparse.num_edges + 16 * n
 
@@ -352,8 +355,8 @@ class TestSweepByteIdentity:
         """A pinned-seed protocol sweep is record-identical per backend.
 
         The small-n twin of the bench harness's scale check: generator,
-        partition, players and referee must not observe which of the
-        three kernels is underneath.
+        partition, players and referee must not observe which kernel is
+        underneath.
         """
         params = SimLowParams(epsilon=0.2, delta=0.2)
         grid = [(600, 6.0, 3)]
@@ -368,7 +371,7 @@ class TestSweepByteIdentity:
             )
 
         records = {}
-        for backend in ("bigint", "packed", "csr"):
+        for backend in ("bigint", "csr"):
             monkeypatch.setenv(BACKEND_ENV_VAR, backend)
             records[backend] = sweep().records
-        assert records["bigint"] == records["packed"] == records["csr"]
+        assert records["bigint"] == records["csr"]

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from env_helpers import child_env
 from repro.analysis.report import build_report, write_report
 from repro.analysis.__main__ import ROWS_BY_ID, main
@@ -22,6 +24,12 @@ class TestCli:
         exit_code = main(["--row", "T1-R99"])
         assert exit_code == 2
         assert "unknown row" in capsys.readouterr().err
+
+    def test_unknown_backend_exits_nonzero(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["--backend", "packed"])
+        assert raised.value.code != 0
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_rows_by_id_covers_all(self):
         from repro.analysis.table1 import ALL_ROWS

@@ -4,7 +4,7 @@ The contract (module docstring of :mod:`repro.graphs.generators`): the
 ``vectorized`` knob on ``gnp``/``gnd``, ``tripartite_mu`` and
 ``powerlaw_host`` only trades implementations, never outputs — the
 sampled edge set is a function of the seed alone, identical across
-{scalar, vectorized} × {bigint, packed, csr}.  These tests pin that
+{scalar, vectorized} × {bigint, csr}.  These tests pin that
 contract with hypothesis over seeds and word-boundary vertex counts,
 cover both sides of the ``_VECTOR_MIN_EXPECTED`` auto-dispatch
 threshold, and pin the bulk planting / K_n fill rewrites against their
@@ -28,8 +28,8 @@ from repro.graphs.generators import (
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**16)
-# Word-boundary counts: the packed kernel's uint64 edges and the csr
-# unranking both get exercised at n ∈ {63, 64, 65, 127, 129}.
+# Word-boundary counts: the numpy edge-array unranking and the
+# exchange masks both get exercised at n ∈ {63, 64, 65, 127, 129}.
 BOUNDARY_N = st.sampled_from([5, 31, 63, 64, 65, 127, 129, 200])
 
 
@@ -53,7 +53,7 @@ class TestGnpIdentity:
     def test_identical_across_backends(self, seed):
         reference = gnp(129, 0.2, seed=seed, vectorized=False,
                         backend="bigint")
-        for backend in ("bigint", "packed", "csr"):
+        for backend in ("bigint", "csr"):
             assert gnp(129, 0.2, seed=seed, vectorized=True,
                        backend=backend) == reference
 
@@ -82,7 +82,7 @@ class TestGnpIdentity:
         )
 
     def test_p_one_is_complete_on_every_backend(self):
-        for backend in ("bigint", "packed", "csr"):
+        for backend in ("bigint", "csr"):
             graph = gnp(65, 1.0, seed=9, backend=backend)
             assert graph.num_edges == 65 * 64 // 2
             assert graph == Graph.complete(65, backend="bigint")
@@ -132,7 +132,7 @@ class TestPowerlawHostIdentity:
     @settings(max_examples=15, deadline=None)
     def test_identical_across_backends(self, seed):
         reference = powerlaw_host(200, 4.0, seed=seed, vectorized=False)
-        for backend in ("bigint", "packed", "csr"):
+        for backend in ("bigint", "csr"):
             built = powerlaw_host(200, 4.0, seed=seed, backend=backend)
             assert built.backend == backend
             assert built == reference
