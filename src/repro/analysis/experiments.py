@@ -273,10 +273,13 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
                 fault_plan=fault_plan, profile=profile,
             )
         if cache is not None:
-            _LOGGER.debug(
-                "run_sweep cache stats (instance_key=%r): %s",
-                instance_key, cache.stats(),
-            )
+            # stats() sizes every cached instance; only pay for it when
+            # the debug line is actually emitted.
+            if _LOGGER.isEnabledFor(logging.DEBUG):
+                _LOGGER.debug(
+                    "run_sweep cache stats (instance_key=%r): %s",
+                    instance_key, cache.stats(),
+                )
             active = obs_metrics.get_metrics()
             if active is not None:
                 stats = cache.stats()

@@ -17,15 +17,17 @@ The methods mirror the local steps of Sections 3.1, 3.3 and 3.4:
   ("each player examines its own input ... for an edge that closes a
   triangle together with some vee").
 
-The backend is the same bitset kernel as :class:`~repro.graphs.graph.Graph`
-(PR 2): one adjacency-mask int per vertex, so ``has_edge`` is a
-shift-and-test, ``local_degree`` a popcount, and the harvest methods —
-the protocol hot path — are mask intersections executed word-at-a-time in
-C instead of per-edge Python set work.  The mask-form harvests
-(``edges_within_mask`` and friends) return edges in ascending canonical
-order, which is exactly the ``sorted(...)`` order the protocols previously
-imposed, so messages (and cap truncations) are byte-identical to the
-set-based ``SetPlayer`` preserved under ``tests/oracles/``.
+A player holds its view twice: as the bitset kernel of
+:class:`~repro.graphs.graph.Graph` (one adjacency-mask int per vertex, so
+``has_edge`` is a shift-and-test and ``local_degree`` a popcount) and as
+the sorted canonical edge-key array it was built from.  The sample-wide
+harvests — the protocol hot path — test the key array against the
+samples' membership arrays in a few numpy passes instead of per-edge
+Python set work.  The mask-form harvests (``edges_within_mask`` and
+friends) return edges in ascending canonical order, which is exactly the
+``sorted(...)`` order the protocols previously imposed, so messages (and
+cap truncations) are byte-identical to the set-based ``SetPlayer``
+preserved under ``tests/oracles/``.
 
 Players built via :func:`make_players` reuse the per-player adjacency rows
 cached on the :class:`~repro.graphs.partition.EdgePartition`, so repeated
@@ -40,7 +42,14 @@ import numpy as np
 
 from repro.comm.randomness import PublicOrder
 from repro.graphs.buckets import suspected_degree_bounds
-from repro.graphs.graph import Edge, canonical_edge, iter_bits, mask_of
+from repro.graphs.graph import (
+    Edge,
+    canonical_edge,
+    iter_bits,
+    mask_of,
+    unique_keys,
+)
+from repro.graphs.kernels.bigint import or_edges_into_rows
 
 __all__ = ["Player", "make_players"]
 
@@ -55,30 +64,34 @@ class Player:
     n:
         Number of vertices of the (publicly known) vertex universe.
     edges:
-        The player's private edge view ``E_j``.  Ignored when ``rows`` is
+        The player's private edge view ``E_j`` (any orientation,
+        duplicates allowed).  Ignored when ``rows`` and ``keys`` are
         given.
-    rows:
-        Optional prebuilt per-vertex adjacency masks (e.g. the cached
-        :meth:`~repro.graphs.partition.EdgePartition.adjacency_rows`).
+    rows, keys:
+        Optional prebuilt form of the view, given together: per-vertex
+        adjacency masks and the sorted canonical edge keys
+        ``u * n + v`` (the cached
+        :meth:`~repro.graphs.partition.EdgePartition.adjacency_rows` and
+        :attr:`~repro.graphs.partition.EdgePartition.view_keys`).
         Treated as read-only and may be shared between Player instances.
-    num_edges:
-        Optional distinct-edge count matching ``rows``; computed lazily
-        from the rows when omitted.  :func:`make_players` passes the view
-        size so per-trial player construction does no popcount pass.
+        Built from ``edges`` otherwise.  The edge count is the key
+        count and the degree array one ``bincount`` over the keys.
     """
 
     __slots__ = (
-        "player_id", "n", "_rows", "_num_edges", "_edges_cache",
-        "_degrees",
+        "player_id", "n", "_rows", "_keys", "_num_edges", "_edges_cache",
+        "_ends", "_degrees",
     )
 
     def __init__(self, player_id: int, n: int, edges: Iterable[Edge] = (),
                  *, rows: list[int] | None = None,
-                 num_edges: int | None = None) -> None:
+                 keys: np.ndarray | None = None) -> None:
         self.player_id = player_id
         self.n = n
+        if (rows is None) != (keys is None):
+            raise TypeError("rows and keys are given together")
         if rows is None:
-            rows = [0] * n
+            flat = []
             for u, v in edges:
                 if u == v:
                     raise ValueError(f"self-loop ({u}, {v}) is not a valid edge")
@@ -86,11 +99,15 @@ class Player:
                     raise ValueError(
                         f"edge ({u}, {v}) outside the vertex universe [0, {n})"
                     )
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+                flat.append(u * n + v if u < v else v * n + u)
+            keys = unique_keys(np.array(flat, dtype=np.int64))
+            rows = [0] * n
+            or_edges_into_rows(rows, keys // n, keys % n)
         self._rows = rows
-        self._num_edges = num_edges
+        self._keys = keys
+        self._num_edges = int(keys.size)
         self._edges_cache: frozenset[Edge] | None = None
+        self._ends: tuple[np.ndarray, np.ndarray] | None = None
         self._degrees: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -104,10 +121,6 @@ class Player:
 
     @property
     def num_edges(self) -> int:
-        if self._num_edges is None:
-            self._num_edges = sum(
-                row.bit_count() for row in self._rows
-            ) // 2
         return self._num_edges
 
     def _iter_edges(self):
@@ -172,13 +185,15 @@ class Player:
 
     def _suspected_indices(self, index: int, k: int) -> np.ndarray:
         """B~_i^j as an ascending vertex array over the memoized degrees."""
-        if self._degrees is None:
-            self._degrees = np.fromiter(
-                (row.bit_count() for row in self._rows),
-                dtype=np.int64, count=len(self._rows),
-            )
-        lower, upper = suspected_degree_bounds(index, k)
         degrees = self._degrees
+        if degrees is None:
+            n = self.n
+            us, vs = self._endpoints()
+            degrees = np.bincount(us, minlength=n) + np.bincount(
+                vs, minlength=n
+            )
+            self._degrees = degrees
+        lower, upper = suspected_degree_bounds(index, k)
         return np.flatnonzero((degrees >= lower) & (degrees <= upper))
 
     def suspected_bucket(self, index: int, k: int) -> set[int]:
@@ -229,13 +244,31 @@ class Player:
         """Lowest-ranked edge of E_j under a public order on edges."""
         return min(self._iter_edges(), key=rank, default=None)
 
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys split into endpoint arrays ``(us, vs)``, memoized."""
+        ends = self._ends
+        if ends is None:
+            n, keys = self.n, self._keys
+            ends = self._ends = (keys // n, keys % n)
+        return ends
+
+    def _members(self, mask: int) -> np.ndarray:
+        """Membership of each vertex ``0 .. n-1`` in ``mask`` as 0/1 bytes."""
+        n = self.n
+        size = max(n, mask.bit_length())
+        raw = np.frombuffer(mask.to_bytes((size + 7) >> 3, "little"),
+                            dtype=np.uint8)
+        return np.unpackbits(raw, count=n, bitorder="little")
+
     # ------------------------------------------------------------------
     # Edge harvesting against public vertex samples
     #
-    # The mask forms are the hot path: one row intersection per sampled
-    # vertex, emitted in ascending canonical order (== the ``sorted``
-    # order protocol messages are priced and capped in).  The set forms
-    # keep the original API for callers that still hold Python sets.
+    # The mask forms are the hot path.  The two sample-wide harvests
+    # test every edge of the key array against the samples' membership
+    # arrays in a few numpy passes and emit the survivors in key order,
+    # which is ascending canonical order (== the ``sorted`` order
+    # protocol messages are priced and capped in).  The set forms keep
+    # the original API for callers that still hold Python sets.
     # ------------------------------------------------------------------
     def edges_at_vertex_in_mask(self, v: int, sample_mask: int) -> list[Edge]:
         """E_j ∩ ({v} × S) as a sorted list, S given as a mask."""
@@ -251,19 +284,10 @@ class Player:
 
     def edges_within_mask(self, sample_mask: int) -> list[Edge]:
         """E_j ∩ S² as a sorted list: Algorithms 7 and 9's harvest."""
-        rows = self._rows
-        found: list[Edge] = []
-        remaining = sample_mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            u = low.bit_length() - 1
-            partners = (rows[u] & sample_mask) >> (u + 1)
-            while partners:
-                plow = partners & -partners
-                found.append((u, u + plow.bit_length()))
-                partners ^= plow
-        return found
+        us, vs = self._endpoints()
+        in_s = self._members(sample_mask)
+        hit = (in_s.take(us) & in_s.take(vs)).view(bool)
+        return list(zip(us[hit].tolist(), vs[hit].tolist()))
 
     def edges_within(self, sample: set[int]) -> set[Edge]:
         """E_j ∩ S²: the induced-subgraph harvest of Algorithms 7 and 9."""
@@ -273,36 +297,16 @@ class Player:
                                  ) -> list[Edge]:
         """Edges with one endpoint in R, the other in R ∪ S, sorted.
 
-        A qualifying edge (a ∈ R and b ∈ RS, or b ∈ R and a ∈ RS — the
-        two arguments need not be nested) always has its R-endpoint, so
-        enumerating base vertices over R alone suffices: one
-        ``row & rs_mask`` per R-vertex, which is the whole point — R is
-        the small birthday sample while R ∪ S may be nearly everything.
-        A pair with both endpoints in R ∩ RS is found from each side;
-        the lower endpoint owns it.
+        An edge {a, b} qualifies when a ∈ R and b ∈ RS or b ∈ R and
+        a ∈ RS; the two arguments need not be nested.
         """
-        rows = self._rows
-        found: list[Edge] = []
-        both = r_mask & rs_mask
-        remaining = r_mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            u = low.bit_length() - 1
-            partners = rows[u] & rs_mask
-            if not partners:
-                continue
-            if both >> u & 1:
-                # u could double-report pairs owned by a lower R∩RS
-                # partner; mask those out.
-                partners &= ~(both & ((1 << u) - 1))
-            while partners:
-                plow = partners & -partners
-                v = plow.bit_length() - 1
-                found.append((u, v) if u < v else (v, u))
-                partners ^= plow
-        found.sort()
-        return found
+        us, vs = self._endpoints()
+        # Bit 0 marks R, bit 1 marks RS: one gather per endpoint.
+        code = self._members(r_mask) | (self._members(rs_mask) << 1)
+        cu = code.take(us)
+        cv = code.take(vs)
+        hit = ((cu & (cv >> 1)) | (cv & (cu >> 1))).view(bool)
+        return list(zip(us[hit].tolist(), vs[hit].tolist()))
 
     def edges_touching_both(self, r_sample: set[int], rs_sample: set[int]
                             ) -> set[Edge]:
@@ -411,22 +415,16 @@ def make_players(partition) -> list[Player]:
     objects — repeated trials pay nothing for player construction or row
     re-shredding.
     """
-    cached = getattr(partition, "_players_cache", None)
+    cached = partition._players_cache
     if cached is not None:
         return cached
     n = partition.graph.n
     players = [
         Player(
             j, n, rows=partition.adjacency_rows(j),
-            num_edges=partition.view_edge_count(j),
+            keys=partition.view_keys[j],
         )
         for j in range(partition.k)
     ]
-    try:
-        # EdgePartition is a frozen dataclass; the same backdoor its own
-        # rows cache uses.  Duck-typed partitions without settable
-        # attributes simply skip the memo.
-        object.__setattr__(partition, "_players_cache", players)
-    except (AttributeError, TypeError):
-        pass
+    partition._players_cache = players
     return players

@@ -30,12 +30,12 @@ The subset primitives have two execution paths honouring the contract:
 
 * the **scalar** reference path draws one index at a time from
   ``random.Random`` (the historical implementation, always available);
-* the **vectorized** path transplants the very same MT19937 state into a
-  ``numpy.random.RandomState`` — both generators build 53-bit doubles
-  from identical word pairs — and replays the geometric-skipping
-  recurrence as array operations.  Selected indices are equal element
-  for element, so masks are byte-identical; the path is taken
-  automatically for draws big enough to amortize the state transplant.
+* the **vectorized** path reads the very same MT19937 words in bulk
+  (``getrandbits`` on a copy of the generator), builds the 53-bit
+  doubles from the same word pairs ``random()`` uses, and replays the
+  geometric-skipping recurrence as array operations.  Selected indices
+  are equal element for element, so masks are byte-identical; the path
+  is taken automatically for draws big enough to amortize the copy.
 
 :meth:`SharedRandomness.batch` is the batched construction the trial
 runtime uses: one call yields every trial's coin stream for a grid
@@ -52,11 +52,9 @@ import numpy as _np
 
 __all__ = ["PublicOrder", "SharedRandomness", "counter_key", "counter_keys"]
 
-#: Words in an MT19937 state vector (shared by random.Random and numpy).
-_MT_STATE_WORDS = 624
-
 #: Expected selected-index count below which the scalar loop beats the
-#: numpy path (the state transplant costs a fixed ~tens of microseconds).
+#: numpy path (copying the generator state costs a fixed ~tens of
+#: microseconds).
 _VECTOR_MIN_EXPECTED = 128
 
 # A large prime used to build per-call independent sub-streams from
@@ -174,23 +172,39 @@ def _geometric_indices(local: random.Random, universe_size: int,
         yield index
 
 
-def _numpy_stream(local: random.Random) -> "_np.random.RandomState":
-    """A numpy RandomState continuing ``local``'s exact MT19937 stream.
+class _WordStream:
+    """Doubles read in bulk from a copy of a ``random.Random`` stream.
 
-    Both generators assemble doubles as ``((a >> 5) * 2^26 + (b >> 6)) /
-    2^53`` from consecutive 32-bit outputs, so after the transplant
-    ``stream.random_sample(k)`` equals ``[local.random()] * k`` draw for
-    draw.  ``local`` itself is left untouched — callers only transplant
-    throwaway sub-stream generators.
+    ``random_sample(k)`` equals ``[local.random() for _ in range(k)]``
+    draw for draw: ``random()`` assembles a double as
+    ``((a >> 5) * 2^26 + (b >> 6)) / 2^53`` from two consecutive 32-bit
+    MT19937 outputs, and ``getrandbits(64 * k)`` hands out the next
+    ``2k`` outputs as 32-bit words, first word least significant.
     """
-    state = local.getstate()[1]
-    stream = _np.random.RandomState()
-    stream.set_state(
-        ("MT19937",
-         _np.asarray(state[:_MT_STATE_WORDS], dtype=_np.uint32),
-         state[_MT_STATE_WORDS])
-    )
-    return stream
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, local: random.Random) -> None:
+        self._rng = random.Random()
+        self._rng.setstate(local.getstate())
+
+    def random_sample(self, size: int) -> "_np.ndarray":
+        words = _np.frombuffer(
+            self._rng.getrandbits(64 * size).to_bytes(8 * size, "little"),
+            dtype="<u4",
+        )
+        return (
+            (words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)
+        ) / 9007199254740992.0
+
+
+def _numpy_stream(local: random.Random) -> _WordStream:
+    """A double stream continuing ``local``'s exact MT19937 stream.
+
+    ``stream.random_sample(k)`` equals ``[local.random()] * k`` draw for
+    draw.  ``local`` itself is left untouched: the stream reads a copy.
+    """
+    return _WordStream(local)
 
 
 def _geometric_indices_array(local: random.Random, universe_size: int,

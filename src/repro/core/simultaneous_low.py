@@ -117,8 +117,8 @@ def find_triangle_sim_low(
     cap = params.edge_cap(n, d) if params.capped else None
 
     def message_fn(player: Player, _: SharedRandomness) -> list[Edge]:
-        # Mask harvest: one row intersection per sampled vertex, emitted
-        # ascending — the same order the set-based code sorted into.
+        # Mask harvest over the player's edge keys, emitted ascending —
+        # the same order the set-based code sorted into.
         harvest = player.edges_touching_both_mask(birthday, both)
         if cap is not None:
             harvest = harvest[:cap]

@@ -33,7 +33,7 @@ The heavy samplers (``gnp``/``gnd``, ``tripartite_mu``,
 (default) takes a numpy edge-array path when the expected draw volume
 clears :data:`_VECTOR_MIN_EXPECTED`, ``False`` forces the scalar
 reference loop, ``True`` forces the numpy path.  The vectorized paths
-transplant the scalar generator's exact MT19937 state
+read the scalar generator's exact MT19937 stream in bulk
 (:func:`repro.comm.randomness._numpy_stream`) and replay the same
 recurrences as array expressions, so the sampled edge set is
 draw-for-draw identical across {scalar, vectorized} × every backend —
@@ -82,11 +82,6 @@ _VECTOR_MIN_EXPECTED = 1024
 #: peak draw-buffer memory without changing any sampled value.
 _DRAW_CHUNK = 1 << 20
 
-#: Planted-copy count at which the triangle planting loop switches to
-#: one bulk ``add_edge_arrays`` call.
-_BULK_PLANT_MIN = 512
-
-
 _LOGGER = logging.getLogger(__name__)
 
 
@@ -105,7 +100,7 @@ def _use_vectorized(vectorized: bool | None, expected_work: float,
 
 
 def _transplanted_stream(rng: random.Random):
-    """A numpy RandomState continuing ``rng``'s exact MT19937 stream.
+    """A bulk double stream continuing ``rng``'s exact MT19937 stream.
 
     Imported lazily from the randomness module (call-time, so the
     graphs package never imports the comm package at module load).
@@ -244,28 +239,18 @@ def planted_disjoint_triangles(n: int, num_triangles: int, seed: int = 0,
         if background_degree > 0
         else Graph(n, backend=backend)
     )
-    planted: list[tuple[int, int, int]] = []
-    if num_triangles >= _BULK_PLANT_MIN:
-        # Large plants commit through one bulk edge-array insert; the
-        # per-triangle sort matches the scalar loop, so the planted
-        # tuples and the final edge set are identical either way.
-        members = _np.sort(
-            _np.array(
-                vertices[: 3 * num_triangles], dtype=_np.int64
-            ).reshape(-1, 3),
-            axis=1,
-        )
-        graph.add_edge_arrays(
-            members[:, (0, 0, 1)].ravel(), members[:, (1, 2, 2)].ravel()
-        )
-        planted = [tuple(row) for row in members.tolist()]
-    else:
-        for t in range(num_triangles):
-            a, b, c = sorted(vertices[3 * t: 3 * t + 3])
-            graph.add_edge(a, b)
-            graph.add_edge(a, c)
-            graph.add_edge(b, c)
-            planted.append((a, b, c))
+    # Triangle t is the sorted shuffled slice vertices[3t : 3t + 3],
+    # committed through one bulk edge-array insert.
+    members = _np.sort(
+        _np.array(
+            vertices[: 3 * num_triangles], dtype=_np.int64
+        ).reshape(-1, 3),
+        axis=1,
+    )
+    graph.add_edge_arrays(
+        members[:, (0, 0, 1)].ravel(), members[:, (1, 2, 2)].ravel()
+    )
+    planted = [tuple(row) for row in members.tolist()]
     epsilon = num_triangles / max(1, graph.num_edges)
     return PlantedInstance(graph, tuple(planted), epsilon)
 
@@ -639,9 +624,10 @@ def triangle_free_degree_spread(n: int, d: float, max_degree: int,
     if total_left > half:
         shrink = half / total_left
         counts = [max(1, int(count * shrink)) for count in counts]
-    graph = Graph(n, backend=backend)
     left_cursor = 0
     right = list(range(half, n))
+    lefts: list[int] = []
+    rights: list[int] = []
     # Heavy buckets first, so the high-degree vertices always exist even
     # when the left side runs out of slots.
     for bucket_degree, count in sorted(
@@ -650,11 +636,13 @@ def triangle_free_degree_spread(n: int, d: float, max_degree: int,
         for _ in range(count):
             if left_cursor >= half:
                 break
-            v = left_cursor
-            left_cursor += 1
             partners = rng.sample(right, min(bucket_degree, len(right)))
-            for u in partners:
-                graph.add_edge(v, u)
+            lefts.extend([left_cursor] * len(partners))
+            rights.extend(partners)
+            left_cursor += 1
+    # No density hint: ``auto`` keeps choosing as for a plain Graph(n).
+    graph = Graph(n, backend=backend)
+    graph.add_edge_arrays(lefts, rights)
     return graph
 
 

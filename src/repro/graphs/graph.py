@@ -27,8 +27,9 @@ edges; :class:`Graph` is the ground-truth union of those vectors, and
 Bulk primitives (:meth:`Graph.neighbor_mask`, :meth:`Graph.common_neighbors`,
 :meth:`Graph.add_edges`, :meth:`Graph.add_neighbors`,
 :meth:`Graph.adjacency_rows`, :meth:`Graph.induced_subgraph_mask_rows`,
-:meth:`Graph.edges_touching_mask`, plus the module-level
-:func:`iter_bits` / :func:`mask_of`) expose the masks directly so the
+:meth:`Graph.edges_touching_mask`, :meth:`Graph.edge_keys`, plus the
+module-level :func:`iter_bits` / :func:`mask_of`) expose the masks and
+edge keys directly so the
 triangle layer, generators, bucketing, and the streaming reduction can stay
 on the fast path without reaching into private state.  A pure-Python
 ``set``-based twin, ``SetGraph``, lives with the test oracles under
@@ -43,6 +44,21 @@ from repro.graphs.kernels import get_kernel
 from repro.graphs.kernels.base import Edge, MaskKernel, iter_bits, mask_of
 
 __all__ = ["Graph", "canonical_edge", "iter_bits", "mask_of"]
+
+
+def unique_keys(keys):
+    """Sorted distinct values of an int64 key array.
+
+    ``np.unique`` by one sort and a neighbour compare: numpy 2.x's
+    hash-based ``np.unique`` is over an order of magnitude slower on
+    int64 keys.
+    """
+    import numpy as np
+
+    keys = np.sort(keys)
+    if keys.size > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -71,7 +87,7 @@ class Graph:
         csr kernel).  Never changes the edge set, only the storage.
     """
 
-    __slots__ = ("_n", "_kernel", "_edge_count")
+    __slots__ = ("_n", "_kernel", "_edge_count", "_edge_keys")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (),
                  backend: str | None = None,
@@ -81,15 +97,18 @@ class Graph:
         self._n = n
         self._kernel: MaskKernel = get_kernel(backend, n, expected_edges)(n)
         self._edge_count = 0
+        self._edge_keys = None
         for u, v in edges:
             self.add_edge(u, v)
 
     @classmethod
-    def _wrap(cls, n: int, kernel: MaskKernel, edge_count: int) -> "Graph":
+    def _wrap(cls, n: int, kernel: MaskKernel, edge_count: int,
+              edge_keys=None) -> "Graph":
         graph = cls.__new__(cls)
         graph._n = n
         graph._kernel = kernel
         graph._edge_count = edge_count
+        graph._edge_keys = edge_keys
         return graph
 
     # ------------------------------------------------------------------
@@ -113,7 +132,8 @@ class Graph:
         """
         cls = get_kernel(backend, self._n)
         kernel = cls.from_rows(self._n, self._kernel.rows())
-        return Graph._wrap(self._n, kernel, self._edge_count)
+        return Graph._wrap(self._n, kernel, self._edge_count,
+                           self._edge_keys)
 
     # ------------------------------------------------------------------
     # Construction
@@ -126,6 +146,7 @@ class Graph:
         if not self._kernel.set_edge(u, v):
             return False
         self._edge_count += 1
+        self._edge_keys = None
         return True
 
     def add_edges(self, edges: Iterable[Edge]) -> int:
@@ -149,7 +170,9 @@ class Graph:
         if mask >> u & 1:
             raise ValueError(f"self-loop ({u}, {u}) is not a valid edge")
         added = self._kernel.merge_row(u, mask)
-        self._edge_count += added
+        if added:
+            self._edge_count += added
+            self._edge_keys = None
         return added
 
     def remove_edge(self, u: int, v: int) -> bool:
@@ -160,23 +183,25 @@ class Graph:
         if not self._kernel.clear_edge(u, v):
             return False
         self._edge_count -= 1
+        self._edge_keys = None
         return True
 
     def copy(self) -> "Graph":
-        return Graph._wrap(self._n, self._kernel.copy(), self._edge_count)
+        return Graph._wrap(self._n, self._kernel.copy(), self._edge_count,
+                           self._edge_keys)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
         return cls(n, edges)
 
     @staticmethod
-    def _canonical_edge_arrays(n: int, us, vs):
-        """Validate and canonicalize numpy endpoint arrays.
+    def _canonical_keys(n: int, us, vs):
+        """Validate numpy endpoint arrays into sorted canonical edge keys.
 
-        Returns sorted unique (lo, hi) int64 arrays with lo < hi — the
-        contract every kernel's ``from_edge_array`` assumes.  Raises on
-        shape mismatch, out-of-range vertices, and self-loops, matching
-        the scalar :meth:`add_edge` checks.
+        Returns the read-only, sorted, unique int64 array of
+        ``lo * n + hi`` with ``lo < hi`` — the form :meth:`edge_keys`
+        memoizes.  Raises on shape mismatch, out-of-range vertices, and
+        self-loops, matching the scalar :meth:`add_edge` checks.
         """
         import numpy as np
 
@@ -186,18 +211,18 @@ class Graph:
             raise ValueError(
                 f"endpoint arrays differ in length: {us.size} vs {vs.size}"
             )
-        if us.size == 0:
-            return us, vs
-        if int(us.min()) < 0 or int(vs.min()) < 0 \
-                or int(us.max()) >= n or int(vs.max()) >= n:
-            raise ValueError(f"edge endpoint outside range [0, {n})")
-        if bool((us == vs).any()):
-            loop = int(us[np.argmax(us == vs)])
-            raise ValueError(f"self-loop ({loop}, {loop}) is not a valid edge")
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        keys = np.unique(lo * n + hi)
-        return keys // n, keys % n
+        if us.size:
+            if int(us.min()) < 0 or int(vs.min()) < 0 \
+                    or int(us.max()) >= n or int(vs.max()) >= n:
+                raise ValueError(f"edge endpoint outside range [0, {n})")
+            if bool((us == vs).any()):
+                loop = int(us[np.argmax(us == vs)])
+                raise ValueError(
+                    f"self-loop ({loop}, {loop}) is not a valid edge"
+                )
+        keys = unique_keys(np.minimum(us, vs) * n + np.maximum(us, vs))
+        keys.flags.writeable = False
+        return keys
 
     @classmethod
     def from_edge_arrays(cls, n: int, us, vs,
@@ -210,7 +235,8 @@ class Graph:
         deduplicated, validated once, and handed to the kernel's
         ``from_edge_array`` — O(m log m) array work instead of m
         Python-level inserts.  The resulting graph equals
-        ``Graph(n, zip(us, vs), backend=...)`` on every backend.
+        ``Graph(n, zip(us, vs), backend=...)`` on every backend, and
+        keeps the canonical keys as its :meth:`edge_keys`.
 
         ``expected_edges`` overrides the ``auto`` density hint (the
         deduplicated count is used when omitted), letting callers keep
@@ -218,34 +244,35 @@ class Graph:
         """
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        lo, hi = cls._canonical_edge_arrays(n, us, vs)
+        keys = cls._canonical_keys(n, us, vs)
         if expected_edges is None:
-            expected_edges = int(lo.size)
+            expected_edges = int(keys.size)
         kernel = get_kernel(backend, n, expected_edges).from_edge_array(
-            n, lo, hi
+            n, keys // n, keys % n
         )
-        return cls._wrap(n, kernel, int(lo.size))
+        return cls._wrap(n, kernel, int(keys.size), keys)
 
     def add_edge_arrays(self, us, vs) -> int:
         """Bulk insert from numpy endpoint arrays; returns #new edges.
 
-        The array twin of :meth:`add_edges`, used by the planting paths
-        when the edge count is large enough that per-edge Python calls
-        dominate.  Kernels exposing ``merge_edge_array`` take it in one
-        sorted merge; others fall back to per-edge inserts.
+        The array twin of :meth:`add_edges`: the input is filtered
+        against :meth:`edge_keys`, the kernel merges only the new edges
+        in one call, and the memoized keys absorb them.
         """
-        lo, hi = self._canonical_edge_arrays(self._n, us, vs)
-        if lo.size == 0:
+        import numpy as np
+
+        n = self._n
+        keys = self._canonical_keys(n, us, vs)
+        old = self.edge_keys()
+        fresh = np.setdiff1d(keys, old, assume_unique=True)
+        if fresh.size == 0:
             return 0
-        merge = getattr(self._kernel, "merge_edge_array", None)
-        if merge is not None:
-            added = int(merge(lo, hi))
-        else:
-            added = 0
-            for u, v in zip(lo.tolist(), hi.tolist()):
-                added += self._kernel.set_edge(u, v)
-        self._edge_count += added
-        return added
+        self._kernel.merge_edge_array(fresh // n, fresh % n)
+        merged = np.sort(np.concatenate((old, fresh)))
+        merged.flags.writeable = False
+        self._edge_keys = merged
+        self._edge_count += int(fresh.size)
+        return int(fresh.size)
 
     @classmethod
     def complete(cls, n: int, backend: str | None = None) -> "Graph":
@@ -328,6 +355,27 @@ class Graph:
     def edges(self) -> Iterator[Edge]:
         """All edges in canonical orientation, ascending."""
         return self._kernel.iter_edges()
+
+    def edge_keys(self):
+        """The edges as a sorted read-only int64 array of ``u * n + v``.
+
+        The array form of :meth:`edges` (same order: canonical ``u < v``,
+        ascending).  Graphs built from edge arrays already hold it;
+        otherwise it is extracted from the kernel once and memoized
+        until the next mutation.
+        """
+        keys = self._edge_keys
+        if keys is None:
+            import numpy as np
+
+            n = self._n
+            keys = np.fromiter(
+                (u * n + v for u, v in self._kernel.iter_edges()),
+                dtype=np.int64, count=self._edge_count,
+            )
+            keys.flags.writeable = False
+            self._edge_keys = keys
+        return keys
 
     def edge_set(self) -> set[Edge]:
         """Compatibility wrapper: the edges as a plain set.

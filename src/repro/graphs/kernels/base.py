@@ -91,6 +91,15 @@ class MaskKernel(Protocol):
         partner rows); returns the number of *new* edges."""
         ...
 
+    def merge_edge_array(self, us: "object", vs: "object") -> None:
+        """OR canonical numpy edge arrays in.
+
+        ``us``/``vs`` follow the :meth:`from_edge_array` contract and
+        hold only edges not yet present, as
+        :meth:`repro.graphs.graph.Graph.add_edge_arrays` passes them.
+        """
+        ...
+
     # -- queries (int-mask exchange format) ----------------------------
     def has_edge(self, u: int, v: int) -> bool:
         """Is bit ``v`` of row ``u`` set?"""

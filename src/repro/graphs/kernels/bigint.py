@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 from repro.graphs.kernels.base import Edge, iter_bits
 
-__all__ = ["BigintKernel"]
+__all__ = ["BigintKernel", "or_edges_into_rows"]
 
 
 class BigintKernel:
@@ -141,35 +141,24 @@ class BigintKernel:
 
     @classmethod
     def from_edge_array(cls, n: int, us, vs) -> "BigintKernel":
-        """Bulk-build from canonical numpy edge arrays.
-
-        Edges group by endpoint after one lexsort; each vertex's row
-        is assembled once in a byte buffer (O(max_neighbour/8)) rather
-        than through per-edge bignum reallocation.  numpy is imported
-        here, not module-wide: this entry point is only reachable from
-        the vectorized generation plane, which already requires it.
-        """
-        import numpy as np
-
+        """Bulk-build from canonical numpy edge arrays (one OR loop)."""
         kernel = cls(n)
-        if len(us) == 0:
-            return kernel
-        src = np.concatenate([us, vs])
-        dst = np.concatenate([vs, us])
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
-        boundaries = np.nonzero(np.diff(src))[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [src.size]))
-        rows = kernel._rows
-        for a, b in zip(starts.tolist(), stops.tolist()):
-            neighbours = dst[a:b]
-            buf = np.zeros((int(neighbours[-1]) >> 3) + 1, dtype=np.uint8)
-            np.bitwise_or.at(
-                buf,
-                neighbours >> 3,
-                np.uint8(1) << (neighbours & 7).astype(np.uint8),
-            )
-            rows[int(src[a])] = int.from_bytes(buf.tobytes(), "little")
+        kernel.merge_edge_array(us, vs)
         return kernel
+
+    def merge_edge_array(self, us, vs) -> None:
+        """OR canonical edge arrays of edges not yet present into the rows."""
+        or_edges_into_rows(self._rows, us, vs)
+
+
+def or_edges_into_rows(rows: list[int], us, vs) -> None:
+    """Set both directions of every edge ``(us[i], vs[i])`` in ``rows``.
+
+    The one array-to-bignum builder: graph kernels and the per-player
+    rows of :class:`~repro.graphs.partition.EdgePartition` share it.  A
+    plain loop over ``tolist()`` values beats per-vertex numpy byte
+    buffers on sparse rows, where most vertices have few neighbours.
+    """
+    for u, v in zip(us.tolist(), vs.tolist()):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u

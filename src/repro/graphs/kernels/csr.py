@@ -231,8 +231,8 @@ class CsrKernel:
             added += self.set_edge(u, v)
         return added
 
-    def merge_edge_array(self, us: np.ndarray, vs: np.ndarray) -> int:
-        """OR canonical edge arrays into the adjacency; returns #new.
+    def merge_edge_array(self, us: np.ndarray, vs: np.ndarray) -> None:
+        """OR canonical edge arrays of edges not yet present in.
 
         The bulk mutator behind
         :meth:`repro.graphs.graph.Graph.add_edge_arrays`: one sorted
@@ -242,13 +242,8 @@ class CsrKernel:
         n = self._n
         src = np.concatenate([us, vs]).astype(np.int64, copy=False)
         dst = np.concatenate([vs, us]).astype(np.int64, copy=False)
-        old = self._base_keys()
-        keys = np.union1d(old, src * n + dst)
-        added = (keys.size - old.size) // 2
-        if added:
-            self._set_from_keys(keys)
-            self._row_cache.clear()
-        return int(added)
+        self._set_from_keys(np.union1d(self._base_keys(), src * n + dst))
+        self._row_cache.clear()
 
     # -- queries -------------------------------------------------------
     def has_edge(self, u: int, v: int) -> bool:

@@ -27,9 +27,12 @@ checks the covering invariant (union of views == E) eagerly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import Iterable
 
-from repro.graphs.graph import Edge, Graph, canonical_edge
+import numpy as np
+
+from repro.graphs.graph import Edge, Graph, canonical_edge, unique_keys
+from repro.graphs.kernels.bigint import or_edges_into_rows
 
 __all__ = [
     "EdgePartition",
@@ -42,78 +45,87 @@ __all__ = [
 ]
 
 
-#: Vertex count past which the covering check runs set-based.  The mask
-#: check allocates an O(n/8)-byte row per vertex — O(n²/8) transient
-#: bytes, ~125 GB at n = 10^6 — while the set comparison is O(m) and
-#: density-independent.  Both report identical errors.
-_SPARSE_CHECK_THRESHOLD = 1 << 17
-
-
-@dataclass(frozen=True)
 class EdgePartition:
-    """Ground truth graph + the k per-player edge views."""
+    """Ground truth graph + the k per-player edge views.
 
-    graph: Graph
-    views: tuple[frozenset[Edge], ...]
+    Each view is held as a sorted int64 array of canonical edge keys
+    ``u * n + v`` (``u < v``), the form :meth:`Graph.edge_keys` uses.
+    ``EdgePartition(graph, views)`` takes views as edge iterables (any
+    orientation); the partitioners below build key arrays directly
+    through :meth:`from_keys`.  :attr:`views` hands the edges out as
+    frozensets, built on first use.  Per-player adjacency rows are
+    built once per player and memoized.
+    """
 
-    def __post_init__(self) -> None:
-        if self.graph.n >= _SPARSE_CHECK_THRESHOLD:
-            self._check_covering_sparse()
-        else:
-            self._check_covering_masks()
-
-    def _check_covering_masks(self) -> None:
-        # Covering invariant via the bitset kernel: OR every view into
-        # per-vertex masks and XOR against the ground truth's adjacency
-        # rows — each mismatched edge shows up as two set bits.
-        union_rows = [0] * self.graph.n
-        out_of_universe: set[Edge] = set()
-        for view in self.views:
+    def __init__(self, graph: Graph,
+                 views: Iterable[Iterable[Edge]]) -> None:
+        views = tuple(frozenset(view) for view in views)
+        n = graph.n
+        keys = []
+        outside: set[Edge] = set()
+        for view in views:
+            flat = []
             for u, v in view:
                 u, v = canonical_edge(u, v)
-                if u < 0 or v >= self.graph.n:
-                    out_of_universe.add((u, v))  # spurious by definition
-                    continue
-                union_rows[u] |= 1 << v
-                union_rows[v] |= 1 << u
-        extra = 2 * len(out_of_universe)
-        missing = 0
-        for v, row in enumerate(union_rows):
-            truth_row = self.graph.neighbor_mask(v)
-            missing += (truth_row & ~row).bit_count()
-            extra += (row & ~truth_row).bit_count()
-        if missing or extra:
-            raise ValueError(
-                "partition does not cover the graph exactly: "
-                f"{missing // 2} missing, {extra // 2} spurious edges"
-            )
-
-    def _check_covering_sparse(self) -> None:
-        # Large-n twin of the mask check: O(m) canonical-edge sets, no
-        # per-vertex bignums.  Same invariant, same error wording.
-        n = self.graph.n
-        union: set[Edge] = set()
-        spurious = 0
-        seen_out: set[Edge] = set()
-        for view in self.views:
-            for u, v in view:
-                edge = canonical_edge(u, v)
-                if edge[0] < 0 or edge[1] >= n:
-                    seen_out.add(edge)
+                if u < 0 or v >= n:
+                    outside.add((u, v))  # spurious by definition
                 else:
-                    union.add(edge)
-        truth = set(self.graph.edges())
-        missing = len(truth - union)
-        spurious = len(union - truth) + len(seen_out)
-        if missing or spurious:
-            raise ValueError(
-                "partition does not cover the graph exactly: "
-                f"{missing} missing, {spurious} spurious edges"
+                    flat.append(u * n + v)
+            keys.append(unique_keys(np.array(flat, dtype=np.int64)))
+        self._init(graph, tuple(keys), len(outside))
+        self._views = views
+
+    @classmethod
+    def from_keys(cls, graph: Graph,
+                  keys: Iterable[np.ndarray]) -> "EdgePartition":
+        """A partition from per-player sorted, unique edge-key arrays."""
+        partition = cls.__new__(cls)
+        partition._init(graph, tuple(keys), 0)
+        return partition
+
+    def _init(self, graph: Graph, keys: tuple[np.ndarray, ...],
+              outside: int) -> None:
+        self.graph = graph
+        self.view_keys = keys
+        self._views = None
+        self._rows_cache: dict[int, list[int]] = {}
+        self._players_cache = None
+        for array in keys:
+            array.flags.writeable = False
+        self._check_covering(outside)
+
+    def _check_covering(self, outside: int) -> None:
+        # Covering invariant: the union of the players' keys equals the
+        # graph's keys.  ``outside`` counts distinct edges with an
+        # endpoint outside the vertex universe, spurious by definition.
+        truth = self.graph.edge_keys()
+        union = unique_keys(np.concatenate((truth[:0],) + self.view_keys))
+        if not outside and np.array_equal(union, truth):
+            return
+        common = np.intersect1d(union, truth, assume_unique=True).size
+        missing = truth.size - common
+        spurious = union.size - common + outside
+        raise ValueError(
+            "partition does not cover the graph exactly: "
+            f"{missing} missing, {spurious} spurious edges"
+        )
+
+    @property
+    def views(self) -> tuple[frozenset[Edge], ...]:
+        """The k views as frozensets of canonical edges, built lazily."""
+        if self._views is None:
+            self._views = tuple(
+                self._view_of(keys) for keys in self.view_keys
             )
+        return self._views
+
+    def _view_of(self, keys: np.ndarray) -> frozenset[Edge]:
+        n = self.graph.n
+        return frozenset(zip((keys // n).tolist(), (keys % n).tolist()))
 
     @property
     def k(self) -> int:
-        return len(self.views)
+        return len(self.view_keys)
 
     def adjacency_rows(self, player: int) -> list[int]:
         """Player ``player``'s view as per-vertex adjacency masks, cached.
@@ -121,38 +133,24 @@ class EdgePartition:
         This is the bitset-kernel form of ``views[player]`` (one int per
         vertex, bit ``v`` of row ``u`` set iff {u, v} ∈ E_j) that
         :func:`~repro.comm.players.make_players` hands to the mask-native
-        players.  Built once per player and memoized on the partition, so
-        repeated protocol trials on the same partition never re-shred the
-        edge views.  Treat the returned list as READ-ONLY — it is shared
-        by every Player built from this partition.
+        players.  Built once per player from its key array and memoized
+        on the partition, so repeated protocol trials on the same
+        partition never rebuild it.  Treat the returned list as
+        READ-ONLY — it is shared by every Player built from this
+        partition.
         """
-        return self._rows_and_count(player)[0]
-
-    def view_edge_count(self, player: int) -> int:
-        """Distinct-edge count of ``views[player]``, cached with the rows."""
-        return self._rows_and_count(player)[1]
-
-    def _rows_and_count(self, player: int) -> tuple[list[int], int]:
-        cache: dict[int, tuple[list[int], int]] | None = getattr(
-            self, "_rows_cache", None
-        )
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_rows_cache", cache)
-        entry = cache.get(player)
-        if entry is None:
-            rows = [0] * self.graph.n
-            for u, v in self.views[player]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            count = sum(row.bit_count() for row in rows) // 2
-            entry = (rows, count)
-            cache[player] = entry
-        return entry
+        rows = self._rows_cache.get(player)
+        if rows is None:
+            n = self.graph.n
+            keys = self.view_keys[player]
+            rows = [0] * n
+            or_edges_into_rows(rows, keys // n, keys % n)
+            self._rows_cache[player] = rows
+        return rows
 
     @property
     def has_duplication(self) -> bool:
-        total = sum(len(view) for view in self.views)
+        total = sum(int(keys.size) for keys in self.view_keys)
         return total > self.graph.num_edges
 
     def view(self, player: int) -> frozenset[Edge]:
@@ -168,14 +166,60 @@ def _require_players(k: int) -> None:
         raise ValueError(f"need at least one player, got k={k}")
 
 
+def _replayed_randrange(rng: random.Random, k: int,
+                        count: int) -> np.ndarray:
+    """``[rng.randrange(k) for _ in range(count)]`` as one array.
+
+    CPython's ``randrange(k)`` draws ``getrandbits(b)`` with
+    ``b = k.bit_length()`` — the top ``b`` bits of the next 32-bit
+    MT19937 word — and rejects values ``>= k``.  Here the words come in
+    bulk from ``rng.getrandbits(32 * words)`` (first word least
+    significant) and one mask does the rejection, so every value equals
+    the scalar draw.  ``rng`` ends past the words read and is not meant
+    for reuse.  ``k`` must be below ``2**32`` (one word per draw).
+    """
+    bits = k.bit_length()
+    if bits > 32:
+        raise ValueError(f"at most 2**32 - 1 players, got k={k}")
+    parts = [np.empty(0, dtype=np.int64)]
+    found = 0
+    while found < count:
+        # Expected words for the remaining draws, plus slack so one
+        # pass almost always suffices.
+        words = (count - found) * (1 << bits) * 11 // (10 * k) + 64
+        raw = np.frombuffer(
+            rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+            dtype="<u4",
+        )
+        draws = (raw >> (32 - bits)).astype(np.int64)
+        accepted = draws[draws < k]
+        parts.append(accepted)
+        found += accepted.size
+    return np.concatenate(parts)[:count]
+
+
+def _split_by_owner(keys: np.ndarray, owners: np.ndarray,
+                    k: int) -> tuple[np.ndarray, ...]:
+    """Player j's keys are ``keys[owners == j]``, still sorted."""
+    order = np.argsort(owners, kind="stable")
+    bounds = np.cumsum(np.bincount(owners, minlength=k))[:-1]
+    return tuple(np.split(keys[order], bounds))
+
+
+def _key_arrays(buckets: list[list[int]]) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(bucket, dtype=np.int64) for bucket in buckets)
+
+
 def partition_disjoint(graph: Graph, k: int, seed: int = 0) -> EdgePartition:
-    """Each edge assigned to exactly one uniformly random player."""
+    """Each edge assigned to exactly one uniformly random player.
+
+    Edge ``i`` in ascending canonical order goes to the ``i``-th
+    ``randrange(k)`` draw of ``random.Random(seed)``, replayed in bulk.
+    """
     _require_players(k)
-    rng = random.Random(seed)
-    buckets: list[set[Edge]] = [set() for _ in range(k)]
-    for edge in graph.edges():
-        buckets[rng.randrange(k)].add(edge)
-    return EdgePartition(graph, tuple(frozenset(b) for b in buckets))
+    keys = graph.edge_keys()
+    owners = _replayed_randrange(random.Random(seed), k, int(keys.size))
+    return EdgePartition.from_keys(graph, _split_by_owner(keys, owners, k))
 
 
 def partition_with_duplication(graph: Graph, k: int, seed: int = 0,
@@ -193,21 +237,20 @@ def partition_with_duplication(graph: Graph, k: int, seed: int = 0,
             f"got {duplication_probability}"
         )
     rng = random.Random(seed)
-    buckets: list[set[Edge]] = [set() for _ in range(k)]
-    for edge in graph.edges():
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    for key in graph.edge_keys().tolist():
         owner = rng.randrange(k)
-        buckets[owner].add(edge)
+        buckets[owner].append(key)
         for other in range(k):
             if other != owner and rng.random() < duplication_probability:
-                buckets[other].add(edge)
-    return EdgePartition(graph, tuple(frozenset(b) for b in buckets))
+                buckets[other].append(key)
+    return EdgePartition.from_keys(graph, _key_arrays(buckets))
 
 
 def partition_all_to_all(graph: Graph, k: int) -> EdgePartition:
     """Maximal duplication: every player sees every edge."""
     _require_players(k)
-    full = frozenset(graph.edges())
-    return EdgePartition(graph, tuple(full for _ in range(k)))
+    return EdgePartition.from_keys(graph, (graph.edge_keys(),) * k)
 
 
 def partition_adversarial_skew(graph: Graph, k: int, seed: int = 0,
@@ -223,13 +266,13 @@ def partition_adversarial_skew(graph: Graph, k: int, seed: int = 0,
             f"heavy fraction must be in (0,1], got {heavy_fraction}"
         )
     rng = random.Random(seed)
-    buckets: list[set[Edge]] = [set() for _ in range(k)]
-    for edge in graph.edges():
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    for key in graph.edge_keys().tolist():
         if k == 1 or rng.random() < heavy_fraction:
-            buckets[0].add(edge)
+            buckets[0].append(key)
         else:
-            buckets[1 + rng.randrange(k - 1)].add(edge)
-    return EdgePartition(graph, tuple(frozenset(b) for b in buckets))
+            buckets[1 + rng.randrange(k - 1)].append(key)
+    return EdgePartition.from_keys(graph, _key_arrays(buckets))
 
 
 def partition_concentrate_edges(graph: Graph, k: int,
@@ -249,20 +292,21 @@ def partition_concentrate_edges(graph: Graph, k: int,
     lands on player 0 and the split degenerates to all-to-one.
     """
     _require_players(k)
-    focus: set[Edge] = set()
+    n = graph.n
+    focus: set[int] = set()
     for u, v in focus_edges:
         edge = canonical_edge(u, v)
         if not graph.has_edge(*edge):
             raise ValueError(f"focus edge {edge} is not in the graph")
-        focus.add(edge)
+        focus.add(edge[0] * n + edge[1])
     rng = random.Random(seed)
-    buckets: list[set[Edge]] = [set() for _ in range(k)]
-    for edge in graph.edges():
-        if k == 1 or edge in focus:
-            buckets[0].add(edge)
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    for key in graph.edge_keys().tolist():
+        if k == 1 or key in focus:
+            buckets[0].append(key)
         else:
-            buckets[1 + rng.randrange(k - 1)].add(edge)
-    return EdgePartition(graph, tuple(frozenset(b) for b in buckets))
+            buckets[1 + rng.randrange(k - 1)].append(key)
+    return EdgePartition.from_keys(graph, _key_arrays(buckets))
 
 
 def partition_by_vertex(graph: Graph, k: int, seed: int = 0) -> EdgePartition:
@@ -272,9 +316,8 @@ def partition_by_vertex(graph: Graph, k: int, seed: int = 0) -> EdgePartition:
     *not* promise this; it is provided as a contrast workload.
     """
     _require_players(k)
-    rng = random.Random(seed)
-    owner = [rng.randrange(k) for _ in range(graph.n)]
-    buckets: list[set[Edge]] = [set() for _ in range(k)]
-    for u, v in graph.edges():
-        buckets[owner[u]].add((u, v))
-    return EdgePartition(graph, tuple(frozenset(b) for b in buckets))
+    owner = _replayed_randrange(random.Random(seed), k, graph.n)
+    keys = graph.edge_keys()
+    return EdgePartition.from_keys(
+        graph, _split_by_owner(keys, owner[keys // graph.n], k)
+    )

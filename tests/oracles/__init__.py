@@ -11,7 +11,9 @@ pinned against, in the subsystem's own terms:
 * :mod:`oracles.core` — the ``set[Edge]``-union referees;
 * :mod:`oracles.patterns` — the networkx VF2 matcher;
 * :mod:`oracles.streaming` — the per-edge streaming chain;
-* :mod:`oracles.lowerbounds` — the per-edge one-way protocol.
+* :mod:`oracles.lowerbounds` — the per-edge one-way protocol;
+* :mod:`oracles.instances` — the per-edge partition and planting loops
+  the edge-key array paths replay.
 
 The differential tests under ``tests/`` and the migration benchmarks
 under ``benchmarks/`` import this package; the shipped ``repro``

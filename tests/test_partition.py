@@ -1,7 +1,10 @@
 """Unit tests for edge partitioning (repro.graphs.partition)."""
 
+import re
+
 import pytest
 
+from repro.comm.players import make_players
 from repro.graphs.generators import gnd
 from repro.graphs.graph import Graph
 from repro.graphs.partition import (
@@ -11,6 +14,12 @@ from repro.graphs.partition import (
     partition_by_vertex,
     partition_disjoint,
     partition_with_duplication,
+)
+from repro.runtime.cache import InstanceCache
+
+from oracles.instances import (
+    partition_by_vertex_reference,
+    partition_disjoint_reference,
 )
 
 
@@ -140,3 +149,133 @@ class TestByVertex:
     def test_k_property(self, graph):
         partition = partition_by_vertex(graph, 4, seed=7)
         assert partition.k == 4
+
+
+class TestReplayedOwners:
+    """The bulk ``randrange`` replay is draw-for-draw the scalar loop."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 13, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**31 + 5])
+    def test_disjoint_views_match_scalar_loop(self, graph, k, seed):
+        partition = partition_disjoint(graph, k, seed=seed)
+        assert partition.views == partition_disjoint_reference(
+            graph, k, seed=seed
+        )
+
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    def test_empty_graph(self, k):
+        graph = Graph(40)
+        partition = partition_disjoint(graph, k, seed=9)
+        assert partition.views == partition_disjoint_reference(graph, k, 9)
+        assert partition.views == (frozenset(),) * k
+        assert Graph(0) == partition_disjoint(Graph(0), k).graph
+
+    def test_large_graph(self):
+        graph = gnd((1 << 17) + 3, 1.5, seed=4)
+        assert graph.num_edges > 50_000
+        for k in (3, 8):
+            partition = partition_disjoint(graph, k, seed=11)
+            assert partition.views == partition_disjoint_reference(
+                graph, k, seed=11
+            )
+
+    def test_many_draws_span_several_bulk_reads(self):
+        # k = 5 rejects 3/8 of the words, so long edge lists exercise
+        # the refill branch as well as the first read.
+        graph = gnd(3000, 40.0, seed=2)
+        partition = partition_disjoint(graph, 5, seed=6)
+        assert partition.views == partition_disjoint_reference(graph, 5, 6)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 13])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_by_vertex_views_match_scalar_loop(self, graph, k, seed):
+        partition = partition_by_vertex(graph, k, seed=seed)
+        assert partition.views == partition_by_vertex_reference(
+            graph, k, seed=seed
+        )
+
+    def test_player_count_limited_to_one_word(self, graph):
+        with pytest.raises(ValueError, match="k=4294967296"):
+            partition_disjoint(graph, 2**32)
+
+
+def _covering_error(missing: int, spurious: int) -> str:
+    return re.escape(
+        "partition does not cover the graph exactly: "
+        f"{missing} missing, {spurious} spurious edges"
+    )
+
+
+class TestCoveringCheck:
+    """One sort-and-compare, same report at every vertex count."""
+
+    @pytest.fixture(params=[5, (1 << 17) - 1, (1 << 17) + 1])
+    def n(self, request) -> int:
+        return request.param
+
+    def test_exact_cover_in_either_orientation(self, n):
+        graph = Graph(n, [(0, 1), (1, 2), (2, 4)])
+        partition = EdgePartition(
+            graph, (frozenset({(1, 0), (2, 1)}), frozenset({(4, 2), (1, 2)}))
+        )
+        assert partition.views[0] == frozenset({(1, 0), (2, 1)})
+        assert partition.has_duplication
+
+    def test_missing(self, n):
+        graph = Graph(n, [(0, 1), (1, 2), (2, 4)])
+        with pytest.raises(ValueError, match=_covering_error(2, 0)):
+            EdgePartition(graph, (frozenset({(1, 0)}), frozenset()))
+
+    def test_spurious_in_either_orientation(self, n):
+        graph = Graph(n, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=_covering_error(0, 1)):
+            EdgePartition(graph, (frozenset({(0, 1), (1, 2), (2, 0)}),))
+        with pytest.raises(ValueError, match=_covering_error(1, 2)):
+            EdgePartition(graph, (frozenset({(1, 0), (3, 0)}),
+                                  frozenset({(0, 3), (1, 3)})))
+
+    def test_out_of_universe_counts_as_spurious(self, n):
+        graph = Graph(n, [(0, 1), (1, 2)])
+        views = (
+            frozenset({(0, 1), (0, n), (n, 0)}),
+            frozenset({(1, 2), (-1, 0), (2, n + 7)}),
+        )
+        with pytest.raises(ValueError, match=_covering_error(0, 3)):
+            EdgePartition(graph, views)
+
+    def test_self_loop_rejected(self, n):
+        graph = Graph(n, [(0, 1)])
+        with pytest.raises(ValueError, match="self-loop"):
+            EdgePartition(graph, (frozenset({(0, 1), (2, 2)}),))
+
+
+class TestPartitionPickling:
+    def test_disk_tier_keeps_rows_and_views(self, tmp_path):
+        graph = gnd(120, 5.0, seed=2)
+        built = partition_disjoint(graph, 3, seed=4)
+        rows = [list(built.adjacency_rows(j)) for j in range(built.k)]
+        writer = InstanceCache(disk_dir=tmp_path)
+        assert writer.get_or_build("p", lambda: built) is built
+        reader = InstanceCache(disk_dir=tmp_path)
+        loaded = reader.get_or_build(
+            "p", lambda: pytest.fail("disk tier missed")
+        )
+        assert reader.stats()["hits"] == 1
+        assert loaded is not built
+        assert loaded.graph == graph
+        assert loaded.views == built.views
+        assert [loaded.adjacency_rows(j) for j in range(loaded.k)] == rows
+        assert [p.num_edges for p in make_players(loaded)] == [
+            len(view) for view in built.views
+        ]
+
+    def test_given_views_survive_as_given(self, tmp_path):
+        graph = Graph(4, [(0, 1), (2, 3)])
+        views = (frozenset({(1, 0)}), frozenset({(3, 2)}))
+        cache = InstanceCache(disk_dir=tmp_path)
+        cache.get_or_build("q", lambda: EdgePartition(graph, views))
+        loaded = InstanceCache(disk_dir=tmp_path).get_or_build(
+            "q", lambda: pytest.fail("disk tier missed")
+        )
+        assert loaded.views == views
+        assert loaded.adjacency_rows(1) == [0, 0, 1 << 3, 1 << 2]

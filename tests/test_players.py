@@ -39,6 +39,16 @@ class TestIntrospection:
     def test_num_edges(self, player):
         assert player.num_edges == 4
 
+    def test_duplicate_edges_count_once(self):
+        p = Player(0, 5, [(0, 1), (1, 0), (0, 1), (3, 2)])
+        assert p.num_edges == 2
+        assert p.sorted_edges() == [(0, 1), (2, 3)]
+        assert p.suspected_bucket(0, k=1) == {0, 1, 2, 3}
+
+    def test_rows_and_keys_go_together(self, player):
+        with pytest.raises(TypeError, match="together"):
+            Player(1, 10, rows=player.adjacency_rows())
+
 
 class TestMsb:
     def test_msb_of_zero_degree_is_none(self, player):

@@ -291,6 +291,24 @@ class TestVectorizedEquivalence:
         assert scalar.random() == vector.random()
         assert a == SharedRandomness(11).random()
 
+    @pytest.mark.parametrize("size", [0, 1, 7, 313, 5000])
+    def test_word_stream_replays_random(self, size):
+        import random
+
+        from repro.comm.randomness import _numpy_stream
+
+        for seed in (0, 8, 2**40 + 1):
+            local = random.Random(seed)
+            local.random()
+            state = local.getstate()
+            stream = _numpy_stream(local)
+            assert local.getstate() == state
+            first = stream.random_sample(size).tolist()
+            second = stream.random_sample(3).tolist()
+            assert first + second == [
+                local.random() for _ in range(size + 3)
+            ]
+
     def test_vectorized_requires_numpy_guard(self):
         import repro.comm.randomness as rnd
 

@@ -8,7 +8,7 @@ sampled edge set is a function of the seed alone, identical across
 contract with hypothesis over seeds and word-boundary vertex counts,
 cover both sides of the ``_VECTOR_MIN_EXPECTED`` auto-dispatch
 threshold, and pin the bulk planting / K_n fill rewrites against their
-scalar twins.
+scalar twins (the per-edge builders in ``oracles.instances``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from repro.graphs.generators import (
     gnp,
     planted_disjoint_triangles,
     tripartite_mu,
+)
+
+from oracles.instances import (
+    planted_disjoint_triangles_reference,
+    triangle_free_degree_spread_reference,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**16)
@@ -153,19 +158,52 @@ class TestPowerlawHostIdentity:
 
 
 class TestBulkPlantingIdentity:
-    def test_bulk_and_scalar_plants_agree(self, monkeypatch):
-        def build():
-            return planted_disjoint_triangles(
-                400, 120, seed=13, background_degree=2.0
-            )
+    def test_bulk_and_scalar_plants_agree(self):
+        self.test_plants_agree_at_edge_cases(120, 2.0)
 
-        monkeypatch.setattr(gen, "_BULK_PLANT_MIN", 10**9)
-        scalar = build()
-        monkeypatch.setattr(gen, "_BULK_PLANT_MIN", 1)
-        bulk = build()
+    @pytest.mark.parametrize("num_triangles,background", [
+        (0, 2.0), (1, 0.0), (133, 0.0), (50, 9.0),
+    ])
+    def test_plants_agree_at_edge_cases(self, num_triangles, background):
+        scalar = planted_disjoint_triangles_reference(
+            400, num_triangles, seed=13, background_degree=background
+        )
+        bulk = planted_disjoint_triangles(
+            400, num_triangles, seed=13, background_degree=background
+        )
         assert scalar.planted_triangles == bulk.planted_triangles
         assert scalar.epsilon_certified == bulk.epsilon_certified
         assert_identical(scalar.graph, bulk.graph)
+
+    @pytest.mark.parametrize("seed", [0, 7, 21])
+    @pytest.mark.parametrize("n,d,epsilon", [
+        (600, 6.0, 0.2), (400, 20.0, 0.2), (90, 3.0, 0.05),
+    ])
+    def test_far_instance_matches_per_edge_plant(self, monkeypatch, seed,
+                                                 n, d, epsilon):
+        bulk = gen.far_instance(n, d, epsilon, seed=seed)
+        monkeypatch.setattr(gen, "planted_disjoint_triangles",
+                            planted_disjoint_triangles_reference)
+        scalar = gen.far_instance(n, d, epsilon, seed=seed)
+        assert scalar.planted_triangles == bulk.planted_triangles
+        assert scalar.epsilon_certified == bulk.epsilon_certified
+        assert_identical(scalar.graph, bulk.graph)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("n,d,max_degree", [
+        (2, 1.0, 3), (6, 2.0, 1), (300, 4.0, 40), (1000, 6.0, 200),
+        (4096, 8.0, 600), (40000, 1.0, 9),
+    ])
+    def test_degree_spread_matches_per_edge_build(self, seed, n, d,
+                                                   max_degree):
+        bulk = gen.triangle_free_degree_spread(n, d, max_degree, seed=seed)
+        scalar = triangle_free_degree_spread_reference(
+            n, d, max_degree, seed=seed
+        )
+        # No density hint on either path: past the sparse-hint minimum
+        # (n >= 32768) ``auto`` still lands both on the same kernel.
+        assert bulk.backend == scalar.backend
+        assert_identical(scalar, bulk)
 
     def test_pattern_plant_bulk_agrees(self, monkeypatch):
         from repro.patterns import plant as plant_module
