@@ -94,7 +94,7 @@ from repro.graphs.triangles import (
     greedy_triangle_packing,
     is_triangle_free,
 )
-from repro.streaming.stream import run_stream
+from repro.streaming.stream import canonical_row_batches
 from repro.streaming.triangle_stream import ReservoirTriangleFinder
 
 __all__ = [
@@ -552,7 +552,9 @@ class _ReservoirStreamProtocol:
 
     The finder seed of the historical loop was ``base_seed + 31·trial``;
     the trial index is recovered from the spec seed (specs carry
-    ``base_seed + trial``), keeping the streams bit-identical.
+    ``base_seed + trial``), keeping the streams bit-identical.  The
+    stream is the ascending canonical edge order, fed as row batches
+    (:func:`~repro.streaming.stream.canonical_row_batches`).
     """
 
     reservoir_size: int
@@ -566,8 +568,15 @@ class _ReservoirStreamProtocol:
             sample.graph.n, reservoir_size=self.reservoir_size,
             seed=self.base_seed + 31 * trial,
         )
-        run = run_stream(finder, sorted(sample.graph.edges()))
-        return _LoopOutcome(0.0, run.result is not None)
+        # Only success is read, and a found triangle is never cleared:
+        # stop after the first row batch that finds one.
+        for v, partners in canonical_row_batches(
+            sample.graph.adjacency_rows()
+        ):
+            finder.process_row(v, partners)
+            if finder.result() is not None:
+                return _LoopOutcome(0.0, True)
+        return _LoopOutcome(0.0, False)
 
 
 def row_oneway_streaming_lower(quick: bool = True, seed: int = 0, *,

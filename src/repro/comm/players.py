@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.comm.randomness import PublicOrder
+from repro.comm.randomness import PublicOrder, PublicPredicate
 from repro.graphs.buckets import suspected_degree_bounds
 from repro.graphs.graph import (
     Edge,
@@ -52,6 +52,12 @@ from repro.graphs.graph import (
 from repro.graphs.kernels.bigint import or_edges_into_rows
 
 __all__ = ["Player", "make_players"]
+
+#: Local degree from which a Theorem 3.1 hit test keys v's neighbours as
+#: one array: below it the fixed cost of the numpy passes (unpacking all
+#: n bits of the row, a dozen uint64 ufuncs) exceeds a scalar key per
+#: neighbour.  Both forms compute the same keys.
+_ARRAY_HIT_MIN_DEGREE = 32
 
 
 class Player:
@@ -165,6 +171,19 @@ class Player:
     def local_neighbor_mask(self, v: int) -> int:
         """N_j(v) as a bitmask — the raw kernel word."""
         return self._row(v)
+
+    def local_neighbor_array(self, v: int) -> np.ndarray:
+        """N_j(v) as an ascending int64 array, unpacked from v's row.
+
+        One ``np.unpackbits`` over the row's bytes, not memoized: the
+        array is built per call so players hold no second index.
+        """
+        row = self._row(v)
+        raw = np.frombuffer(
+            row.to_bytes((row.bit_length() + 7) >> 3, "little"),
+            dtype=np.uint8,
+        )
+        return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
     def average_local_degree(self) -> float:
         """d-bar_j = 2|E_j| / n, the §3.4.3 per-player density estimate."""
@@ -339,9 +358,19 @@ class Player:
         """Does any local neighbour of v satisfy the public predicate?
 
         The lazy-predicate form of :meth:`sample_hits_vertex`: one
-        Theorem 3.1 experiment, evaluated in O(d_j(v)) local time.
+        Theorem 3.1 experiment, evaluated in O(d_j(v)) local time.  A
+        :class:`~repro.comm.randomness.PublicPredicate` tests the whole
+        neighbour array at once when v has at least
+        ``_ARRAY_HIT_MIN_DEGREE`` local neighbours; any other callable,
+        and a predicate over fewer neighbours, is asked per neighbour.
         """
-        return any(pred(u) for u in iter_bits(self._row(v)))
+        row = self._row(v)
+        if (
+            isinstance(pred, PublicPredicate)
+            and row.bit_count() >= _ARRAY_HIT_MIN_DEGREE
+        ):
+            return bool(pred.test(self.local_neighbor_array(v)).any())
+        return any(pred(u) for u in iter_bits(row))
 
     def any_edge_index_in(self, edge_index: Callable[[Edge], int],
                           pred: Callable[[int], bool]) -> bool:

@@ -21,7 +21,8 @@ Two constructions sit behind the primitives:
   seeded by the call's base — a counter-based generator in the sense of
   Salmon et al., SC'11.  A key costs a few integer operations in Python
   and evaluates bit-identically as a numpy ``uint64`` expression over an
-  index array, so a player ranks its whole candidate set in one pass;
+  index array, so a player ranks (:meth:`PublicOrder.argmin`) or tests
+  (:meth:`PublicPredicate.test`) its whole candidate set in one pass;
 * **Mersenne Twister sub-streams** for the subset primitives
   (``bernoulli_subset[_mask]``, ``sample_without_replacement[_mask]``,
   ``shuffled``, ``fork``).
@@ -50,7 +51,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as _np
 
-__all__ = ["PublicOrder", "SharedRandomness", "counter_key", "counter_keys"]
+__all__ = [
+    "PublicOrder", "PublicPredicate", "SharedRandomness", "counter_key",
+    "counter_keys",
+]
 
 #: Expected selected-index count below which the scalar loop beats the
 #: numpy path (copying the generator state costs a fixed ~tens of
@@ -135,6 +139,34 @@ class PublicOrder:
                 f"item {bad} outside universe of size {self.universe}"
             )
         return int(items[counter_keys(self._base, items).argmin()])
+
+
+class PublicPredicate:
+    """A public iid-Bernoulli(p) membership test over the integers.
+
+    ``pred(item)`` is ``counter_key(base, item) < threshold`` with
+    ``threshold = ceil(p * 2^64)``; :meth:`test` evaluates the same
+    comparison over an index array in one numpy pass, so the scalar and
+    array forms agree item for item.  At p = 1 the threshold is 2^64,
+    which no ``uint64`` holds: every key passes, and :meth:`test` says
+    so without computing keys.
+    """
+
+    __slots__ = ("_base", "_threshold")
+
+    def __init__(self, base: int, threshold: int) -> None:
+        self._base = base
+        self._threshold = threshold
+
+    def __call__(self, item: int) -> bool:
+        return counter_key(self._base, item) < self._threshold
+
+    def test(self, items) -> "_np.ndarray":
+        """``[pred(i) for i in items]`` as a bool array."""
+        items = _np.asarray(items, dtype=_np.int64)
+        if self._threshold > _MASK64:
+            return _np.ones(items.shape, dtype=_np.bool_)
+        return counter_keys(self._base, items) < _np.uint64(self._threshold)
 
 
 def _mask_from_indices(indices: Iterable[int], universe_size: int) -> int:
@@ -405,7 +437,8 @@ class SharedRandomness:
             universe_size,
         )
 
-    def bernoulli_predicate(self, probability: float, tag: int = 0):
+    def bernoulli_predicate(self, probability: float,
+                            tag: int = 0) -> PublicPredicate:
         """A public iid-Bernoulli(p) membership predicate over the integers.
 
         Returns ``pred(item) -> bool`` deciding whether ``item`` belongs to
@@ -414,6 +447,7 @@ class SharedRandomness:
         the elements it cares about (e.g. its own incident edges in the
         Theorem 3.1 degree-approximation experiments) in time proportional
         to its own input — the trick that keeps public sampling free.
+        ``pred.test(items)`` answers for a whole index array at once.
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
@@ -422,12 +456,7 @@ class SharedRandomness:
         )
         # key < p·2^64 (exact: p·2^64 is a float product by a power of
         # two, and key is an integer): p=0 never passes, p=1 always does.
-        threshold = math.ceil(probability * _TWO_64)
-
-        def pred(item: int) -> bool:
-            return counter_key(base, item) < threshold
-
-        return pred
+        return PublicPredicate(base, math.ceil(probability * _TWO_64))
 
     def sample_without_replacement(self, universe_size: int, count: int,
                                    tag: int = 0) -> list[int]:

@@ -44,7 +44,7 @@ from repro.comm.encoding import (
     vertex_bits,
 )
 from repro.comm.players import Player, make_players
-from repro.comm.randomness import SharedRandomness
+from repro.comm.randomness import PublicPredicate, SharedRandomness
 from repro.core.degree_approx import (
     DegreeApproxParams,
     approx_average_degree,
@@ -364,13 +364,20 @@ def _sample_edges_and_close(rt: CoordinatorRuntime,
 
 
 def _capped_star(player: Player, v: int, pred, cap: int) -> list[Edge]:
-    """E_j ∩ ({v} × S) truncated to the cap, S given by the predicate."""
-    hits = [
-        canonical_edge(v, u)
-        for u in iter_bits(player.local_neighbor_mask(v))
-        if pred(u)
-    ]
-    return hits[:cap]
+    """E_j ∩ ({v} × S) truncated to the cap, S given by the predicate.
+
+    Neighbours are taken in ascending order either way, so the cap keeps
+    the same edges for a :class:`PublicPredicate` (one array test) as
+    for a plain callable (asked per neighbour).
+    """
+    if isinstance(pred, PublicPredicate):
+        nbrs = player.local_neighbor_array(v)
+        hits = nbrs[pred.test(nbrs)][:cap].tolist()
+    else:
+        hits = [
+            u for u in iter_bits(player.local_neighbor_mask(v)) if pred(u)
+        ][:cap]
+    return [canonical_edge(v, u) for u in hits]
 
 
 def _first_edge_within(player: Player, candidate_mask: int) -> Edge | None:

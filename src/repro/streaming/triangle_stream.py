@@ -25,6 +25,22 @@ from repro.streaming.stream import StreamingAlgorithm
 __all__ = ["ReservoirTriangleFinder", "CountingExactFinder"]
 
 
+def _slot_below(getrandbits, seen: int) -> int:
+    """``rng.randrange(seen)`` for ``seen >= 1``, reading the same words.
+
+    CPython's ``randrange(seen)`` (3.10 through 3.13) is
+    ``_randbelow_with_getrandbits``: draw ``getrandbits(b)`` with
+    ``b = seen.bit_length()`` until the value is below ``seen``.  Inlined
+    here so the per-edge reservoir draw skips ``randrange``'s argument
+    checks; ``getrandbits`` is the bound method of the finder's RNG.
+    """
+    bits = seen.bit_length()
+    slot = getrandbits(bits)
+    while slot >= seen:
+        slot = getrandbits(bits)
+    return slot
+
+
 class ReservoirTriangleFinder(StreamingAlgorithm):
     """Reservoir-sampled triangle-edge finder.
 
@@ -61,7 +77,7 @@ class ReservoirTriangleFinder(StreamingAlgorithm):
         if len(self._reservoir) < self.reservoir_size:
             self._insert(edge)
         else:
-            slot = self._rng.randrange(self._seen)
+            slot = _slot_below(self._rng.getrandbits, self._seen)
             if slot < self.reservoir_size:
                 self._evict(self._reservoir[slot])
                 self._reservoir[slot] = edge
@@ -80,34 +96,37 @@ class ReservoirTriangleFinder(StreamingAlgorithm):
         The RNG draw sequence is identical to the per-edge stream.
         """
         adjacency = self._adjacency
-        rng = self._rng
+        getrandbits = self._rng.getrandbits
         reservoir = self._reservoir
         size = self.reservoir_size
+        seen = self._seen
+        found = self._found
         row_v = adjacency.get(v, 0)
         remaining = partners_mask
         while remaining:
             lowbit = remaining & -remaining
             remaining ^= lowbit
             u = lowbit.bit_length() - 1
-            edge = (v, u)
-            self._seen += 1
-            if self._found is None:
+            seen += 1
+            if found is None:
                 common = row_v & adjacency.get(u, 0)
                 if common:
                     low = common & -common
                     a, b, c = sorted((v, u, low.bit_length() - 1))
-                    self._found = (a, b, c)
+                    found = (a, b, c)
             if len(reservoir) < size:
-                self._insert(edge)
+                self._insert((v, u))
                 row_v = adjacency.get(v, 0)
             else:
-                slot = rng.randrange(self._seen)
+                slot = _slot_below(getrandbits, seen)
                 if slot < size:
                     self._evict(reservoir[slot])
-                    reservoir[slot] = edge
-                    self._index(edge)
+                    reservoir[slot] = (v, u)
+                    self._index((v, u))
                     # The eviction may have touched v's row.
                     row_v = adjacency.get(v, 0)
+        self._seen = seen
+        self._found = found
 
     def _check_closure(self, edge: Edge) -> None:
         """Does ``edge`` close a vee whose two arms are in the reservoir?"""

@@ -100,6 +100,12 @@ class SetPlayer:
         """N_j(v) as a bitmask, assembled bit by bit."""
         return mask_of(self._adjacency.get(v, ()))
 
+    def local_neighbor_array(self, v: int):
+        """N_j(v) as an ascending int64 array, sorted from the set."""
+        import numpy as np
+
+        return np.array(sorted(self._adjacency.get(v, ())), dtype=np.int64)
+
     def average_local_degree(self) -> float:
         """d-bar_j = 2|E_j| / n, the §3.4.3 per-player density estimate."""
         if self.n == 0:

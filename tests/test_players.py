@@ -174,3 +174,82 @@ class TestMakePlayers:
         for player, view in zip(players, partition.views):
             assert player.edges == view
             assert player.n == 50
+
+
+class TestPublicPredicateHarvests:
+    """The array path of a ``PublicPredicate`` equals the per-item path.
+
+    ``lambda u: pred(u)`` is a plain callable, so it takes the scalar
+    loop; both must answer alike on every vertex, in range or not.
+    """
+
+    @staticmethod
+    def _players():
+        # n = 13 is not a multiple of 8, and vertex 12 (bit n-1) has
+        # neighbours; vertex 11 has none.
+        yield Player(0, 13, [(0, 12), (3, 12), (0, 1), (0, 5), (5, 7),
+                             (2, 9), (1, 12)])
+        yield Player(1, 13, [])
+        partition = partition_with_duplication(gnd(61, 12.0, seed=4), 3,
+                                               seed=1)
+        yield from make_players(partition)
+        # Dense enough that many rows reach the array hit test.
+        partition = partition_with_duplication(gnd(125, 90.0, seed=2), 2,
+                                               seed=3)
+        yield from make_players(partition)
+
+    def test_array_hit_test_is_exercised(self):
+        from repro.comm.players import _ARRAY_HIT_MIN_DEGREE
+
+        degrees = [
+            player.local_degree(v)
+            for player in self._players() for v in range(player.n)
+        ]
+        assert sum(d >= _ARRAY_HIT_MIN_DEGREE for d in degrees) > 100
+        assert sum(0 < d < _ARRAY_HIT_MIN_DEGREE for d in degrees) > 100
+
+    @staticmethod
+    def _predicates():
+        for seed in (0, 3):
+            shared = SharedRandomness(seed)
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                yield shared.bernoulli_predicate(p, tag=2)
+
+    def test_neighbor_array_matches_mask(self):
+        for player in self._players():
+            for v in range(-2, player.n + 2):
+                assert player.local_neighbor_array(v).tolist() == sorted(
+                    player.local_neighbors(v)
+                )
+
+    def test_any_incident_neighbor_in(self):
+        for player in self._players():
+            for pred in self._predicates():
+                for v in range(-2, player.n + 2):
+                    assert player.any_incident_neighbor_in(v, pred) == (
+                        player.any_incident_neighbor_in(
+                            v, lambda u: pred(u)
+                        )
+                    )
+
+    def test_capped_star(self):
+        from repro.core.unrestricted import _capped_star
+
+        for player in self._players():
+            for pred in self._predicates():
+                for v in range(-2, player.n + 2):
+                    for cap in (1, 2, 3, 100):
+                        assert _capped_star(player, v, pred, cap) == (
+                            _capped_star(player, v, lambda u: pred(u), cap)
+                        )
+
+    def test_capped_star_keeps_lowest_neighbours(self):
+        from repro.core.unrestricted import _capped_star
+
+        player = Player(0, 13, [(12, 0), (12, 3), (12, 1), (12, 7)])
+        always = SharedRandomness(0).bernoulli_predicate(1.0)
+        assert _capped_star(player, 12, always, 2) == [(0, 12), (1, 12)]
+        assert _capped_star(player, 3, always, 2) == [(3, 12)]
+        assert _capped_star(player, 11, always, 2) == []
+        assert _capped_star(player, 13, always, 2) == []
+        assert _capped_star(player, -1, always, 2) == []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.randomness import (
+    PublicPredicate,
     SharedRandomness,
     counter_key,
     counter_keys,
@@ -198,6 +199,55 @@ class TestBernoulliPredicate:
         always = shared.bernoulli_predicate(1.0, tag=1)
         assert not any(never(item) for item in items)
         assert all(always(item) for item in items)
+
+
+def _predicate_items():
+    """Item arrays for the scalar-vs-array predicate identity."""
+    rng = np.random.default_rng(7)
+    n = 300
+    return [
+        np.empty(0, dtype=np.int64),
+        np.array([0], dtype=np.int64),
+        np.arange(64 * 64, dtype=np.int64),
+        np.append(rng.integers(0, n * n - 1, size=500), n * n - 1),
+        np.append(rng.integers(0, 2**40, size=500), 2**40),
+    ]
+
+
+class TestPredicateArrayForm:
+    """``pred.test(items)`` equals ``[pred(i) for i in items]``."""
+
+    @pytest.mark.parametrize(
+        "probability", [0.0, 2.0**-60, 1 / 3, 0.5, 1.0 - 2.0**-53, 1.0]
+    )
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_array_equals_scalar(self, probability, seed):
+        pred = SharedRandomness(seed).bernoulli_predicate(probability, tag=3)
+        assert isinstance(pred, PublicPredicate)
+        for items in _predicate_items():
+            tested = pred.test(items)
+            assert tested.dtype == np.bool_
+            assert tested.shape == items.shape
+            assert tested.tolist() == [pred(int(i)) for i in items]
+
+    def test_accepts_lists(self):
+        pred = SharedRandomness(2).bernoulli_predicate(0.5)
+        items = [3, 1, 4, 1, 5, 9, 2, 6]
+        assert pred.test(items).tolist() == [pred(i) for i in items]
+
+    def test_threshold_boundary(self):
+        # key < threshold: an item whose key equals the threshold fails
+        # in both forms, one below it passes in both.
+        base = 12345
+        items = np.arange(16, dtype=np.int64)
+        key = counter_key(base, 5)
+        for threshold in (key, key + 1):
+            pred = PublicPredicate(base, threshold)
+            assert pred.test(items).tolist() == [
+                pred(int(i)) for i in items
+            ]
+        assert not PublicPredicate(base, key)(5)
+        assert PublicPredicate(base, key + 1)(5)
 
 
 class TestSampling:

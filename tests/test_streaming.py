@@ -1,5 +1,7 @@
 """Tests for the streaming substrate and reductions (repro.streaming)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,6 +233,81 @@ class TestRowBatching:
         assert all(u > v for v, mask in batches for u in (
             (mask & -mask).bit_length() - 1,
         ))
+
+
+class TestReservoirSlotDraws:
+    """One exact slot draw behind both reservoir feeds, and T1-R3's
+    early stop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 97])
+    def test_slot_helper_replays_randrange(self, seed):
+        from repro.streaming.triangle_stream import _slot_below
+
+        bounds = [1, 2, 2**31, 2**32 + 1]
+        for j in (2, 3, 5, 8, 16, 31, 32, 33, 40):
+            bounds += [2**j - 1, 2**j + 1]
+        for bound in bounds:
+            reference = random.Random(seed)
+            replay = random.Random(seed)
+            for _ in range(50):
+                assert _slot_below(replay.getrandbits, bound) == (
+                    reference.randrange(bound)
+                )
+            # Same words consumed: the generators stay in step.
+            assert replay.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("part_size", [12, 24])
+    def test_process_row_matches_process_on_mu(self, part_size):
+        mu = MuDistribution(part_size=part_size, gamma=1.2)
+        for sample_seed in (0, 3):
+            graph = mu.sample(seed=sample_seed).graph
+            edges = sorted(graph.edges())
+            for finder_seed in (0, 31, 1_000_003):
+                for size in (2, 4, 8, 16, 32, 64, 128, 256):
+                    per_edge = ReservoirTriangleFinder(
+                        graph.n, reservoir_size=size, seed=finder_seed
+                    )
+                    for edge in edges:
+                        per_edge.process(edge)
+                    batched = ReservoirTriangleFinder(
+                        graph.n, reservoir_size=size, seed=finder_seed
+                    )
+                    for v, partners in canonical_row_batches(
+                        graph.adjacency_rows()
+                    ):
+                        batched.process_row(v, partners)
+                    assert batched._seen == per_edge._seen == len(edges)
+                    assert batched._reservoir == per_edge._reservoir
+                    assert batched.result() == per_edge.result()
+                    assert (
+                        batched._rng.getstate() == per_edge._rng.getstate()
+                    )
+
+    def test_t1_r3_early_stop_matches_full_stream(self):
+        from repro.analysis.table1 import (
+            _loop_specs,
+            _MuSampleBuilder,
+            _ReservoirStreamProtocol,
+        )
+
+        base_seed = 0
+        for part_size in (24, 96):  # T1-R3's quick part sizes
+            builder = _MuSampleBuilder(part_size=part_size)
+            specs = _loop_specs(10, 3 * part_size, base_seed)
+            samples = [builder(spec.n, spec.d, spec.seed) for spec in specs]
+            for size in (2, 4, 8, 16, 32, 64, 128, 256):
+                protocol = _ReservoirStreamProtocol(size, base_seed)
+                for spec, sample in zip(specs, samples):
+                    outcome = protocol(sample, spec.seed)
+                    if is_triangle_free(sample.graph):
+                        assert outcome.found
+                        continue
+                    finder = ReservoirTriangleFinder(
+                        sample.graph.n, reservoir_size=size,
+                        seed=base_seed + 31 * spec.trial_index,
+                    )
+                    run = run_stream(finder, sorted(sample.graph.edges()))
+                    assert outcome.found == (run.result is not None)
 
 
 class TestReduction:
