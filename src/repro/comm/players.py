@@ -53,11 +53,11 @@ from repro.graphs.kernels.bigint import or_edges_into_rows
 
 __all__ = ["Player", "make_players"]
 
-#: Local degree from which a Theorem 3.1 hit test keys v's neighbours as
-#: one array: below it the fixed cost of the numpy passes (unpacking all
-#: n bits of the row, a dozen uint64 ufuncs) exceeds a scalar key per
-#: neighbour.  Both forms compute the same keys.
-_ARRAY_HIT_MIN_DEGREE = 32
+#: Keys (predicates times v's local degree) from which Theorem 3.1 hit
+#: tests key v's neighbours as one array: below it the fixed cost of the
+#: numpy passes (unpacking all n bits of the row, a dozen uint64 ufuncs)
+#: exceeds a scalar key per neighbour.  Both forms compute the same keys.
+_ARRAY_HIT_MIN_KEYS = 32
 
 
 class Player:
@@ -358,19 +358,35 @@ class Player:
         """Does any local neighbour of v satisfy the public predicate?
 
         The lazy-predicate form of :meth:`sample_hits_vertex`: one
-        Theorem 3.1 experiment, evaluated in O(d_j(v)) local time.  A
-        :class:`~repro.comm.randomness.PublicPredicate` tests the whole
-        neighbour array at once when v has at least
-        ``_ARRAY_HIT_MIN_DEGREE`` local neighbours; any other callable,
-        and a predicate over fewer neighbours, is asked per neighbour.
+        Theorem 3.1 experiment, evaluated in O(d_j(v)) local time; the
+        one-predicate case of :meth:`any_incident_neighbor_in_each`.
+        """
+        return self.any_incident_neighbor_in_each(v, [pred])[0]
+
+    def any_incident_neighbor_in_each(
+            self, v: int, preds: Sequence[Callable[[int], bool]]
+    ) -> list[bool]:
+        """``[any_incident_neighbor_in(v, pred) for pred in preds]``.
+
+        A round of Theorem 3.1 experiments answered together.  When every
+        predicate is a :class:`~repro.comm.randomness.PublicPredicate`
+        and ``len(preds)`` times v's local degree reaches
+        ``_ARRAY_HIT_MIN_KEYS``, v's neighbour array is keyed under all
+        of them in one block; otherwise each predicate is asked per
+        neighbour.
         """
         row = self._row(v)
+        if not row:
+            return [False] * len(preds)
         if (
-            isinstance(pred, PublicPredicate)
-            and row.bit_count() >= _ARRAY_HIT_MIN_DEGREE
+            len(preds) * row.bit_count() >= _ARRAY_HIT_MIN_KEYS
+            and all(isinstance(pred, PublicPredicate) for pred in preds)
         ):
-            return bool(pred.test(self.local_neighbor_array(v)).any())
-        return any(pred(u) for u in iter_bits(row))
+            return PublicPredicate.any_pass(
+                preds, self.local_neighbor_array(v)
+            )
+        neighbours = list(iter_bits(row))
+        return [any(pred(u) for u in neighbours) for pred in preds]
 
     def any_edge_index_in(self, edge_index: Callable[[Edge], int],
                           pred: Callable[[int], bool]) -> bool:

@@ -53,7 +53,7 @@ import numpy as _np
 
 __all__ = [
     "PublicOrder", "PublicPredicate", "SharedRandomness", "counter_key",
-    "counter_keys",
+    "counter_key_grid", "counter_keys",
 ]
 
 #: Expected selected-index count below which the scalar loop beats the
@@ -93,10 +93,32 @@ def counter_keys(base: int, items) -> "_np.ndarray":
     numpy's ``uint64`` arithmetic wraps modulo 2^64, so every step equals
     its masked Python counterpart bit for bit.
     """
+    z = _counters(items)
+    z += _np.uint64(base & _MASK64)
+    return _finalize(z)
+
+
+def counter_key_grid(bases: Sequence[int], items) -> "_np.ndarray":
+    """:func:`counter_key` for every (base, item) pair, as a uint64 block.
+
+    Row ``r`` holds ``counter_keys(bases[r], items)``: the item counters
+    are formed once and broadcast against the column of bases.
+    """
+    column = _np.array([base & _MASK64 for base in bases],
+                       dtype=_np.uint64)[:, None]
+    return _finalize(_counters(items) + column)
+
+
+def _counters(items) -> "_np.ndarray":
+    """SplitMix64 counters ``(item + 1) * gamma`` before the base is added."""
     z = _np.asarray(items, dtype=_np.int64).astype(_np.uint64)
     z += _np.uint64(1)
     z *= _np.uint64(_MIX_PRIME)
-    z += _np.uint64(base & _MASK64)
+    return z
+
+
+def _finalize(z: "_np.ndarray") -> "_np.ndarray":
+    """The SplitMix64 finalizer, in place."""
     z ^= z >> _np.uint64(30)
     z *= _np.uint64(_MIX_MUL_1)
     z ^= z >> _np.uint64(27)
@@ -167,6 +189,29 @@ class PublicPredicate:
         if self._threshold > _MASK64:
             return _np.ones(items.shape, dtype=_np.bool_)
         return counter_keys(self._base, items) < _np.uint64(self._threshold)
+
+    @staticmethod
+    def any_pass(preds: Sequence["PublicPredicate"], items) -> list[bool]:
+        """``[bool(pred.test(items).any()) for pred in preds]``.
+
+        One :func:`counter_key_grid` block keys every item under every
+        predicate that needs keys; a p = 1 predicate passes any
+        non-empty ``items`` without them.
+        """
+        items = _np.asarray(items, dtype=_np.int64)
+        if not items.size:
+            return [False] * len(preds)
+        answers = [pred._threshold > _MASK64 for pred in preds]
+        keyed = [j for j, passed in enumerate(answers) if not passed]
+        if keyed:
+            keys = counter_key_grid([preds[j]._base for j in keyed], items)
+            thresholds = _np.array(
+                [preds[j]._threshold for j in keyed], dtype=_np.uint64
+            )
+            hits = (keys < thresholds[:, None]).any(axis=1).tolist()
+            for j, hit in zip(keyed, hits):
+                answers[j] = hit
+        return answers
 
 
 def _mask_from_indices(indices: Iterable[int], universe_size: int) -> int:

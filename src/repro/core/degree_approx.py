@@ -117,7 +117,9 @@ def approx_degree(rt: CoordinatorRuntime, v: int,
     return _two_phase_estimate(
         rt,
         msb_of=lambda player: player.degree_msb_index(v),
-        hit_test=lambda player, pred: player.any_incident_neighbor_in(v, pred),
+        hit_tests=lambda player, preds: (
+            player.any_incident_neighbor_in_each(v, preds)
+        ),
         params=params,
         tag=tag,
         label="approx_degree",
@@ -139,13 +141,14 @@ def approx_distinct_edges(rt: CoordinatorRuntime,
             return None
         return player.num_edges.bit_length() - 1
 
-    def hit_test(player, pred):
-        return player.any_edge_index_in(
-            lambda edge: edge_index(edge, n), pred
-        )
+    def hit_tests(player, preds):
+        return [
+            player.any_edge_index_in(lambda edge: edge_index(edge, n), pred)
+            for pred in preds
+        ]
 
     return _two_phase_estimate(
-        rt, msb_of=msb_of, hit_test=hit_test, params=params, tag=tag,
+        rt, msb_of=msb_of, hit_tests=hit_tests, params=params, tag=tag,
         label="approx_distinct_edges",
     )
 
@@ -162,7 +165,7 @@ def approx_average_degree(rt: CoordinatorRuntime,
     return 2.0 * estimate.value / max(1, rt.n)
 
 
-def _two_phase_estimate(rt: CoordinatorRuntime, msb_of, hit_test,
+def _two_phase_estimate(rt: CoordinatorRuntime, msb_of, hit_tests,
                         params: DegreeApproxParams, tag: int,
                         label: str) -> DegreeEstimate:
     k = rt.k
@@ -200,14 +203,31 @@ def _two_phase_estimate(rt: CoordinatorRuntime, msb_of, hit_test,
             threshold = (
                 m * _success_probability_if_correct(guess) / params.threshold_c
             )
-            successes = 0
-            for experiment in range(m):
-                pred = rt.shared.bernoulli_predicate(
+            # Every experiment of a round runs, so the round's predicates
+            # are drawn up front (``collect`` draws no public coins, so
+            # the nonces are unchanged) and each player answers all of
+            # them in one local evaluation, on the round's first collect.
+            preds = [
+                rt.shared.bernoulli_predicate(
                     min(1.0, 1.0 / guess),
                     tag=tag * 1_000_003 + rounds_run * 1_009 + experiment,
                 )
+                for experiment in range(m)
+            ]
+            answers: dict[int, list[bool]] = {}
+
+            def answer(player, experiment: int) -> bool:
+                hits = answers.get(player.player_id)
+                if hits is None:
+                    hits = answers[player.player_id] = hit_tests(
+                        player, preds
+                    )
+                return hits[experiment]
+
+            successes = 0
+            for experiment in range(m):
                 bits = rt.collect(
-                    compute=lambda p: hit_test(p, pred),
+                    compute=lambda p: answer(p, experiment),
                     response_bits=lambda _: indicator_bits(),
                     request_bits=0,
                 )

@@ -624,26 +624,117 @@ def triangle_free_degree_spread(n: int, d: float, max_degree: int,
     if total_left > half:
         shrink = half / total_left
         counts = [max(1, int(count * shrink)) for count in counts]
-    left_cursor = 0
-    right = list(range(half, n))
-    lefts: list[int] = []
-    rights: list[int] = []
     # Heavy buckets first, so the high-degree vertices always exist even
-    # when the left side runs out of slots.
+    # when the left side runs out of slots.  Left vertices take the runs'
+    # sample sizes in order.
+    right_size = n - half
+    runs: list[tuple[int, int]] = []
+    slots = half
     for bucket_degree, count in sorted(
         zip(bucket_degrees, counts), reverse=True
     ):
-        for _ in range(count):
-            if left_cursor >= half:
-                break
-            partners = rng.sample(right, min(bucket_degree, len(right)))
-            lefts.extend([left_cursor] * len(partners))
-            rights.extend(partners)
-            left_cursor += 1
+        count = min(count, slots)
+        slots -= count
+        if count:
+            runs.append((min(bucket_degree, right_size), count))
+    sizes = _np.repeat([size for size, _ in runs],
+                       [count for _, count in runs])
+    lefts = _np.repeat(_np.arange(sizes.size, dtype=_np.int64), sizes)
+    rights = _replayed_samples(rng, right_size, runs) + half
     # No density hint: ``auto`` keeps choosing as for a plain Graph(n).
     graph = Graph(n, backend=backend)
     graph.add_edge_arrays(lefts, rights)
     return graph
+
+
+def _sample_setsize(k: int) -> int:
+    """``random.sample``'s method switch, copied from CPython 3.10-3.13:
+    a population of at most this size is drawn by the pool method."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return setsize
+
+
+def _replayed_samples(rng: random.Random, population: int,
+                      runs: list[tuple[int, int]]) -> "_np.ndarray":
+    """``rng.sample(range(population), k)`` ``count`` times per run
+    ``(k, count)``, all concatenated.
+
+    ``sample`` takes each draw from ``randbelow``: the top
+    ``population.bit_length()`` bits of the next 32-bit MT19937 word,
+    rejected while ``>= population``.  Its *pool* method (populations
+    up to :func:`_sample_setsize`) shrinks the bound every draw and runs
+    here through ``rng.sample`` itself.  Its *set* method draws against
+    the fixed bound and redraws values the sample already holds, so a
+    sample is the next ``k`` distinct values of one accepted-value
+    stream.  That stream is read in bulk from ``rng.getrandbits`` words
+    (first word least significant), and each run is consumed as
+    ``(rows, k)`` blocks: rows before the first one holding a repeat
+    are samples as they stand, and the repeating row takes the first
+    ``k`` distinct values of its window.  ``k`` must not increase from
+    run to run (the pool method then comes first, since the set size
+    grows with ``k``), and ``rng`` ends past the words read.
+    """
+    parts = [_np.empty(0, dtype=_np.int64)]
+    while runs and population <= _sample_setsize(runs[0][0]):
+        k, count = runs[0]
+        parts.extend(
+            _np.array(rng.sample(range(population), k), dtype=_np.int64)
+            for _ in range(count)
+        )
+        runs = runs[1:]
+    if any(population <= _sample_setsize(k) for k, _ in runs):
+        raise ValueError("sample sizes must not increase")
+    bits = population.bit_length()
+    accepted = _np.empty(0, dtype=_np.int64)
+
+    def fill(size: int) -> "_np.ndarray":
+        nonlocal accepted
+        while accepted.size < size:
+            words = (size - accepted.size) * (1 << bits) * 11 // (
+                10 * population) + 64
+            draws = (_np.frombuffer(
+                rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                dtype="<u4",
+            ) >> (32 - bits)).astype(_np.int64)
+            accepted = _np.concatenate(
+                (accepted, draws[draws < population])
+            )
+        return accepted
+
+    # Every sample value, plus twice the ~k²/2N repeats a sample expects.
+    fill(sum(count * (k + k * k // population) for k, count in runs))
+    position = 0
+    for k, count in runs:
+        while count:
+            # About twice the expected repeat-free run of rows.
+            rows = min(count, 1 + 4 * population // (k * k))
+            block = fill(position + rows * k)[
+                position:position + rows * k
+            ].reshape(rows, k)
+            ordered = _np.sort(block, axis=1)
+            repeats = _np.flatnonzero(
+                (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            )
+            clean = int(repeats[0]) if repeats.size else rows
+            parts.append(block[:clean].ravel())
+            position += clean * k
+            count -= clean
+            if clean == rows:
+                continue
+            width = 2 * k
+            while True:
+                window = fill(position + width)[position:position + width]
+                _, first = _np.unique(window, return_index=True)
+                if first.size >= k:
+                    break
+                width *= 2
+            taken = _np.sort(first)[:k]
+            parts.append(window[taken])
+            position += int(taken[-1]) + 1
+            count -= 1
+    return _np.concatenate(parts)
 
 
 def embed_in_larger_graph(core: Graph, total_n: int, seed: int = 0,

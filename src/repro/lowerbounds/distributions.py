@@ -133,27 +133,35 @@ class MuDistribution:
 
 def split_three_players(graph: Graph, parts: TripartiteParts
                         ) -> EdgePartition:
-    """The Section 4.2 split: (U×V1, U×V2, V1×V2) to (Alice, Bob, Charlie)."""
-    u_set = set(parts.u_part)
-    v1_set = set(parts.v1_part)
-    v2_set = set(parts.v2_part)
-    alice: set[Edge] = set()
-    bob: set[Edge] = set()
-    charlie: set[Edge] = set()
-    for u, v in graph.edges():
-        endpoints = {u, v}
-        if endpoints & u_set and endpoints & v1_set:
-            alice.add((u, v))
-        elif endpoints & u_set and endpoints & v2_set:
-            bob.add((u, v))
-        elif endpoints & v1_set and endpoints & v2_set:
-            charlie.add((u, v))
-        else:
-            raise ValueError(
-                f"edge {(u, v)} is not cross-part; not a µ graph"
-            )
-    return EdgePartition(
-        graph, (frozenset(alice), frozenset(bob), frozenset(charlie))
+    """The Section 4.2 split: (U×V1, U×V2, V1×V2) to (Alice, Bob, Charlie).
+
+    The parts are disjoint, as :func:`~repro.graphs.generators.mu_parts`
+    lays them out.  Both endpoints of every edge key are looked up in a
+    vertex → part array; an edge goes to the player of its pair of
+    parts, and keys stay sorted within each player.
+    """
+    import numpy as np
+
+    n = graph.n
+    part = np.full(n, -1, dtype=np.int64)
+    for index, members in enumerate(
+        (parts.u_part, parts.v1_part, parts.v2_part)
+    ):
+        members = np.asarray(members, dtype=np.int64)
+        part[members[(members >= 0) & (members < n)]] = index
+    keys = graph.edge_keys()
+    low, high = part[keys // n], part[keys % n]
+    bad = (low < 0) | (high < 0) | (low == high)
+    if bad.any():
+        key = int(keys[bad.argmax()])
+        raise ValueError(
+            f"edge {(key // n, key % n)} is not cross-part; not a µ graph"
+        )
+    # The unordered part pair as a bit set: U×V1 = 3, U×V2 = 5,
+    # V1×V2 = 6.
+    pair = (1 << low) | (1 << high)
+    return EdgePartition.from_keys(
+        graph, (keys[pair == 3], keys[pair == 5], keys[pair == 6])
     )
 
 

@@ -230,6 +230,12 @@ class SetPlayer:
         """Does any local neighbour of v satisfy the public predicate?"""
         return any(pred(u) for u in self._adjacency.get(v, ()))
 
+    def any_incident_neighbor_in_each(
+            self, v: int, preds: Sequence[Callable[[int], bool]]
+    ) -> list[bool]:
+        """One round of Theorem 3.1 experiments, one predicate at a time."""
+        return [self.any_incident_neighbor_in(v, pred) for pred in preds]
+
     def any_edge_index_in(self, edge_index: Callable[[Edge], int],
                           pred: Callable[[int], bool]) -> bool:
         """Does any local edge's public index satisfy the predicate?"""

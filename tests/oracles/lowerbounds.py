@@ -1,6 +1,12 @@
-"""Reference ``set``-based one-way protocol, kept for differential testing.
+"""Reference ``set``-based lower-bound code, kept for differential testing.
 
-This is the pre-mask implementation of
+``split_three_players_reference`` is the per-edge set classification
+that :func:`repro.lowerbounds.distributions.split_three_players`
+replaced; ``tests/test_mu_distribution.py`` asserts both give the same
+view keys.
+
+``oneway_triangle_edge_protocol_reference`` is the pre-mask
+implementation of
 :func:`repro.lowerbounds.oneway_protocols.oneway_triangle_edge_protocol`,
 preserved verbatim as an executable specification (the same pattern as
 :class:`oracles.comm.SetPlayer` and :class:`oracles.graphs.SetGraph`):
@@ -21,10 +27,41 @@ from repro.comm.encoding import edge_bits
 from repro.comm.oneway import OneWayRun, run_extended_oneway
 from repro.comm.players import make_players
 from repro.comm.randomness import SharedRandomness
-from repro.graphs.graph import Edge
+from repro.graphs.generators import TripartiteParts
+from repro.graphs.graph import Edge, Graph
+from repro.graphs.partition import EdgePartition
 from repro.lowerbounds.distributions import MuSample
 
-__all__ = ["oneway_triangle_edge_protocol_reference"]
+__all__ = [
+    "oneway_triangle_edge_protocol_reference",
+    "split_three_players_reference",
+]
+
+
+def split_three_players_reference(graph: Graph, parts: TripartiteParts
+                                  ) -> EdgePartition:
+    """The Section 4.2 split, classifying each edge against part sets."""
+    u_set = set(parts.u_part)
+    v1_set = set(parts.v1_part)
+    v2_set = set(parts.v2_part)
+    alice: set[Edge] = set()
+    bob: set[Edge] = set()
+    charlie: set[Edge] = set()
+    for u, v in graph.edges():
+        endpoints = {u, v}
+        if endpoints & u_set and endpoints & v1_set:
+            alice.add((u, v))
+        elif endpoints & u_set and endpoints & v2_set:
+            bob.add((u, v))
+        elif endpoints & v1_set and endpoints & v2_set:
+            charlie.add((u, v))
+        else:
+            raise ValueError(
+                f"edge {(u, v)} is not cross-part; not a µ graph"
+            )
+    return EdgePartition(
+        graph, (frozenset(alice), frozenset(bob), frozenset(charlie))
+    )
 
 
 def oneway_triangle_edge_protocol_reference(sample: MuSample,

@@ -83,6 +83,33 @@ class TestThreePlayerSplit:
         with pytest.raises(ValueError):
             split_three_players(graph, parts)
 
+    @pytest.mark.parametrize("part_size,gamma", [
+        (1, 1.0), (3, 2.0), (20, 1.2), (144, 0.5), (50, 4.0),
+    ])
+    def test_split_matches_set_reference(self, part_size, gamma):
+        from oracles.lowerbounds import split_three_players_reference
+
+        for seed in range(4):
+            sample = MuDistribution(part_size, gamma).sample(seed=seed)
+            reference = split_three_players_reference(
+                sample.graph, sample.parts
+            )
+            for keys, expected in zip(sample.partition.view_keys,
+                                      reference.view_keys):
+                assert keys.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("edge", [(0, 1), (3, 5), (6, 8), (2, 9)])
+    def test_rejects_like_set_reference(self, edge):
+        from oracles.lowerbounds import split_three_players_reference
+        from repro.graphs.generators import mu_parts
+        from repro.graphs.graph import Graph
+
+        # Edges inside U, V1 and V2, and one leaving the parts (n = 10).
+        graph = Graph(10, [(0, 3), (3, 6), edge])
+        for split in (split_three_players, split_three_players_reference):
+            with pytest.raises(ValueError, match="not cross-part"):
+                split(graph, mu_parts(3))
+
     def test_every_triangle_uses_all_three_views(self):
         mu = MuDistribution(part_size=25, gamma=1.5)
         sample = mu.sample(seed=4)

@@ -199,14 +199,14 @@ class TestPublicPredicateHarvests:
         yield from make_players(partition)
 
     def test_array_hit_test_is_exercised(self):
-        from repro.comm.players import _ARRAY_HIT_MIN_DEGREE
+        from repro.comm.players import _ARRAY_HIT_MIN_KEYS
 
         degrees = [
             player.local_degree(v)
             for player in self._players() for v in range(player.n)
         ]
-        assert sum(d >= _ARRAY_HIT_MIN_DEGREE for d in degrees) > 100
-        assert sum(0 < d < _ARRAY_HIT_MIN_DEGREE for d in degrees) > 100
+        assert sum(d >= _ARRAY_HIT_MIN_KEYS for d in degrees) > 100
+        assert sum(0 < d < _ARRAY_HIT_MIN_KEYS for d in degrees) > 100
 
     @staticmethod
     def _predicates():
@@ -253,3 +253,87 @@ class TestPublicPredicateHarvests:
         assert _capped_star(player, 11, always, 2) == []
         assert _capped_star(player, 13, always, 2) == []
         assert _capped_star(player, -1, always, 2) == []
+
+
+class TestBatchedHitTest:
+    """``any_incident_neighbor_in_each`` answers predicate by predicate.
+
+    The reference is the set-based ``SetPlayer`` oracle, which asks each
+    predicate per neighbour; the mask-native one-predicate call must
+    agree too.
+    """
+
+    PROBABILITIES = (0.0, 2.0**-60, 1 / 3, 1.0)
+
+    @classmethod
+    def _pred_lists(cls):
+        shared = SharedRandomness(11)
+        singles = [
+            shared.bernoulli_predicate(p, tag=4) for p in cls.PROBABILITIES
+        ]
+        yield []
+        for pred in singles:
+            yield [pred]
+        yield [singles[2]] * 6
+        yield singles
+        yield singles[::-1] * 3
+        yield [shared.bernoulli_predicate(0.2, tag=5) for _ in range(6)]
+        yield [shared.bernoulli_predicate(0.01, tag=6) for _ in range(40)]
+
+    @staticmethod
+    def _reference(player):
+        from oracles.comm import SetPlayer
+
+        return SetPlayer(player.player_id, player.n, player.edges)
+
+    def _check(self, pred_lists):
+        for player in TestPublicPredicateHarvests._players():
+            reference = self._reference(player)
+            for preds in pred_lists:
+                for v in range(-2, player.n + 2):
+                    expected = [
+                        reference.any_incident_neighbor_in(v, pred)
+                        for pred in preds
+                    ]
+                    assert reference.any_incident_neighbor_in_each(
+                        v, preds
+                    ) == expected
+                    assert player.any_incident_neighbor_in_each(
+                        v, preds
+                    ) == expected
+                    assert [
+                        player.any_incident_neighbor_in(v, pred)
+                        for pred in preds
+                    ] == expected
+
+    def test_public_predicates(self):
+        self._check(list(self._pred_lists()))
+
+    def test_plain_callables_fall_back(self):
+        shared = SharedRandomness(12)
+        pred = shared.bernoulli_predicate(1 / 3, tag=7)
+        plain = [lambda u: pred(u), lambda u: u % 5 == 0]
+        self._check([plain * 20, [pred] * 20 + plain[:1], plain[1:]])
+
+    def test_both_sides_of_the_cutoff(self, monkeypatch):
+        from repro.comm.players import _ARRAY_HIT_MIN_KEYS
+        from repro.comm.randomness import PublicPredicate
+
+        blocks = []
+        any_pass = PublicPredicate.any_pass
+        monkeypatch.setattr(
+            PublicPredicate, "any_pass",
+            staticmethod(lambda *args: blocks.append(1) or any_pass(*args)),
+        )
+        sides = {True: 0, False: 0}
+        for player in TestPublicPredicateHarvests._players():
+            for preds in self._pred_lists():
+                for v in range(player.n):
+                    keys = len(preds) * player.local_degree(v)
+                    if keys:
+                        keyed = keys >= _ARRAY_HIT_MIN_KEYS
+                        sides[keyed] += 1
+                        blocks.clear()
+                        player.any_incident_neighbor_in_each(v, preds)
+                        assert len(blocks) == keyed
+        assert min(sides.values()) > 100

@@ -9,6 +9,7 @@ from repro.comm.randomness import (
     PublicPredicate,
     SharedRandomness,
     counter_key,
+    counter_key_grid,
     counter_keys,
 )
 
@@ -248,6 +249,42 @@ class TestPredicateArrayForm:
             ]
         assert not PublicPredicate(base, key)(5)
         assert PublicPredicate(base, key + 1)(5)
+
+
+class TestKeyGrid:
+    """``counter_key_grid`` equals ``counter_key`` pair by pair."""
+
+    BASES = [0, 1, 12345, 2**63 - 1, 2**63 + 11, 2**64 - 1, 2**64 + 5]
+
+    def test_every_pair(self):
+        for items in _predicate_items():
+            grid = counter_key_grid(self.BASES, items)
+            assert grid.dtype == np.uint64
+            assert grid.shape == (len(self.BASES), items.size)
+            for base, row in zip(self.BASES, grid.tolist()):
+                assert row == [counter_key(base, int(i)) for i in items]
+
+    def test_rows_are_counter_keys(self):
+        items = np.arange(1000, dtype=np.int64)
+        grid = counter_key_grid(self.BASES, items)
+        for base, row in zip(self.BASES, grid):
+            assert np.array_equal(row, counter_keys(base, items))
+
+    def test_any_pass_threshold_boundary(self):
+        base = 12345
+        key = counter_key(base, 5)
+        preds = [PublicPredicate(base, key), PublicPredicate(base, key + 1)]
+        assert PublicPredicate.any_pass(preds, [5]) == [False, True]
+
+    def test_any_pass_equals_per_predicate_test(self):
+        shared = SharedRandomness(9)
+        probabilities = (0.0, 2.0**-60, 1 / 3, 0.5, 1.0)
+        mixed = [shared.bernoulli_predicate(p) for p in probabilities]
+        for preds in ([], mixed, mixed[::-1], mixed[:1], mixed[-1:]):
+            for items in _predicate_items():
+                assert PublicPredicate.any_pass(preds, items) == [
+                    bool(pred.test(items).any()) for pred in preds
+                ]
 
 
 class TestSampling:

@@ -13,6 +13,9 @@ scalar twins (the per-edge builders in ``oracles.instances``).
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,3 +223,63 @@ class TestBulkPlantingIdentity:
         bulk = build()
         assert scalar.planted_copies == bulk.planted_copies
         assert_identical(scalar.graph, bulk.graph)
+
+
+class TestDegreeSpreadSampleReplay:
+    """The degree-spread sampler replays ``rng.sample`` from bulk words.
+
+    The reference calls ``rng.sample`` per vertex.  The cases cover the
+    pool method (n = 2048: 1024 right-side vertices, buckets 243 and
+    286), set-method buckets where nearly every sample redraws a repeat
+    (n = 16384: 8192 right-side vertices, bucket 809), and tiny hosts,
+    each at average degrees 1, 8 and 30.  A CPython change to
+    ``sample`` fails here.
+    """
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("n,max_degree", [
+        (4, 3), (5, 3), (7, 3), (2048, 286), (2048, 600), (16384, 809),
+    ])
+    @pytest.mark.parametrize("d", [1.0, 8.0, 30.0])
+    def test_matches_rng_sample(self, seed, n, max_degree, d):
+        reference = triangle_free_degree_spread_reference(
+            n, d, max_degree, seed=seed
+        )
+        bulk = gen.triangle_free_degree_spread(n, d, max_degree, seed=seed)
+        assert bulk.n == reference.n
+        assert np.array_equal(bulk.edge_keys(), reference.edge_keys())
+
+    def test_cases_reach_both_sample_methods(self):
+        assert gen._sample_setsize(243) >= 1024
+        assert gen._sample_setsize(81) < 1024
+        assert gen._sample_setsize(809) < 8192
+
+    # 22 and 85 sit on either side of the set-method switch for k = 6
+    # (set size 21 + 4**3), 1045 for k = 243.
+    @pytest.mark.parametrize("population", [
+        1, 2, 3, 6, 22, 85, 86, 100, 1024, 1025, 1045, 1046, 8192, 70001,
+    ])
+    def test_helper_equals_sample_calls(self, population):
+        sizes = random.Random(population)
+        for seed in range(10):
+            ks = sorted(
+                (min(population, cap) if sizes.random() < 0.2
+                 else sizes.randint(1, min(population, cap))
+                 for cap in sizes.choices([1, 3, 5, 6, 30, 243, 300, 1200],
+                                          k=30)),
+                reverse=True,
+            )
+            runs = [(k, ks.count(k)) for k in sorted(set(ks), reverse=True)]
+            rng = random.Random(seed)
+            expected = [
+                value for k, count in runs for _ in range(count)
+                for value in rng.sample(range(population), k)
+            ]
+            replayed = gen._replayed_samples(random.Random(seed),
+                                             population, runs)
+            assert replayed.tolist() == expected
+
+    def test_increasing_sizes_rejected(self):
+        # 1 is drawn by the set method from 1024, 600 by the pool method.
+        with pytest.raises(ValueError):
+            gen._replayed_samples(random.Random(0), 1024, [(1, 1), (600, 1)])
