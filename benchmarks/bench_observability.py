@@ -48,7 +48,6 @@ from timing_helpers import best_of, quiet_generator_shortfall
 from repro.analysis.experiments import DefaultInstanceBuilder, run_sweep
 from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 
@@ -79,26 +78,16 @@ def stubbed_obs():
     ``disabled/stub`` ratio is measured against.
     """
     null_span = obs_trace._NULL_SPAN
-    null_timer = obs_metrics._NULL_TIMER
-    null_phase = obs_profile._NULL_PHASE
     saved = [
         (obs_trace, "span", obs_trace.span),
         (obs_trace, "event", obs_trace.event),
         (obs_metrics, "inc", obs_metrics.inc),
         (obs_metrics, "gauge", obs_metrics.gauge),
-        (obs_metrics, "observe", obs_metrics.observe),
-        (obs_metrics, "timer", obs_metrics.timer),
-        (obs_profile, "phase", obs_profile.phase),
-        (obs_profile, "charge", obs_profile.charge),
     ]
     obs_trace.span = lambda name, **attrs: null_span
     obs_trace.event = lambda name, **attrs: None
     obs_metrics.inc = lambda name, value=1: None
     obs_metrics.gauge = lambda name, value: None
-    obs_metrics.observe = lambda name, seconds: None
-    obs_metrics.timer = lambda name: null_timer
-    obs_profile.phase = lambda name: null_phase
-    obs_profile.charge = lambda name, seconds: None
     try:
         yield
     finally:

@@ -17,8 +17,8 @@ Options:
   --trace-dir DIR  record a structured span/event trace of the whole
                run to DIR/trace.jsonl (fork workers add sibling files);
                render it with `python -m repro.obs summarize DIR`
-  --metrics-out FILE  write the run's merged metrics registry (counters,
-               gauges, timing histograms) to FILE as JSON
+  --metrics-out FILE  write the run's merged metrics registry (counters
+               and gauges) to FILE as JSON
 
 Tracing and metrics never touch any RNG: the emitted tables are
 byte-identical with or without them.
@@ -43,17 +43,7 @@ from repro.obs.trace import TraceRecorder
 from repro.runtime import resolve_workers
 
 ROWS_BY_ID = {
-    "T1-R1": table1.row_unrestricted_upper,
-    "T1-R2A": table1.row_sim_low_upper,
-    "T1-R2B": table1.row_sim_high_upper,
-    "T1-R2C": table1.row_oblivious,
-    "X-1": table1.row_exact_baseline,
-    "X-2": table1.row_subgraph_patterns,
-    "T1-R3": table1.row_oneway_streaming_lower,
-    "T1-R4": table1.row_sim_covered_lower,
-    "T1-R5": table1.row_symmetrization,
-    "T1-R6": table1.row_bm_lower,
-    "L4.5": table1.row_mu_farness,
+    row_id.upper(): row_fn for row_fn, row_id in table1.ROW_IDS.items()
 }
 
 
@@ -86,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
                              "DIR/trace.jsonl (see python -m repro.obs)")
     parser.add_argument("--metrics-out", type=str, default=None,
                         help="write the run's merged metrics registry "
-                             "to this file as JSON")
+                             "(counters and gauges) to this file as JSON")
     args = parser.parse_args(argv)
 
     if args.resume and args.journal_dir is None:
@@ -136,10 +126,10 @@ def main(argv: list[str] | None = None) -> int:
                                       journal_dir=args.journal_dir,
                                       resume=args.resume))
             else:
-                print(row_fn(quick=quick, seed=args.seed,
-                             workers=args.workers,
-                             journal_dir=args.journal_dir,
-                             resume=args.resume).formatted())
+                print(table1.run_row(row_fn, quick=quick, seed=args.seed,
+                                     workers=args.workers,
+                                     journal_dir=args.journal_dir,
+                                     resume=args.resume).formatted())
         if registry is not None:
             obs_trace.event("metrics", snapshot=registry.snapshot())
             with open(args.metrics_out, "w", encoding="utf-8") as handle:

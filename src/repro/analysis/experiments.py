@@ -183,8 +183,7 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
               journal=None,
               resume: bool = False,
               fault_plan=None,
-              trace: "obs_trace.TraceRecorder | str | os.PathLike | None" = None,
-              profile: bool = False) -> SweepResult:
+              trace: "obs_trace.TraceRecorder | str | os.PathLike | None" = None) -> SweepResult:
     """Run ``protocol`` at every (n, d, k) grid point, ``trials`` seeds each.
 
     ``instance_fn(n, d, seed)`` must honour k itself (close over it); the
@@ -215,19 +214,16 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
         ``SweepResult.records[...].extras``.  A
         :class:`~repro.obs.metrics.MetricsRegistry` instead installs
         that registry for the duration of the sweep — runtime counters,
-        cache traffic, kernel selections, and timing histograms
-        accumulate into it (merged across workers), and the records are
-        untouched.
+        cache traffic and kernel selections accumulate into it (merged
+        across workers), and the records are untouched.
     trace:
         A :class:`~repro.obs.trace.TraceRecorder`, or a path one is
         opened at (and closed again) for the duration of the sweep.
-        Structured span/event JSONL covering the whole run — feed the
-        file to ``python -m repro.obs summarize``.  Zero RNG impact;
-        records are byte-identical with tracing on or off.
-    profile:
-        ``True`` attaches a per-trial phase cost breakdown to
-        ``records[...].extras["profile"]`` — opt-in because it changes
-        the record (see :mod:`repro.obs.profile`).
+        Structured span/event JSONL covering the whole run, and the
+        one place its durations are recorded (``trial``, ``build``,
+        ``protocol``, ``referee``, ...) — feed the file to
+        ``python -m repro.obs summarize``.  Zero RNG impact; records
+        are byte-identical with tracing on or off.
     shared_instances:
         ``True`` runs all of a grid point's trials against *one*
         instance (fresh coins per trial) instead of a fresh instance per
@@ -270,7 +266,7 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
                 workers=workers, executor=executor,
                 cache=cache, instance_key=instance_key, metrics=hook,
                 retry=retry, journal=journal, resume=resume,
-                fault_plan=fault_plan, profile=profile,
+                fault_plan=fault_plan,
             )
         if cache is not None:
             # stats() sizes every cached instance; only pay for it when

@@ -47,6 +47,7 @@ from typing import Callable, NamedTuple
 
 from repro.analysis.experiments import run_sweep
 from repro.analysis.scaling import fit_axis
+from repro.obs import trace as obs_trace
 from repro.runtime import InstanceCache, TrialSpec, run_trials, shared_cache
 from repro.comm.simultaneous import SimultaneousRun, run_simultaneous
 from repro.core.degree_approx import DegreeApproxParams
@@ -111,7 +112,9 @@ __all__ = [
     "row_symmetrization",
     "row_bm_lower",
     "generate_table1",
+    "run_row",
     "ALL_ROWS",
+    "ROW_IDS",
 ]
 
 
@@ -826,19 +829,27 @@ def row_mu_farness(quick: bool = True, seed: int = 0, *,
     )
 
 
-ALL_ROWS = [
-    row_unrestricted_upper,
-    row_sim_low_upper,
-    row_sim_high_upper,
-    row_oblivious,
-    row_exact_baseline,
-    row_subgraph_patterns,
-    row_oneway_streaming_lower,
-    row_sim_covered_lower,
-    row_symmetrization,
-    row_bm_lower,
-    row_mu_farness,
-]
+#: Every row function, in table order, with the id its report prints.
+ROW_IDS: dict[Callable[..., RowReport], str] = {
+    row_unrestricted_upper: "T1-R1",
+    row_sim_low_upper: "T1-R2a",
+    row_sim_high_upper: "T1-R2b",
+    row_oblivious: "T1-R2c",
+    row_exact_baseline: "X-1",
+    row_subgraph_patterns: "X-2",
+    row_oneway_streaming_lower: "T1-R3",
+    row_sim_covered_lower: "T1-R4",
+    row_symmetrization: "T1-R5",
+    row_bm_lower: "T1-R6",
+    row_mu_farness: "L4.5",
+}
+ALL_ROWS = list(ROW_IDS)
+
+
+def run_row(row_fn: Callable[..., RowReport], **kwargs) -> RowReport:
+    """Run one row inside a ``row`` trace span carrying its id."""
+    with obs_trace.span("row", row=ROW_IDS[row_fn]):
+        return row_fn(**kwargs)
 
 
 def generate_table1(quick: bool = True, seed: int = 0,
@@ -866,8 +877,8 @@ def generate_table1(quick: bool = True, seed: int = 0,
     with shared_cache(workers) as cache:
         for row_fn in ALL_ROWS:
             lines.append(
-                row_fn(quick=quick, seed=seed, workers=workers,
-                       cache=cache, journal_dir=journal_dir,
-                       resume=resume).formatted()
+                run_row(row_fn, quick=quick, seed=seed, workers=workers,
+                        cache=cache, journal_dir=journal_dir,
+                        resume=resume).formatted()
             )
     return "\n".join(lines)

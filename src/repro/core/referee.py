@@ -30,7 +30,7 @@ from typing import Iterable
 
 from repro.graphs.graph import Edge
 from repro.graphs.triangles import Triangle, find_triangle_in_rows
-from repro.obs import profile as obs_profile
+from repro.obs import trace as obs_trace
 from repro.patterns.catalog import SubgraphPattern
 from repro.patterns.matcher import find_copy_in_rows
 
@@ -54,7 +54,7 @@ def union_rows(messages: Iterable[Iterable[Edge]], n: int) -> list[int]:
 def rows_union_triangle_referee(messages: Iterable[Iterable[Edge]],
                                 n: int) -> Triangle | None:
     """The mask-native referee: union as rows, first ascending triangle."""
-    with obs_profile.phase("referee"):
+    with obs_trace.span("referee"):
         return find_triangle_in_rows(union_rows(messages, n))
 
 
@@ -62,5 +62,5 @@ def rows_union_subgraph_referee(
     messages: Iterable[Iterable[Edge]], n: int, pattern: SubgraphPattern,
 ) -> tuple[int, ...] | None:
     """The mask-native H referee: union as rows, canonical-first copy."""
-    with obs_profile.phase("referee"):
+    with obs_trace.span("referee"):
         return find_copy_in_rows(union_rows(messages, n), pattern)

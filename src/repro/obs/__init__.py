@@ -1,18 +1,17 @@
-"""Run-level observability: trace spans, metrics, per-trial profiles.
+"""Run-level observability: trace spans and metrics.
 
-Three layers, all zero-RNG-impact and all off by default:
+Two layers, both zero-RNG-impact and both off by default:
 
 - :mod:`repro.obs.trace` — :class:`TraceRecorder`, structured JSONL
   span/event records with monotonic durations and parent/child ids.
+  The trace is the one place time is recorded.
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, process-local
-  counters/gauges/timing histograms with snapshot/merge so parallel
-  workers ship their numbers home.
-- :mod:`repro.obs.profile` — opt-in per-trial phase cost profiles
-  attached to ``TrialResult.extras["profile"]``.
+  counters and gauges with snapshot/merge so parallel workers ship
+  their numbers home.
 
 ``python -m repro.obs summarize <trace.jsonl|dir>`` renders a run
-report from a recorded trace (phase breakdown, retry/fault counts,
-cache effectiveness, backend/path mix).
+report from a recorded trace (phase breakdown, per-row times,
+retry/fault counts, cache effectiveness, backend/path mix).
 """
 
 from .metrics import (

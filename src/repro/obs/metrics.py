@@ -1,13 +1,12 @@
-"""Process-local metrics: counters, gauges, and timing histograms.
+"""Process-local metrics: counters and gauges.
 
 A :class:`MetricsRegistry` is a plain in-process accumulator — no
 threads, no sockets, no background flushing.  Instrumented code calls
-the module-level helpers (:func:`inc`, :func:`gauge`, :func:`observe`,
-:func:`timer`), which are no-ops costing one global load and a ``None``
-check unless a registry has been installed via :func:`set_metrics` /
-:func:`use_metrics` (or ``run_sweep(metrics=...)``).  Nothing here ever
-touches a random number generator, so enabling metrics cannot perturb
-any record.
+the module-level helpers (:func:`inc`, :func:`gauge`), which are no-ops
+costing one global load and a ``None`` check unless a registry has been
+installed via :func:`set_metrics` / :func:`use_metrics` (or
+``run_sweep(metrics=...)``).  Nothing here ever touches a random number
+generator, so enabling metrics cannot perturb any record.
 
 Cross-process story: registries do not magically span processes.
 Instead :meth:`MetricsRegistry.snapshot` renders the whole registry as
@@ -15,23 +14,19 @@ a JSON-faithful dict and :meth:`MetricsRegistry.merge` folds such a
 snapshot back in, so parallel workers ship their registries back to the
 driver alongside their ``TrialResult``s (the executors do this
 automatically whenever metrics are active) and the driver aggregates.
-Histogram merging is bucket-count addition — associative and
-commutative, so the merge order across workers never changes the
-aggregate (asserted in ``tests/test_obs.py``).
+Counter merging is addition — associative and commutative, so the
+merge order across workers never changes the aggregate (asserted in
+``tests/test_obs.py``).
 
-Timing histograms use power-of-two second buckets (``math.frexp``
-exponents): ``observe("x", dt)`` increments the bucket whose range
-covers ``dt`` and tracks count/sum/min/max exactly.  Coarse by design —
-the histogram answers "where did the time go", the trace answers "in
-which call".
+The registry counts; it does not time.  Durations live in the trace
+(:mod:`repro.obs.trace`), whose spans say both how long and in which
+call.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import os
-import time
 from typing import Iterator
 
 __all__ = [
@@ -41,18 +36,15 @@ __all__ = [
     "use_metrics",
     "inc",
     "gauge",
-    "observe",
-    "timer",
 ]
 
 
 class MetricsRegistry:
-    """Counters, gauges, and timing histograms with snapshot/merge."""
+    """Counters and gauges with snapshot/merge."""
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, dict] = {}
         self._pid = os.getpid()
 
     # -- recording -----------------------------------------------------
@@ -65,38 +57,6 @@ class MetricsRegistry:
         """Set gauge ``name`` to ``value`` (last write wins on merge)."""
         self.gauges[name] = value
 
-    def observe(self, name: str, seconds: float) -> None:
-        """Record one duration into timing histogram ``name``."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = {
-                "count": 0, "sum": 0.0,
-                "min": math.inf, "max": -math.inf,
-                "buckets": {},
-            }
-        hist["count"] += 1
-        hist["sum"] += seconds
-        if seconds < hist["min"]:
-            hist["min"] = seconds
-        if seconds > hist["max"]:
-            hist["max"] = seconds
-        # Bucket = binary exponent of the duration: bucket e covers
-        # [2^(e-1), 2^e) seconds.  Zero/negative land in a dedicated
-        # underflow bucket so merge stays total.
-        exp = math.frexp(seconds)[1] if seconds > 0.0 else None
-        key = str(exp) if exp is not None else "underflow"
-        buckets = hist["buckets"]
-        buckets[key] = buckets.get(key, 0) + 1
-
-    @contextlib.contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Context manager observing the enclosed wall-clock duration."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, time.perf_counter() - start)
-
     # -- snapshot / merge ----------------------------------------------
 
     def snapshot(self) -> dict:
@@ -104,44 +64,20 @@ class MetricsRegistry:
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "histograms": {
-                name: {
-                    "count": h["count"], "sum": h["sum"],
-                    "min": h["min"], "max": h["max"],
-                    "buckets": dict(h["buckets"]),
-                }
-                for name, h in self.histograms.items()
-            },
         }
 
     def merge(self, snapshot: "dict | MetricsRegistry") -> None:
         """Fold a snapshot (or another registry) into this one.
 
-        Counters and histogram counts/sums add; gauges take the
-        incoming value (last write wins); histogram min/max widen.
-        Addition of counts is associative, so merging worker snapshots
-        in any grouping yields the same aggregate.
+        Counters add; gauges take the incoming value (last write
+        wins).  Addition is associative, so merging worker snapshots in
+        any grouping yields the same aggregate.
         """
         if isinstance(snapshot, MetricsRegistry):
             snapshot = snapshot.snapshot()
         for name, value in snapshot.get("counters", {}).items():
             self.counters[name] = self.counters.get(name, 0) + value
         self.gauges.update(snapshot.get("gauges", {}))
-        for name, incoming in snapshot.get("histograms", {}).items():
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = {
-                    "count": 0, "sum": 0.0,
-                    "min": math.inf, "max": -math.inf,
-                    "buckets": {},
-                }
-            hist["count"] += incoming["count"]
-            hist["sum"] += incoming["sum"]
-            hist["min"] = min(hist["min"], incoming["min"])
-            hist["max"] = max(hist["max"], incoming["max"])
-            buckets = hist["buckets"]
-            for key, count in incoming["buckets"].items():
-                buckets[key] = buckets.get(key, 0) + count
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "MetricsRegistry":
@@ -150,16 +86,14 @@ class MetricsRegistry:
         return registry
 
     def reset(self) -> None:
-        """Zero every counter, gauge, and histogram."""
+        """Zero every counter and gauge."""
         self.counters.clear()
         self.gauges.clear()
-        self.histograms.clear()
 
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(counters={len(self.counters)}, "
-            f"gauges={len(self.gauges)}, "
-            f"histograms={len(self.histograms)})"
+            f"gauges={len(self.gauges)})"
         )
 
 
@@ -201,31 +135,6 @@ def inc(name: str, value: float = 1) -> None:
 def gauge(name: str, value: float) -> None:
     if _ACTIVE is not None:
         _ACTIVE.gauge(name, value)
-
-
-def observe(name: str, seconds: float) -> None:
-    if _ACTIVE is not None:
-        _ACTIVE.observe(name, seconds)
-
-
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
-def timer(name: str):
-    """A timing context — free when metrics are off."""
-    if _ACTIVE is None:
-        return _NULL_TIMER
-    return _ACTIVE.timer(name)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ sibling files a forked run leaves behind — and prints:
   duration minus its children's), which partitions the root span
   exactly, so the table always sums to the run's wall clock up to
   clock-read jitter,
+- the duration of each Table 1 ``row`` span, when the run had any,
 - retry/fault/degrade event counts,
 - cache effectiveness, backend mix, and generator-path mix, read from
   the end-of-run ``metrics`` snapshot event when one was recorded.
@@ -123,6 +124,14 @@ def summarize(records: list[dict]) -> str:
         lines.append(
             f"  {name:<22} {count:>7} {total:>10.3f} {self_dur:>10.3f} {pct:>6.1f}%"
         )
+    row_spans = [r for r in spans if r["name"] == "row"]
+    if row_spans:
+        lines.append("")
+        lines.append("Rows:")
+        lines.append(f"  {'row':<8} {'s':>10}")
+        for record in row_spans:
+            row_id = (record.get("attrs") or {}).get("row", "?")
+            lines.append(f"  {row_id:<8} {record['dur']:>10.3f}")
 
     fault_names = (
         "retry", "timeout", "pool_rebuild", "degrade_serial",

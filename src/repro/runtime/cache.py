@@ -208,7 +208,6 @@ class InstanceCache:
         self.build_seconds += elapsed
         obs_metrics.inc("cache.build")
         obs_metrics.inc("cache.build_seconds", elapsed)
-        obs_metrics.observe("cache.build_time", elapsed)
         self._store_memory(key, value)
         if path is not None:
             # Per-writer tmp file + atomic rename: concurrent builders of

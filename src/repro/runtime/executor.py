@@ -77,7 +77,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.comm.randomness import SharedRandomness
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import InstanceCache
 from repro.runtime.journal import RunJournal
@@ -183,26 +182,19 @@ class TrialTask:
         Optional :class:`~repro.runtime.faults.FaultPlan` consulted
         before every trial of :meth:`run_batch` — the deterministic
         fault-injection seam the recovery machinery is tested through.
-    profile:
-        When true, a per-trial phase cost profile (``build`` /
-        ``stream`` / ``protocol`` / ``referee`` seconds) is attached to
-        ``TrialResult.extras["profile"]``.  Opt-in because it changes
-        the record — see :mod:`repro.obs.profile`.
     """
 
     def __init__(self, instance_fn: InstanceFn, protocol: ProtocolFn, *,
                  cache: InstanceCache | None = None,
                  instance_key: str | None = None,
                  metrics: MetricsFn | None = None,
-                 fault_plan: "FaultPlan | None" = None,
-                 profile: bool = False) -> None:
+                 fault_plan: "FaultPlan | None" = None) -> None:
         self.instance_fn = instance_fn
         self.protocol = protocol
         self.cache = cache
         self.instance_key = instance_key
         self.metrics = metrics
         self.fault_plan = fault_plan
-        self.profile = profile
         try:
             parameters = inspect.signature(instance_fn).parameters
             self._pass_k = "k" in parameters
@@ -235,54 +227,30 @@ class TrialTask:
 
     def _run_one(self, spec: TrialSpec,
                  stream: SharedRandomness | None,
-                 local: dict[tuple, object],
-                 stream_cost: float = 0.0) -> TrialResult:
+                 local: dict[tuple, object]) -> TrialResult:
         """One trial against a batch-local instance map — the shared core
         of :meth:`run_batch` and the per-trial oracle."""
-        if not self.profile:
-            return self._execute(spec, stream, local, None, stream_cost)
-        with obs_profile.profile_scope() as profile:
-            return self._execute(spec, stream, local, profile, stream_cost)
-
-    def _execute(self, spec: TrialSpec,
-                 stream: SharedRandomness | None,
-                 local: dict[tuple, object],
-                 profile: dict | None,
-                 stream_cost: float) -> TrialResult:
         with obs_trace.span("trial", point=spec.point_index,
-                            trial=spec.trial_index, n=spec.n), \
-                obs_metrics.timer("trial.seconds"):
-            if stream_cost:
-                # This trial's even share of the batch's one stream
-                # construction (per-trial runs build streams inside the
-                # protocol, where the cost lands in the protocol phase).
-                obs_profile.charge("stream", stream_cost)
+                            trial=spec.trial_index, n=spec.n):
             key = self.cache_key(spec)
             try:
                 instance = local[key]
             except KeyError:
-                with obs_trace.span("build"), obs_profile.phase("build"):
+                with obs_trace.span("build"):
                     instance = local[key] = self.build_instance(spec)
-            with obs_trace.span("protocol"), obs_profile.phase("protocol"):
+            with obs_trace.span("protocol"):
                 if stream is not None:
                     outcome = self.protocol(instance, spec.seed, shared=stream)
                 else:
                     outcome = self.protocol(instance, spec.seed)
-        extras = (
-            self.metrics(spec, instance, outcome)
-            if self.metrics is not None else None
-        )
-        if profile is not None:
-            extras = dict(extras) if extras else {}
-            extras["profile"] = {
-                name: round(seconds, 9)
-                for name, seconds in sorted(profile.items())
-            }
         return TrialResult.from_outcome(
             spec,
             bits=outcome.total_bits,
             found=outcome.found,
-            extras=extras,
+            extras=(
+                self.metrics(spec, instance, outcome)
+                if self.metrics is not None else None
+            ),
         )
 
     def _batch_streams(self, batch: TrialBatch
@@ -320,15 +288,8 @@ class TrialTask:
         with obs_trace.span("batch", point=batch.point_index,
                             trials=len(batch.specs), attempt=attempt):
             try:
-                with obs_trace.span("streams"), \
-                        obs_metrics.timer("batch.stream_seconds"):
-                    started = time.perf_counter()
+                with obs_trace.span("streams"):
                     streams = self._batch_streams(batch)
-                    stream_cost = (
-                        (time.perf_counter() - started)
-                        / max(1, len(batch.specs))
-                        if self.profile else 0.0
-                    )
             except Exception as error:
                 if not capture:
                     raise
@@ -339,9 +300,7 @@ class TrialTask:
                 try:
                     if self.fault_plan is not None:
                         self.fault_plan.apply(spec, attempt)
-                    results.append(
-                        self._run_one(spec, stream, local, stream_cost)
-                    )
+                    results.append(self._run_one(spec, stream, local))
                 except Exception as error:
                     if not capture:
                         raise
@@ -396,24 +355,21 @@ def _journal_batch(journal: RunJournal | None, batch: TrialBatch,
         journal.record(spec, result)
 
 
-def _rebind_coordinates(batch: TrialBatch,
-                        outcome: Sequence[TrialResult]) -> list[TrialResult]:
-    """Rebuild worker-returned records on the driver's own spec objects.
+def _rebind_coordinates(spec: TrialSpec, result: TrialResult) -> TrialResult:
+    """Rebuild a record made elsewhere on the driver's own spec objects.
 
     Exactly what a driver-side ``TrialResult.from_outcome`` call would
     reference: within a grid point the specs share coordinate objects
     (one ``d`` float per point), so the pickled byte stream of the final
-    record *list* matches serial execution no matter how the records
-    were split across futures on the way home.
+    record *list* matches serial execution no matter where the records
+    came from — a pool worker, split across futures, or a resumed run's
+    journal.
     """
-    return [
-        replace(
-            result,
-            point_index=spec.point_index, trial_index=spec.trial_index,
-            n=spec.n, d=spec.d, k=spec.k, seed=spec.seed,
-        )
-        for spec, result in zip(batch.specs, outcome)
-    ]
+    return replace(
+        result,
+        point_index=spec.point_index, trial_index=spec.trial_index,
+        n=spec.n, d=spec.d, k=spec.k, seed=spec.seed,
+    )
 
 
 def _call_with_timeout(fn: Callable[[], object],
@@ -739,7 +695,10 @@ class ParallelExecutor(Executor):
                             last_outcome[i] = _error_results(batch, error)
                         continue
                     obs_metrics.absorb(shipped)
-                    outcome = _rebind_coordinates(batch, outcome)
+                    outcome = [
+                        _rebind_coordinates(spec, result)
+                        for spec, result in zip(batch.specs, outcome)
+                    ]
                     if all(result.ok for result in outcome):
                         results[i] = outcome
                         _journal_batch(journal, batch, outcome)
@@ -841,8 +800,7 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
                retry: RetryPolicy | None = None,
                journal: RunJournal | str | os.PathLike | None = None,
                resume: bool = False,
-               fault_plan: "FaultPlan | None" = None,
-               profile: bool = False) -> list[TrialResult]:
+               fault_plan: "FaultPlan | None" = None) -> list[TrialResult]:
     """Run every spec, one batch per grid point; results in spec order.
 
     The callables are wrapped in a :class:`TrialTask`, the specs are
@@ -875,10 +833,6 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
         A :class:`~repro.runtime.faults.FaultPlan` injecting
         deterministic failures (raise / hang / kill-worker) into chosen
         trials — the CI seam that proves every recovery path above.
-    profile:
-        Attach a per-trial phase cost profile to
-        ``TrialResult.extras["profile"]`` (opt-in; changes the record —
-        see :mod:`repro.obs.profile`).
     """
     if resume and journal is None:
         raise ValueError("resume=True requires a journal")
@@ -887,7 +841,7 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
         retry = RetryPolicy(max_attempts=1)
     task = TrialTask(instance_fn, protocol, cache=cache,
                      instance_key=instance_key, metrics=metrics,
-                     fault_plan=fault_plan, profile=profile)
+                     fault_plan=fault_plan)
     chosen = executor if executor is not None else default_executor(workers)
     with obs_trace.span("run_trials", specs=len(specs)):
         owns_journal = (
@@ -921,17 +875,7 @@ def _run_with_replay(task: TrialTask, executor: Executor,
         for index, spec in enumerate(spec_list):
             recorded = journal.get(spec)
             if recorded is not None:
-                # Rebuild the record on the caller's own spec coordinate
-                # objects, exactly as a live ``TrialResult.from_outcome``
-                # would — this keeps the within-point object sharing (and
-                # hence the pickled byte stream of the whole record list)
-                # identical to an uninterrupted run.
-                replayed[index] = replace(
-                    recorded,
-                    point_index=spec.point_index,
-                    trial_index=spec.trial_index,
-                    n=spec.n, d=spec.d, k=spec.k, seed=spec.seed,
-                )
+                replayed[index] = _rebind_coordinates(spec, recorded)
     if replayed:
         obs_metrics.inc("journal.replayed", len(replayed))
         obs_trace.event("resume", replayed=len(replayed),

@@ -261,7 +261,7 @@ class RunJournal:
                 "sweeps need JSON-faithful extras: ints/floats/bools/"
                 f"strings/None, no tuples): {result!r}"
             )
-        with obs_metrics.timer("journal.append_seconds"):
+        with obs_trace.span("journal.append"):
             self._append_line(json.dumps(
                 {"key": key, "result": payload,
                  "checksum": _checksum(key + body)},

@@ -1,16 +1,17 @@
-"""Tests for the observability subsystem (PR 10, ``repro.obs``).
+"""Tests for the observability subsystem (``repro.obs``).
 
 The load-bearing contract: tracing and metrics never touch a random
 number generator, so `TrialResult` records are byte-identical with
 observability on or off — across serial and parallel executors (fork
-and spawn) and across the batched and per-trial engines.  The per-trial
-*profile* is the one opt-in surface that deliberately changes the
-record, so it lives behind its own flag.
+and spawn) and across the batched and per-trial engines.  Time is
+recorded only in the trace: every trial's phases (``build``,
+``protocol``, ``referee``) are spans, serial and pooled alike.
 
 Also covered: `MetricsRegistry` snapshot/merge algebra (merge must be
 associative so worker-shipping order cannot change aggregates), trace
 JSONL round-trips through `load_trace`, the `summarize` report's
-self-time partition, the logging bridge, and `InstanceCache.reset`.
+self-time partition and per-row table, the logging bridge, and
+`InstanceCache.reset`.
 """
 
 import json
@@ -59,53 +60,35 @@ def sweep(**kwargs):
 
 # ----------------------------------------------------------------------
 class TestMetricsRegistry:
-    def test_counter_gauge_histogram_basics(self):
+    def test_counter_gauge_basics(self):
         registry = MetricsRegistry()
         registry.inc("a")
         registry.inc("a", 2)
         registry.gauge("g", 7.0)
-        registry.observe("h", 0.25)
-        registry.observe("h", 0.75)
         assert registry.counters["a"] == 3
         assert registry.gauges["g"] == 7.0
-        hist = registry.histograms["h"]
-        assert hist["count"] == 2
-        assert hist["sum"] == 1.0
-        assert hist["min"] == 0.25
-        assert hist["max"] == 0.75
-        # 0.25 sits in [2^-3, 2^-2) -> exponent -1 of frexp is -2;
-        # what matters is that the two land in distinct power-of-two
-        # buckets and the counts are exact.
-        assert sum(hist["buckets"].values()) == 2
-
-    def test_zero_duration_lands_in_underflow_bucket(self):
-        registry = MetricsRegistry()
-        registry.observe("h", 0.0)
-        registry.observe("h", -1.0)
-        assert registry.histograms["h"]["buckets"] == {"underflow": 2}
 
     def test_snapshot_is_json_faithful_and_roundtrips(self):
         registry = MetricsRegistry()
         registry.inc("c", 5)
         registry.gauge("g", 1.5)
-        registry.observe("h", 0.1)
         snapshot = registry.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
+        assert set(snapshot) == {"counters", "gauges"}
         rebuilt = MetricsRegistry.from_snapshot(snapshot)
         assert rebuilt.snapshot() == snapshot
         # The snapshot is a deep copy: mutating the registry afterwards
         # must not reach into it.
         registry.inc("c")
-        registry.observe("h", 0.1)
+        registry.gauge("g", 2.5)
         assert snapshot["counters"]["c"] == 5
-        assert snapshot["histograms"]["h"]["count"] == 1
+        assert snapshot["gauges"]["g"] == 1.5
 
     def test_merge_is_associative(self):
         def filled(seed_values):
             registry = MetricsRegistry()
             for i, value in enumerate(seed_values):
                 registry.inc(f"c{i % 2}", value)
-                registry.observe("h", value)
             return registry.snapshot()
 
         # Dyadic values: float addition is exact on them, so the
@@ -129,9 +112,6 @@ class TestMetricsRegistry:
         assert obs_metrics.get_metrics() is None
         obs_metrics.inc("nope")
         obs_metrics.gauge("nope", 1.0)
-        obs_metrics.observe("nope", 0.5)
-        with obs_metrics.timer("nope"):
-            pass  # the shared null timer records nothing
 
     def test_ship_returns_deltas_and_resets(self):
         registry = MetricsRegistry()
@@ -320,24 +300,43 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
-class TestProfile:
-    def test_profile_off_by_default(self):
-        result = sweep(workers=1)
-        assert all("profile" not in r.extras for r in result.records)
+class TestTraceTiming:
+    """Time is recorded in the trace: every phase of every trial, on any
+    executor, and every journal append."""
 
-    def test_profile_attaches_phase_breakdown(self):
-        result = sweep(workers=1, profile=True)
-        for record in result.records:
-            profile = record.extras["profile"]
-            assert set(profile) >= {"build", "protocol"}
-            assert all(v >= 0.0 for v in profile.values())
+    @staticmethod
+    def assert_phase_tree(records):
+        spans = [r for r in records if r["type"] == "span"]
+        children: dict[str, list[dict]] = {}
+        for record in spans:
+            children.setdefault(record.get("parent"), []).append(record)
+        trials = [r for r in spans if r["name"] == "trial"]
+        assert len(trials) == len(GRID) * 2
+        for trial in trials:
+            (protocol,) = [c for c in children.get(trial["id"], [])
+                           if c["name"] == "protocol"]
+            names = [c["name"] for c in children.get(protocol["id"], [])]
+            assert "referee" in names
 
-    def test_profile_survives_parallel_executors(self):
-        result = sweep(
-            executor=ParallelExecutor(workers=2, start_method="fork"),
-            profile=True,
-        )
-        assert all("profile" in r.extras for r in result.records)
+    def test_serial_trials_have_protocol_and_referee_spans(self, tmp_path):
+        sweep(workers=1, trace=tmp_path / "trace.jsonl")
+        self.assert_phase_tree(load_trace(tmp_path))
+
+    def test_fork_pool_trials_have_protocol_and_referee_spans(self, tmp_path):
+        sweep(executor=ParallelExecutor(workers=2, start_method="fork"),
+              trace=tmp_path / "trace.jsonl")
+        records = load_trace(tmp_path)
+        # The trials ran in the workers, whose sibling files hold them.
+        assert all(r["pid"] != os.getpid()
+                   for r in records if r["name"] == "trial")
+        self.assert_phase_tree(records)
+
+    def test_journal_appends_are_spans(self, tmp_path):
+        sweep(workers=1, trace=tmp_path / "trace.jsonl",
+              journal=tmp_path / "journal" / "run.jsonl")
+        appends = [r for r in load_trace(tmp_path)
+                   if r["name"] == "journal.append"]
+        assert len(appends) == len(GRID) * 2
 
 
 # ----------------------------------------------------------------------

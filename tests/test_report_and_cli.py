@@ -1,5 +1,6 @@
 """Tests for the report writer and the CLI entry point."""
 
+import json
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from env_helpers import child_env
 from repro.analysis.report import build_report, write_report
 from repro.analysis.__main__ import ROWS_BY_ID, main
+from repro.obs.summarize import load_trace, summarize
 
 _CHILD_ENV = child_env()
 
@@ -36,6 +38,23 @@ class TestCli:
 
         assert len(ROWS_BY_ID) == len(ALL_ROWS)
         assert set(ROWS_BY_ID.values()) == set(ALL_ROWS)
+
+    def test_traced_row_is_one_row_span(self, tmp_path, capsys):
+        trace_dir = tmp_path / "trace"
+        metrics_out = tmp_path / "metrics.json"
+        exit_code = main(["--row", "T1-R2A", "--workers", "1",
+                          "--trace-dir", str(trace_dir),
+                          "--metrics-out", str(metrics_out)])
+        assert exit_code == 0
+        assert capsys.readouterr().out.startswith("T1-R2a ")
+        records = load_trace(trace_dir)
+        (row,) = [r for r in records if r["name"] == "row"]
+        assert row["attrs"] == {"row": "T1-R2a"}
+        report = summarize(records)
+        rows_table = report.split("Rows:\n", 1)[1].split("\n\n", 1)[0]
+        assert "T1-R2a" in rows_table
+        snapshot = json.loads(metrics_out.read_text())
+        assert set(snapshot) == {"counters", "gauges"}
 
     def test_module_invocation(self):
         result = subprocess.run(
