@@ -4,8 +4,8 @@ PR 2 made the *graph* layer word-wide; this driver measures the protocol
 *execution* layer that PR 3 rebuilt on the same kernel: whole-protocol
 trials of the simultaneous testers (sim-low, sim-high, oblivious) on the
 canonical epsilon-far disjoint partition, run once with the mask-native
-:class:`~repro.comm.players.Player` (cached partition adjacency rows,
-mask harvests, O(1) ledger) and once with the preserved
+:class:`~repro.comm.players.Player` (players memoized on the
+partition, key-array mask harvests, O(1) ledger) and once with the preserved
 :class:`~oracles.comm.SetPlayer` (per-trial frozenset shredding,
 per-edge Python set harvests).  Both execute the identical protocol code
 (:func:`oracles.comm.set_players` swaps the protocol modules'

@@ -6,7 +6,7 @@ seeded trials against one instance.  The per-trial reference
 (``TrialTask.__call__`` on every spec) pays the full cost per trial —
 rebuild the instance, rebuild the players, reseed the coins.
 ``run_trials`` on shared-instance specs builds the instance once per
-grid point, reuses the players' packed adjacency rows across the
+grid point, reuses its players (and whatever they built) across the
 repetition axis, and constructs all trial coin streams in one pass.
 
 Every row asserts the acceptance bar before any speedup is reported:

@@ -17,21 +17,28 @@ The methods mirror the local steps of Sections 3.1, 3.3 and 3.4:
   ("each player examines its own input ... for an edge that closes a
   triangle together with some vee").
 
-A player holds its view twice: as the bitset kernel of
-:class:`~repro.graphs.graph.Graph` (one adjacency-mask int per vertex, so
-``has_edge`` is a shift-and-test and ``local_degree`` a popcount) and as
-the sorted canonical edge-key array it was built from.  The sample-wide
-harvests — the protocol hot path — test the key array against the
-samples' membership arrays in a few numpy passes instead of per-edge
-Python set work.  The mask-form harvests (``edges_within_mask`` and
-friends) return edges in ascending canonical order, which is exactly the
-``sorted(...)`` order the protocols previously imposed, so messages (and
-cap truncations) are byte-identical to the set-based ``SetPlayer``
-preserved under ``tests/oracles/``.
+A player holds its view as the sorted canonical edge-key array
+``u * n + v`` it was built from, and derives everything else from it on
+first use.  The sample-wide harvests — the protocol hot path — test the
+key array against the samples' membership arrays in a few numpy passes
+instead of per-edge Python set work.  Per-vertex queries read arrays: a
+``bincount`` degree array and a neighbour index (an ``indptr`` plus one
+stable argsort of the endpoints), so ``local_neighbor_array(v)`` is a
+slice.  The bitset form of :class:`~repro.graphs.graph.Graph` (one
+adjacency-mask int per vertex) is built only where a caller reads it:
+one row per vertex asked for (``local_neighbor_mask``, ``has_edge``),
+or all n rows at once for whole-view consumers (``adjacency_rows``,
+``sorted_edges``).  Every row read is the same int either way.
 
-Players built via :func:`make_players` reuse the per-player adjacency rows
-cached on the :class:`~repro.graphs.partition.EdgePartition`, so repeated
-trials on the same partition never re-shred the edge views.
+The mask-form harvests (``edges_within_mask`` and friends) return edges
+in ascending canonical order, which is exactly the ``sorted(...)`` order
+the protocols previously imposed, so messages (and cap truncations) are
+byte-identical to the set-based ``SetPlayer`` preserved under
+``tests/oracles/``.
+
+Players built via :func:`make_players` are memoized on the
+:class:`~repro.graphs.partition.EdgePartition`, so repeated trials on
+the same partition share whatever the first trial built.
 """
 
 from __future__ import annotations
@@ -55,8 +62,8 @@ __all__ = ["Player", "make_players"]
 
 #: Keys (predicates times v's local degree) from which Theorem 3.1 hit
 #: tests key v's neighbours as one array: below it the fixed cost of the
-#: numpy passes (unpacking all n bits of the row, a dozen uint64 ufuncs)
-#: exceeds a scalar key per neighbour.  Both forms compute the same keys.
+#: numpy passes (a dozen uint64 ufuncs over v's neighbour slice) exceeds
+#: a scalar key per neighbour.  Both forms compute the same keys.
 _ARRAY_HIT_MIN_KEYS = 32
 
 
@@ -71,32 +78,27 @@ class Player:
         Number of vertices of the (publicly known) vertex universe.
     edges:
         The player's private edge view ``E_j`` (any orientation,
-        duplicates allowed).  Ignored when ``rows`` and ``keys`` are
-        given.
-    rows, keys:
-        Optional prebuilt form of the view, given together: per-vertex
-        adjacency masks and the sorted canonical edge keys
-        ``u * n + v`` (the cached
-        :meth:`~repro.graphs.partition.EdgePartition.adjacency_rows` and
+        duplicates allowed).  Ignored when ``keys`` is given.
+    keys:
+        Optional prebuilt form of the view: the sorted canonical edge
+        keys ``u * n + v`` (the partition's
         :attr:`~repro.graphs.partition.EdgePartition.view_keys`).
         Treated as read-only and may be shared between Player instances.
         Built from ``edges`` otherwise.  The edge count is the key
-        count and the degree array one ``bincount`` over the keys.
+        count; degrees, neighbour lists and adjacency rows are derived
+        from the keys on first use.
     """
 
     __slots__ = (
-        "player_id", "n", "_rows", "_keys", "_num_edges", "_edges_cache",
-        "_ends", "_degrees",
+        "player_id", "n", "_keys", "_num_edges", "_edges_cache", "_ends",
+        "_degrees", "_neighbours", "_rows", "_row_memo",
     )
 
     def __init__(self, player_id: int, n: int, edges: Iterable[Edge] = (),
-                 *, rows: list[int] | None = None,
-                 keys: np.ndarray | None = None) -> None:
+                 *, keys: np.ndarray | None = None) -> None:
         self.player_id = player_id
         self.n = n
-        if (rows is None) != (keys is None):
-            raise TypeError("rows and keys are given together")
-        if rows is None:
+        if keys is None:
             flat = []
             for u, v in edges:
                 if u == v:
@@ -107,14 +109,14 @@ class Player:
                     )
                 flat.append(u * n + v if u < v else v * n + u)
             keys = unique_keys(np.array(flat, dtype=np.int64))
-            rows = [0] * n
-            or_edges_into_rows(rows, keys // n, keys % n)
-        self._rows = rows
         self._keys = keys
         self._num_edges = int(keys.size)
         self._edges_cache: frozenset[Edge] | None = None
         self._ends: tuple[np.ndarray, np.ndarray] | None = None
         self._degrees: np.ndarray | None = None
+        self._neighbours: tuple[np.ndarray, np.ndarray] | None = None
+        self._rows: list[int] | None = None
+        self._row_memo: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Introspection (local, free)
@@ -130,7 +132,7 @@ class Player:
         return self._num_edges
 
     def _iter_edges(self):
-        for u, row in enumerate(self._rows):
+        for u, row in enumerate(self.adjacency_rows()):
             upper = row >> (u + 1)
             while upper:
                 low = upper & -upper
@@ -141,49 +143,101 @@ class Player:
         """All local edges in ascending canonical order."""
         return list(self._iter_edges())
 
+    def adjacency_rows(self) -> list[int]:
+        """The per-vertex adjacency masks — treat as READ-ONLY.
+
+        All n rows are built on the first call and memoized; the
+        per-vertex rows built before it are dropped.
+        """
+        rows = self._rows
+        if rows is None:
+            us, vs = self._endpoints()
+            rows = [0] * self.n
+            or_edges_into_rows(rows, us, vs)
+            self._rows = rows
+            self._row_memo.clear()
+        return rows
+
     def _row(self, v: int) -> int:
         """Row of ``v``, empty for out-of-universe vertices.
 
+        Read from :meth:`adjacency_rows` once that exists, else ORed
+        from v's neighbour slice on first use and memoized per vertex.
         Matches the reference SetPlayer, whose dict adjacency answers
         unknown-vertex queries with "no neighbours" — in particular a
         negative id must not wrap around to vertex ``n + v``.
         """
-        if 0 <= v < self.n:
-            return self._rows[v]
-        return 0
+        if not 0 <= v < self.n:
+            return 0
+        rows = self._rows
+        if rows is not None:
+            return rows[v]
+        row = self._row_memo.get(v)
+        if row is None:
+            row = self._row_memo[v] = mask_of(
+                self.local_neighbor_array(v).tolist()
+            )
+        return row
 
-    def adjacency_rows(self) -> list[int]:
-        """The per-vertex adjacency masks — treat as READ-ONLY."""
-        return self._rows
+    def _mask_in_universe(self, vertices: Iterable[int]) -> int:
+        """``mask_of(vertices)`` without the ids outside ``[0, n)``.
+
+        Such ids hold no edges here (the rule :meth:`_row` applies), and
+        a negative one has no bit to set.
+        """
+        n = self.n
+        return mask_of(u for u in vertices if 0 <= u < n)
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v or v < 0:
             return False
         return bool(self._row(u) >> v & 1)
 
+    def _degree_array(self) -> np.ndarray:
+        """d_j(v) for every vertex ``0 .. n-1``: one ``bincount``, memoized."""
+        degrees = self._degrees
+        if degrees is None:
+            us, vs = self._endpoints()
+            degrees = self._degrees = np.bincount(
+                us, minlength=self.n
+            ) + np.bincount(vs, minlength=self.n)
+        return degrees
+
     def local_degree(self, v: int) -> int:
         """d_j(v): degree of v in this player's view."""
-        return self._row(v).bit_count()
+        if 0 <= v < self.n:
+            return int(self._degree_array()[v])
+        return 0
 
     def local_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(iter_bits(self._row(v)))
+        return frozenset(self.local_neighbor_array(v).tolist())
 
     def local_neighbor_mask(self, v: int) -> int:
         """N_j(v) as a bitmask — the raw kernel word."""
         return self._row(v)
 
     def local_neighbor_array(self, v: int) -> np.ndarray:
-        """N_j(v) as an ascending int64 array, unpacked from v's row.
+        """N_j(v) as an ascending, read-only int64 array.
 
-        One ``np.unpackbits`` over the row's bytes, not memoized: the
-        array is built per call so players hold no second index.
+        A slice of the neighbour index, built on the first call: the
+        ``indptr`` is the cumulative degree array, and one stable
+        argsort groups the key endpoints by vertex.  Sources run
+        ``vs`` before ``us``, so each slice lists v's lower neighbours
+        (ascending, from keys ``(u, v)``) before its upper ones.
         """
-        row = self._row(v)
-        raw = np.frombuffer(
-            row.to_bytes((row.bit_length() + 7) >> 3, "little"),
-            dtype=np.uint8,
-        )
-        return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+        if not 0 <= v < self.n:
+            return np.empty(0, dtype=np.int64)
+        index = self._neighbours
+        if index is None:
+            us, vs = self._endpoints()
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(self._degree_array(), out=indptr[1:])
+            order = np.argsort(np.concatenate((vs, us)), kind="stable")
+            targets = np.concatenate((us, vs))[order]
+            targets.flags.writeable = False
+            index = self._neighbours = (indptr, targets)
+        indptr, targets = index
+        return targets[indptr[v]:indptr[v + 1]]
 
     def average_local_degree(self) -> float:
         """d-bar_j = 2|E_j| / n, the §3.4.3 per-player density estimate."""
@@ -197,21 +251,14 @@ class Player:
         Phase one of Theorem 3.1: each player reports only the MSB index,
         costing O(log log d) bits.
         """
-        degree = self._row(v).bit_count()
+        degree = self.local_degree(v)
         if degree == 0:
             return None
         return degree.bit_length() - 1
 
     def _suspected_indices(self, index: int, k: int) -> np.ndarray:
         """B~_i^j as an ascending vertex array over the memoized degrees."""
-        degrees = self._degrees
-        if degrees is None:
-            n = self.n
-            us, vs = self._endpoints()
-            degrees = np.bincount(us, minlength=n) + np.bincount(
-                vs, minlength=n
-            )
-            self._degrees = degrees
+        degrees = self._degree_array()
         lower, upper = suspected_degree_bounds(index, k)
         return np.flatnonzero((degrees >= lower) & (degrees <= upper))
 
@@ -252,7 +299,7 @@ class Player:
         coordinator then takes the global minimum over players' minima.
         """
         best_neighbor = self.first_vertex_under_rank(
-            iter_bits(self._row(v)), rank
+            self.local_neighbor_array(v).tolist(), rank
         )
         if best_neighbor is None:
             return None
@@ -299,7 +346,9 @@ class Player:
     def edges_at_vertex_in_sample(self, v: int, sample: set[int]
                                   ) -> set[Edge]:
         """E_j ∩ ({v} × S): Algorithm 4's per-vertex edge sample."""
-        return set(self.edges_at_vertex_in_mask(v, mask_of(sample)))
+        return set(
+            self.edges_at_vertex_in_mask(v, self._mask_in_universe(sample))
+        )
 
     def edges_within_mask(self, sample_mask: int) -> list[Edge]:
         """E_j ∩ S² as a sorted list: Algorithms 7 and 9's harvest."""
@@ -310,7 +359,7 @@ class Player:
 
     def edges_within(self, sample: set[int]) -> set[Edge]:
         """E_j ∩ S²: the induced-subgraph harvest of Algorithms 7 and 9."""
-        return set(self.edges_within_mask(mask_of(sample)))
+        return set(self.edges_within_mask(self._mask_in_universe(sample)))
 
     def edges_touching_both_mask(self, r_mask: int, rs_mask: int
                                  ) -> list[Edge]:
@@ -332,7 +381,8 @@ class Player:
         """Edges with one endpoint in R and the other in R ∪ S (Alg 8/10)."""
         return set(
             self.edges_touching_both_mask(
-                mask_of(r_sample), mask_of(rs_sample)
+                self._mask_in_universe(r_sample),
+                self._mask_in_universe(rs_sample),
             )
         )
 
@@ -346,12 +396,7 @@ class Player:
         ``sample`` is a public set of *potential neighbours* of v; the
         player answers with a single bit.
         """
-        row = self._row(v)
-        if not row:
-            return False
-        if len(sample) < row.bit_count():
-            return any(row >> u & 1 for u in sample)
-        return any(u in sample for u in iter_bits(row))
+        return self.sample_hits_vertex_mask(v, self._mask_in_universe(sample))
 
     def any_incident_neighbor_in(self, v: int,
                                  pred: Callable[[int], bool]) -> bool:
@@ -375,17 +420,15 @@ class Player:
         of them in one block; otherwise each predicate is asked per
         neighbour.
         """
-        row = self._row(v)
-        if not row:
+        neighbours = self.local_neighbor_array(v)
+        if not neighbours.size:
             return [False] * len(preds)
         if (
-            len(preds) * row.bit_count() >= _ARRAY_HIT_MIN_KEYS
+            len(preds) * neighbours.size >= _ARRAY_HIT_MIN_KEYS
             and all(isinstance(pred, PublicPredicate) for pred in preds)
         ):
-            return PublicPredicate.any_pass(
-                preds, self.local_neighbor_array(v)
-            )
-        neighbours = list(iter_bits(row))
+            return PublicPredicate.any_pass(preds, neighbours)
+        neighbours = neighbours.tolist()
         return [any(pred(u) for u in neighbours) for pred in preds]
 
     def any_edge_index_in(self, edge_index: Callable[[Edge], int],
@@ -453,22 +496,20 @@ class Player:
 def make_players(partition) -> list[Player]:
     """Build the k Player objects of an :class:`EdgePartition`.
 
-    The player list itself is memoized on the partition (players are
-    read-only views over the partition's cached adjacency rows, and
-    their internal caches memoize pure functions of those rows), so the
-    repetition axis of a batched grid point shares one set of Player
-    objects — repeated trials pay nothing for player construction or row
-    re-shredding.
+    Each player is built from its sorted key array alone, so this costs
+    no row building.  The player list itself is memoized on the
+    partition (players are read-only views over the partition's key
+    arrays, and their internal caches memoize pure functions of those
+    keys), so the repetition axis of a batched grid point shares one set
+    of Player objects and whatever rows and indexes earlier trials
+    built.
     """
     cached = partition._players_cache
     if cached is not None:
         return cached
     n = partition.graph.n
     players = [
-        Player(
-            j, n, rows=partition.adjacency_rows(j),
-            keys=partition.view_keys[j],
-        )
+        Player(j, n, keys=partition.view_keys[j])
         for j in range(partition.k)
     ]
     partition._players_cache = players

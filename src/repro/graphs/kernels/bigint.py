@@ -154,10 +154,11 @@ class BigintKernel:
 def or_edges_into_rows(rows: list[int], us, vs) -> None:
     """Set both directions of every edge ``(us[i], vs[i])`` in ``rows``.
 
-    The one array-to-bignum builder: graph kernels and the per-player
-    rows of :class:`~repro.graphs.partition.EdgePartition` share it.  A
-    plain loop over ``tolist()`` values beats per-vertex numpy byte
-    buffers on sparse rows, where most vertices have few neighbours.
+    The one array-to-bignum builder: graph kernels and a player's whole
+    row list (:meth:`~repro.comm.players.Player.adjacency_rows`) share
+    it.  A plain loop over ``tolist()`` values beats per-vertex numpy
+    byte buffers on sparse rows, where most vertices have few
+    neighbours.
     """
     for u, v in zip(us.tolist(), vs.tolist()):
         rows[u] |= 1 << v

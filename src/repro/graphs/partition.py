@@ -32,7 +32,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.graphs.graph import Edge, Graph, canonical_edge, unique_keys
-from repro.graphs.kernels.bigint import or_edges_into_rows
 
 __all__ = [
     "EdgePartition",
@@ -53,8 +52,9 @@ class EdgePartition:
     ``EdgePartition(graph, views)`` takes views as edge iterables (any
     orientation); the partitioners below build key arrays directly
     through :meth:`from_keys`.  :attr:`views` hands the edges out as
-    frozensets, built on first use.  Per-player adjacency rows are
-    built once per player and memoized.
+    frozensets, built on first use.  Players
+    (:func:`~repro.comm.players.make_players`) are built from the key
+    arrays and memoized here.
     """
 
     def __init__(self, graph: Graph,
@@ -88,7 +88,6 @@ class EdgePartition:
         self.graph = graph
         self.view_keys = keys
         self._views = None
-        self._rows_cache: dict[int, list[int]] = {}
         self._players_cache = None
         for array in keys:
             array.flags.writeable = False
@@ -126,27 +125,6 @@ class EdgePartition:
     @property
     def k(self) -> int:
         return len(self.view_keys)
-
-    def adjacency_rows(self, player: int) -> list[int]:
-        """Player ``player``'s view as per-vertex adjacency masks, cached.
-
-        This is the bitset-kernel form of ``views[player]`` (one int per
-        vertex, bit ``v`` of row ``u`` set iff {u, v} ∈ E_j) that
-        :func:`~repro.comm.players.make_players` hands to the mask-native
-        players.  Built once per player from its key array and memoized
-        on the partition, so repeated protocol trials on the same
-        partition never rebuild it.  Treat the returned list as
-        READ-ONLY — it is shared by every Player built from this
-        partition.
-        """
-        rows = self._rows_cache.get(player)
-        if rows is None:
-            n = self.graph.n
-            keys = self.view_keys[player]
-            rows = [0] * n
-            or_edges_into_rows(rows, keys // n, keys % n)
-            self._rows_cache[player] = rows
-        return rows
 
     @property
     def has_duplication(self) -> bool:

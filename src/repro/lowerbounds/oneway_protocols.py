@@ -11,8 +11,9 @@ bound family the theorem squeezes:
 * Charlie intersects: any of his edges (v1, v2) with a common u in both
   samples is a certified triangle edge.
 
-Messages are assembled from the partition's cached adjacency rows
-(:meth:`~repro.graphs.partition.EdgePartition.adjacency_rows`): Alice's
+Messages are assembled from the players' adjacency rows
+(:meth:`~repro.comm.players.Player.sorted_edges` and
+:meth:`~repro.comm.players.Player.local_neighbor_mask`): Alice's
 pool and Bob's reply are row enumerations (ascending canonical order —
 exactly the ``sorted(...)`` order the set-based predecessor imposed, so
 transcripts are byte-identical, including the ``shuffled`` draw
@@ -57,8 +58,8 @@ def oneway_triangle_edge_protocol(sample: MuSample, alice_budget: int,
     if alice_budget < 0:
         raise ValueError(f"budget must be non-negative, got {alice_budget}")
     n = sample.graph.n
-    # Players wrap the partition's cached adjacency rows, so every row
-    # read below is the partition mask itself, built once per sample.
+    # Players are memoized on the partition, so every row read below
+    # is built at most once per sample.
     players = make_players(sample.partition)
 
     def conversation(alice, bob, shared: SharedRandomness, transcript):

@@ -9,10 +9,10 @@ lower-bounds streaming space: CC ≥ (hops) · space means
 space ≥ CC / hops.
 
 Each player's segment is fed to the algorithm as *row batches* straight
-from the partition's cached adjacency rows
-(:meth:`~repro.graphs.partition.EdgePartition.adjacency_rows`): one
-``process_row`` call per base vertex instead of one ``process`` call per
-edge, which is the mask-kernel fast path for algorithms that implement
+from the player's adjacency rows
+(:meth:`~repro.comm.players.Player.adjacency_rows`, built once per
+player and memoized): one ``process_row`` call per base vertex instead
+of one ``process`` call per edge, which is the mask-kernel fast path for algorithms that implement
 the row form natively (both triangle finders do).  The batched stream is
 the per-edge stream in ascending canonical order, so transcripts and
 outputs are identical to a per-edge feed (the per-edge chain is kept as

@@ -113,7 +113,7 @@ def canonical_row_batches(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
 
     ``rows`` are symmetric per-vertex adjacency masks (the kernel
     representation of :meth:`~repro.graphs.graph.Graph.adjacency_rows`
-    and :meth:`~repro.graphs.partition.EdgePartition.adjacency_rows`);
+    and :meth:`~repro.comm.players.Player.adjacency_rows`);
     each edge is emitted exactly once, at its lower endpoint, so the
     concatenated batches equal the ascending canonical edge stream.
     Empty rows are skipped.

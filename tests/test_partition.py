@@ -253,7 +253,9 @@ class TestPartitionPickling:
     def test_disk_tier_keeps_rows_and_views(self, tmp_path):
         graph = gnd(120, 5.0, seed=2)
         built = partition_disjoint(graph, 3, seed=4)
-        rows = [list(built.adjacency_rows(j)) for j in range(built.k)]
+        rows = [
+            list(player.adjacency_rows()) for player in make_players(built)
+        ]
         writer = InstanceCache(disk_dir=tmp_path)
         assert writer.get_or_build("p", lambda: built) is built
         reader = InstanceCache(disk_dir=tmp_path)
@@ -264,7 +266,9 @@ class TestPartitionPickling:
         assert loaded is not built
         assert loaded.graph == graph
         assert loaded.views == built.views
-        assert [loaded.adjacency_rows(j) for j in range(loaded.k)] == rows
+        assert [
+            player.adjacency_rows() for player in make_players(loaded)
+        ] == rows
         assert [p.num_edges for p in make_players(loaded)] == [
             len(view) for view in built.views
         ]
@@ -278,4 +282,6 @@ class TestPartitionPickling:
             "q", lambda: pytest.fail("disk tier missed")
         )
         assert loaded.views == views
-        assert loaded.adjacency_rows(1) == [0, 0, 1 << 3, 1 << 2]
+        assert make_players(loaded)[1].adjacency_rows() == [
+            0, 0, 1 << 3, 1 << 2
+        ]

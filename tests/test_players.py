@@ -45,10 +45,6 @@ class TestIntrospection:
         assert p.sorted_edges() == [(0, 1), (2, 3)]
         assert p.suspected_bucket(0, k=1) == {0, 1, 2, 3}
 
-    def test_rows_and_keys_go_together(self, player):
-        with pytest.raises(TypeError, match="together"):
-            Player(1, 10, rows=player.adjacency_rows())
-
 
 class TestMsb:
     def test_msb_of_zero_degree_is_none(self, player):

@@ -62,6 +62,7 @@ EDGE_VIEWS = st.lists(
 VERTEX_SETS = st.sets(
     st.integers(min_value=0, max_value=N_SMALL - 1), max_size=N_SMALL
 )
+OUTSIDE_IDS = st.sets(st.sampled_from([-N_SMALL, -1, N_SMALL, N_SMALL + 4]))
 
 
 def build_both(edges) -> tuple[Player, SetPlayer]:
@@ -87,13 +88,47 @@ class TestPlayerDifferential:
             for v in range(N_SMALL):
                 assert mask.has_edge(u, v) == ref.has_edge(u, v)
 
-    @given(EDGE_VIEWS, VERTEX_SETS, VERTEX_SETS)
+    @given(EDGE_VIEWS)
+    @settings(max_examples=60, deadline=None)
+    def test_vertex_queries_agree_before_and_after_rows(self, edges):
+        # Per-vertex answers come from the keys-first arrays and lazily
+        # ORed rows until adjacency_rows() builds the whole list, and
+        # from that list afterwards; both must match the reference on
+        # every id, in the universe or not.
+        mask, ref = build_both(edges)
+        ids = range(-2, N_SMALL + 2)
+        for rows_built in (False, True):
+            if rows_built:
+                mask.adjacency_rows()
+            for v in ids:
+                assert mask.local_degree(v) == ref.local_degree(v)
+                assert mask.degree_msb_index(v) == ref.degree_msb_index(v)
+                assert mask.local_neighbor_array(v).tolist() == \
+                    ref.local_neighbor_array(v).tolist()
+                assert mask.local_neighbor_mask(v) == \
+                    ref.local_neighbor_mask(v)
+                for w in ids:
+                    assert mask.has_edge(v, w) == ref.has_edge(v, w)
+
+    @given(EDGE_VIEWS, VERTEX_SETS, VERTEX_SETS, OUTSIDE_IDS)
     @settings(max_examples=150, deadline=None)
-    def test_harvests_agree(self, edges, r_sample, s_sample):
+    def test_harvests_agree(self, edges, r_sample, s_sample, outside):
         mask, ref = build_both(edges)
         rs_sample = r_sample | s_sample
         r_mask, rs_mask = mask_of(r_sample), mask_of(rs_sample)
         s_mask = mask_of(s_sample)
+
+        # Ids outside [0, n) hold no edges: the set forms ignore them
+        # (a negative id has no bit to set), as the reference does.
+        r_out, s_out = r_sample | outside, s_sample | outside
+        assert mask.edges_within(s_out) == ref.edges_within(s_out)
+        assert mask.edges_touching_both(r_out, s_out) == \
+            ref.edges_touching_both(r_out, s_out)
+        for v in range(-1, N_SMALL + 1):
+            assert mask.edges_at_vertex_in_sample(v, s_out) == \
+                ref.edges_at_vertex_in_sample(v, s_out)
+            assert mask.sample_hits_vertex(v, s_out) == \
+                ref.sample_hits_vertex(v, s_out)
 
         assert mask.edges_within(s_sample) == ref.edges_within(s_sample)
         assert mask.edges_within_mask(s_mask) == ref.edges_within_mask(s_mask)
@@ -121,6 +156,15 @@ class TestPlayerDifferential:
                 ref.sample_hits_vertex(v, s_sample)
             assert mask.sample_hits_vertex_mask(v, s_mask) == \
                 ref.sample_hits_vertex(v, s_sample)
+
+    def test_negative_ids_in_set_harvests(self):
+        edges = [(0, 1), (0, 2), (1, 2), (3, 4)]
+        mask, ref = Player(0, 6, edges), SetPlayer(0, 6, edges)
+        for player in (mask, ref):
+            assert player.sample_hits_vertex(0, {-1}) is False
+            assert player.edges_at_vertex_in_sample(0, {-1}) == set()
+            assert player.edges_within({-1, 0, 1}) == {(0, 1)}
+            assert player.edges_touching_both({-1, 0}, {1}) == {(0, 1)}
 
     @given(EDGE_VIEWS, st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=100, deadline=None)
@@ -171,14 +215,20 @@ class TestPlayerDifferential:
 
 
 class TestMakePlayersRowCache:
-    def test_rows_cached_on_partition(self):
+    def test_players_and_rows_memoized(self):
         graph = gnd(60, 4.0, seed=3)
         partition = partition_with_duplication(graph, 3, seed=4)
-        first = partition.adjacency_rows(1)
-        again = partition.adjacency_rows(1)
-        assert first is again  # memoized, not rebuilt
         players = make_players(partition)
-        assert players[1].adjacency_rows() is first
+        assert make_players(partition) is players  # memoized list
+        first = players[1].adjacency_rows()
+        assert players[1].adjacency_rows() is first  # not rebuilt
+        n = graph.n
+        keys = partition.view_keys[1]
+        expected = [0] * n
+        for u, v in zip((keys // n).tolist(), (keys % n).tolist()):
+            expected[u] |= 1 << v
+            expected[v] |= 1 << u
+        assert first == expected
 
     def test_make_players_matches_views(self):
         graph = gnd(50, 4.0, seed=1)
@@ -253,6 +303,29 @@ class TestBucketPickDifferential:
 
 class TestProtocolDifferential:
     """Whole protocol runs agree between the two player backends."""
+
+    def test_protocols_build_no_whole_row_list(self):
+        # Only whole-view consumers (sorted_edges, adjacency_rows) build
+        # all n rows; sim-low and unrestricted read none of them.
+        partition = _partition(120, 5.0, 3, 0, True)
+        find_triangle_sim_low(
+            partition, SimLowParams(epsilon=0.2, delta=0.2), seed=0
+        )
+        players = make_players(partition)
+        assert all(player._rows is None for player in players)
+        partition = _partition(100, 6.0, 3, 1, True)
+        find_triangle_unrestricted(
+            partition,
+            UnrestrictedParams(
+                epsilon=0.2, delta=0.2, known_average_degree=6.0,
+                samples_per_bucket=4, max_candidates=3,
+            ),
+            seed=1,
+        )
+        players = make_players(partition)
+        assert all(player._rows is None for player in players)
+        # The unrestricted run did read per-vertex state.
+        assert any(player._neighbours is not None for player in players)
 
     @pytest.mark.parametrize("duplicated", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
