@@ -152,7 +152,7 @@ def _time_referees(partition, pattern, repeats: int) -> dict:
     def vf2_referee():
         for round_index in range(rounds):
             copy = set_union_subgraph_referee(
-                (message[round_index] for message in messages), pattern
+                (message[round_index] for message in messages), n, pattern
             )
             if copy is not None:
                 return copy, round_index

@@ -30,11 +30,15 @@ one row per vertex asked for (``local_neighbor_mask``, ``has_edge``),
 or all n rows at once for whole-view consumers (``adjacency_rows``,
 ``sorted_edges``).  Every row read is the same int either way.
 
-The mask-form harvests (``edges_within_mask`` and friends) return edges
-in ascending canonical order, which is exactly the ``sorted(...)`` order
-the protocols previously imposed, so messages (and cap truncations) are
-byte-identical to the set-based ``SetPlayer`` preserved under
-``tests/oracles/``.
+The sample-wide mask harvests (``edges_within_mask``,
+``edges_touching_both_mask``) return the matching slice of the key array
+itself: a sorted int64 array of canonical keys, which is ascending
+canonical edge order, so ``[:cap]`` truncations and ``len()`` pricing
+mean what they meant for the sorted edge lists the protocols sent
+before.  Simultaneous messages are these key arrays; the referee
+(:mod:`repro.core.referee`) unions them without building rows.  The
+set-based ``SetPlayer`` preserved under ``tests/oracles/`` returns the
+same arrays.
 
 Players built via :func:`make_players` are memoized on the
 :class:`~repro.graphs.partition.EdgePartition`, so repeated trials on
@@ -53,6 +57,7 @@ from repro.graphs.graph import (
     Edge,
     canonical_edge,
     iter_bits,
+    key_edges,
     mask_of,
     unique_keys,
 )
@@ -109,6 +114,7 @@ class Player:
                     )
                 flat.append(u * n + v if u < v else v * n + u)
             keys = unique_keys(np.array(flat, dtype=np.int64))
+            keys.flags.writeable = False
         self._keys = keys
         self._num_edges = int(keys.size)
         self._edges_cache: frozenset[Edge] | None = None
@@ -142,6 +148,14 @@ class Player:
     def sorted_edges(self) -> list[Edge]:
         """All local edges in ascending canonical order."""
         return list(self._iter_edges())
+
+    def edge_keys(self) -> np.ndarray:
+        """All local edges as the sorted, read-only canonical key array.
+
+        The whole view in message form, with no rows or tuples built:
+        the exact baseline sends it as is.
+        """
+        return self._keys
 
     def adjacency_rows(self) -> list[int]:
         """The per-vertex adjacency masks — treat as READ-ONLY.
@@ -331,10 +345,10 @@ class Player:
     #
     # The mask forms are the hot path.  The two sample-wide harvests
     # test every edge of the key array against the samples' membership
-    # arrays in a few numpy passes and emit the survivors in key order,
-    # which is ascending canonical order (== the ``sorted`` order
-    # protocol messages are priced and capped in).  The set forms keep
-    # the original API for callers that still hold Python sets.
+    # arrays in a few numpy passes and return the surviving keys, in
+    # key order, which is ascending canonical order (== the ``sorted``
+    # order protocol messages are priced and capped in).  The set forms
+    # keep the original API for callers that still hold Python sets.
     # ------------------------------------------------------------------
     def edges_at_vertex_in_mask(self, v: int, sample_mask: int) -> list[Edge]:
         """E_j ∩ ({v} × S) as a sorted list, S given as a mask."""
@@ -350,20 +364,21 @@ class Player:
             self.edges_at_vertex_in_mask(v, self._mask_in_universe(sample))
         )
 
-    def edges_within_mask(self, sample_mask: int) -> list[Edge]:
-        """E_j ∩ S² as a sorted list: Algorithms 7 and 9's harvest."""
+    def edges_within_mask(self, sample_mask: int) -> np.ndarray:
+        """E_j ∩ S² as sorted edge keys: Algorithms 7 and 9's harvest."""
         us, vs = self._endpoints()
         in_s = self._members(sample_mask)
         hit = (in_s.take(us) & in_s.take(vs)).view(bool)
-        return list(zip(us[hit].tolist(), vs[hit].tolist()))
+        return self._keys[hit]
 
     def edges_within(self, sample: set[int]) -> set[Edge]:
         """E_j ∩ S²: the induced-subgraph harvest of Algorithms 7 and 9."""
-        return set(self.edges_within_mask(self._mask_in_universe(sample)))
+        keys = self.edges_within_mask(self._mask_in_universe(sample))
+        return set(key_edges(keys, self.n))
 
     def edges_touching_both_mask(self, r_mask: int, rs_mask: int
-                                 ) -> list[Edge]:
-        """Edges with one endpoint in R, the other in R ∪ S, sorted.
+                                 ) -> np.ndarray:
+        """Edges with one endpoint in R, the other in R ∪ S, as sorted keys.
 
         An edge {a, b} qualifies when a ∈ R and b ∈ RS or b ∈ R and
         a ∈ RS; the two arguments need not be nested.
@@ -374,17 +389,16 @@ class Player:
         cu = code.take(us)
         cv = code.take(vs)
         hit = ((cu & (cv >> 1)) | (cv & (cu >> 1))).view(bool)
-        return list(zip(us[hit].tolist(), vs[hit].tolist()))
+        return self._keys[hit]
 
     def edges_touching_both(self, r_sample: set[int], rs_sample: set[int]
                             ) -> set[Edge]:
         """Edges with one endpoint in R and the other in R ∪ S (Alg 8/10)."""
-        return set(
-            self.edges_touching_both_mask(
-                self._mask_in_universe(r_sample),
-                self._mask_in_universe(rs_sample),
-            )
+        keys = self.edges_touching_both_mask(
+            self._mask_in_universe(r_sample),
+            self._mask_in_universe(rs_sample),
         )
+        return set(key_edges(keys, self.n))
 
     def sample_hits_vertex_mask(self, v: int, sample_mask: int) -> bool:
         """Mask form of :meth:`sample_hits_vertex`: one ``&`` and a test."""

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from repro.comm.coordinator import CoordinatorRuntime
 from repro.comm.encoding import edge_bits, indicator_bits, vertex_bits
-from repro.graphs.graph import Edge, canonical_edge, iter_bits, mask_of
+from repro.graphs.graph import Edge, canonical_edge, iter_bits, key_edges, mask_of
 
 __all__ = [
     "query_edge",
@@ -151,8 +151,8 @@ def collect_induced_subgraph(rt: CoordinatorRuntime,
             ),
         )
     union: set[Edge] = set()
-    for harvest in harvests:
-        union.update(harvest)
+    for keys in harvests:
+        union.update(key_edges(keys, rt.n))
     return union
 
 

@@ -15,12 +15,13 @@ benchmarking these baselines against the Section 3 testers
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.comm.encoding import edge_bits
 from repro.comm.players import make_players
 from repro.comm.simultaneous import run_simultaneous
-from repro.core.referee import rows_union_triangle_referee
+from repro.core.referee import key_union_triangle_referee
 from repro.core.results import DetectionResult
-from repro.graphs.graph import Edge
 from repro.graphs.partition import EdgePartition
 from repro.graphs.triangles import find_triangle_in_rows
 
@@ -32,18 +33,21 @@ def exact_triangle_detection(partition: EdgePartition, *,
     """Deterministic exact detection: everyone sends everything.
 
     Simultaneous, zero-error.  Communication Θ(Σ_j |E_j| · log n) —
-    the Ω(k·nd) regime when edges are duplicated.  ``record_messages``
-    retains the per-message transcript in ``details["transcript"]``.
+    the Ω(k·nd) regime when edges are duplicated.  Each message is the
+    player's sorted key array (:meth:`~repro.comm.players.Player.edge_keys`)
+    and the key-union referee searches it without rows, so no player
+    rows or edge tuples are built.  ``record_messages`` retains the
+    per-message transcript in ``details["transcript"]``.
     """
     players = make_players(partition)
     n = partition.graph.n
 
-    def referee_fn(messages: list[list[Edge]], _):
-        return rows_union_triangle_referee(messages, n)
+    def referee_fn(messages: list[np.ndarray], _):
+        return key_union_triangle_referee(messages, n)
 
     run = run_simultaneous(
         players,
-        message_fn=lambda player, _: player.sorted_edges(),
+        message_fn=lambda player, _: player.edge_keys(),
         message_bits=lambda edges: max(1, len(edges) * edge_bits(n)),
         referee_fn=referee_fn,
         label="exact-baseline",

@@ -25,19 +25,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.comm.encoding import edge_bits, elias_gamma_bits
 from repro.comm.players import Player, make_players
 from repro.comm.randomness import SharedRandomness
 from repro.comm.simultaneous import run_simultaneous
-from repro.core.referee import rows_union_triangle_referee
+from repro.core.referee import key_union_triangle_referee
 from repro.core.results import DetectionResult
 from repro.graphs.buckets import log2n
-from repro.graphs.graph import Edge
 from repro.graphs.partition import EdgePartition
 
 __all__ = ["ObliviousParams", "find_triangle_sim_oblivious"]
 
-InstanceMessage = dict[int, list[Edge]]
+InstanceMessage = dict[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,13 @@ def find_triangle_sim_oblivious(
         return total
 
     def referee_fn(messages: list[InstanceMessage], _: SharedRandomness):
-        # Per-instance rows unions: each guess's messages fold into
-        # per-vertex masks, searched in ascending guess order.
-        instances: dict[int, list[list[Edge]]] = {}
+        # Per-instance key unions, searched in ascending guess order.
+        instances: dict[int, list[np.ndarray]] = {}
         for message in messages:
             for i, edges in message.items():
                 instances.setdefault(i, []).append(edges)
         for i in sorted(instances):
-            triangle = rows_union_triangle_referee(instances[i], n)
+            triangle = key_union_triangle_referee(instances[i], n)
             if triangle is not None:
                 return triangle, i
         return None, None

@@ -1,20 +1,33 @@
-"""Referee-side message unions on the mask kernel.
+"""Referee-side message unions.
 
 Every simultaneous tester ends the same way: the referee unions the
-players' edge messages and searches the union for a triangle.  That
-union was once a ``set[Edge]`` kept purely so the *iteration order* —
-and therefore which of several triangles got reported — matched the
-recorded baselines.  The rows-union referee here replaces it: messages
-are folded into per-vertex adjacency masks (one ``|`` of a bit per edge)
-and :func:`~repro.graphs.triangles.find_triangle_in_rows` scans them in
-ascending order, so the reported triangle is a deterministic function of
-the union itself, independent of message order, hashing, or Python
-version.  The recorded ``DetectionResult`` baselines were re-pinned to
-this order (see ``tests/test_protocol_engine.py``).
+players' messages and searches the union for a triangle (or a copy of
+H).  A message is the sender's sorted canonical edge-key array
+(``u * n + v`` with ``u < v``, the players' harvest form), so the union
+is one sort of the concatenated keys.
 
-The H-freeness generalization is the same fold:
-:func:`rows_union_subgraph_referee` unions messages into rows and runs
-the mask-native monomorphism engine
+The triangle referee, :func:`key_union_triangle_referee`, searches that
+sorted key union directly and builds no per-vertex rows.  Each key
+(a, b) pairs with the later keys (a, c) that share its lower endpoint;
+the wedge (a, b, c) closes iff the key of (b, c) is in the union, one
+``searchsorted``.  Wedges are generated in (a, b, c) order, so the
+first closed wedge is the lexicographically smallest sorted triangle —
+exactly what :func:`~repro.graphs.triangles.find_triangle_in_rows`
+reports on the union's rows (any earlier base edge with a common
+neighbour would give a smaller triple).  The answer is a deterministic
+function of the union itself, independent of message order, hashing,
+or Python version.  At most :data:`WEDGE_BUDGET` wedges are held at
+once, and the walk stops at the first chunk with a closed wedge.
+
+The wedge walk costs one array slot per wedge, where the bitmask scan
+is word-parallel: a dense triangle-free union (K_{t,t}, say) has cubic
+wedges in n and would be cheaper as rows.  No Table 1 or benchmark
+union is of that kind; their unions are sparse samples.
+
+The H-freeness generalization, :func:`rows_union_subgraph_referee`,
+builds rows from the deduplicated key union
+(:func:`~repro.graphs.kernels.bigint.or_edges_into_rows`, the one row
+builder) and runs the mask-native monomorphism engine
 (:func:`repro.patterns.matcher.find_copy_in_rows`).
 
 The historical ``set[Edge]``-union referees live with the other
@@ -28,38 +41,80 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.graphs.graph import Edge
-from repro.graphs.triangles import Triangle, find_triangle_in_rows
+import numpy as np
+
+from repro.graphs.graph import unique_keys
+from repro.graphs.kernels.bigint import or_edges_into_rows
+from repro.graphs.triangles import Triangle
 from repro.obs import trace as obs_trace
 from repro.patterns.catalog import SubgraphPattern
 from repro.patterns.matcher import find_copy_in_rows
 
 __all__ = [
+    "WEDGE_BUDGET",
     "union_rows",
-    "rows_union_triangle_referee",
+    "key_union_triangle_referee",
     "rows_union_subgraph_referee",
 ]
 
+#: Most wedges the triangle referee materializes at once (a handful of
+#: int64 arrays of this length, about 3 MiB in all).  Every Table 1
+#: union fits in one chunk: the largest, X-1's whole n = 4800 graph
+#: (quick and ``--full`` alike), has 27,738 wedges.
+WEDGE_BUDGET = 1 << 16
 
-def union_rows(messages: Iterable[Iterable[Edge]], n: int) -> list[int]:
-    """Fold edge messages into per-vertex adjacency masks."""
+_NO_KEYS = np.empty(0, dtype=np.int64)
+
+
+def _union_keys(messages: Iterable[np.ndarray]) -> np.ndarray:
+    """Sorted distinct keys of all messages."""
+    return unique_keys(np.concatenate((_NO_KEYS, *messages)))
+
+
+def union_rows(messages: Iterable[np.ndarray], n: int) -> list[int]:
+    """Per-vertex adjacency masks of the key messages' union."""
+    keys = _union_keys(messages)
     rows = [0] * n
-    for message in messages:
-        for u, v in message:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+    or_edges_into_rows(rows, keys // n, keys % n)
     return rows
 
 
-def rows_union_triangle_referee(messages: Iterable[Iterable[Edge]],
-                                n: int) -> Triangle | None:
-    """The mask-native referee: union as rows, first ascending triangle."""
+def _first_closed_wedge(keys: np.ndarray, n: int) -> Triangle | None:
+    """Lexicographically first triangle of sorted distinct edge keys."""
+    m = int(keys.size)
+    if m < 3:
+        return None
+    lows = keys // n
+    highs = keys - lows * n
+    # later[i]: keys after i with the same lower endpoint, i.e. the
+    # wedges key i is the base of; ends[i]: wedges of keys 0..i.
+    later = np.searchsorted(lows, lows, side="right") - np.arange(1, m + 1)
+    ends = np.cumsum(later)
+    total = int(ends[-1])
+    for start in range(0, total, WEDGE_BUDGET):
+        wedge = np.arange(start, min(total, start + WEDGE_BUDGET))
+        base = np.searchsorted(ends, wedge, side="right")
+        other = wedge + base + 1 - (ends[base] - later[base])
+        closing = highs[base] * n + highs[other]
+        found = np.searchsorted(keys, closing)
+        np.minimum(found, m - 1, out=found)
+        hit = keys[found] == closing
+        if hit.any():
+            first = int(hit.argmax())
+            a = int(lows[base[first]])
+            return (a, int(highs[base[first]]), int(highs[other[first]]))
+    return None
+
+
+def key_union_triangle_referee(messages: Iterable[np.ndarray],
+                               n: int) -> Triangle | None:
+    """The triangle referee: key union, first ascending triangle."""
     with obs_trace.span("referee"):
-        return find_triangle_in_rows(union_rows(messages, n))
+        return _first_closed_wedge(_union_keys(messages), n)
 
 
 def rows_union_subgraph_referee(
-    messages: Iterable[Iterable[Edge]], n: int, pattern: SubgraphPattern,
+    messages: Iterable[np.ndarray], n: int, pattern: SubgraphPattern,
 ) -> tuple[int, ...] | None:
     """The mask-native H referee: union as rows, canonical-first copy."""
     with obs_trace.span("referee"):

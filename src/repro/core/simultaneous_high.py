@@ -25,13 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.comm.encoding import edge_bits
 from repro.comm.players import Player, make_players
 from repro.comm.randomness import SharedRandomness
 from repro.comm.simultaneous import run_simultaneous
-from repro.core.referee import rows_union_triangle_referee
+from repro.core.referee import key_union_triangle_referee
 from repro.core.results import DetectionResult
-from repro.graphs.graph import Edge
 from repro.graphs.partition import EdgePartition
 
 __all__ = ["SimHighParams", "find_triangle_sim_high"]
@@ -110,17 +111,17 @@ def find_triangle_sim_high(
         sample = shared.sample_without_replacement_mask(n, size, tag=1)
     cap = params.edge_cap(n, d, size) if params.capped else None
 
-    def message_fn(player: Player, _: SharedRandomness) -> list[Edge]:
+    def message_fn(player: Player, _: SharedRandomness) -> np.ndarray:
         # Induced-subgraph harvest as mask intersections, ascending.
         harvest = player.edges_within_mask(sample)
         if cap is not None:
             harvest = harvest[:cap]
         return harvest
 
-    def referee_fn(messages: list[list[Edge]], _: SharedRandomness):
-        # Rows-union referee: deterministic in the union, not in any
+    def referee_fn(messages: list[np.ndarray], _: SharedRandomness):
+        # Key-union referee: deterministic in the union, not in any
         # message or hash iteration order.
-        return rows_union_triangle_referee(messages, n)
+        return key_union_triangle_referee(messages, n)
 
     run = run_simultaneous(
         players,

@@ -27,13 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.comm.encoding import edge_bits
 from repro.comm.players import Player, make_players
 from repro.comm.randomness import SharedRandomness
 from repro.comm.simultaneous import run_simultaneous
-from repro.core.referee import rows_union_triangle_referee
+from repro.core.referee import key_union_triangle_referee
 from repro.core.results import DetectionResult
-from repro.graphs.graph import Edge
 from repro.graphs.partition import EdgePartition
 
 __all__ = ["SimLowParams", "find_triangle_sim_low"]
@@ -116,7 +117,7 @@ def find_triangle_sim_low(
     both = birthday | dense_catcher
     cap = params.edge_cap(n, d) if params.capped else None
 
-    def message_fn(player: Player, _: SharedRandomness) -> list[Edge]:
+    def message_fn(player: Player, _: SharedRandomness) -> np.ndarray:
         # Mask harvest over the player's edge keys, emitted ascending —
         # the same order the set-based code sorted into.
         harvest = player.edges_touching_both_mask(birthday, both)
@@ -124,11 +125,11 @@ def find_triangle_sim_low(
             harvest = harvest[:cap]
         return harvest
 
-    def referee_fn(messages: list[list[Edge]], _: SharedRandomness):
-        # Rows-union referee: messages fold into per-vertex masks and
-        # the first ascending triangle is reported — a deterministic
-        # function of the union, independent of message or hash order.
-        return rows_union_triangle_referee(messages, n)
+    def referee_fn(messages: list[np.ndarray], _: SharedRandomness):
+        # Key-union referee: the first ascending triangle of the union
+        # is reported — a deterministic function of the union,
+        # independent of message or hash order.
+        return key_union_triangle_referee(messages, n)
 
     run = run_simultaneous(
         players,

@@ -22,8 +22,8 @@ one-sided outcomes).
 The pattern machinery lives in :mod:`repro.patterns` — the connected
 pattern catalog, the mask-native monomorphism engine, and the planted
 scenario generators are re-exported here for compatibility.  The referee
-is rows-native: per-round messages fold into per-vertex adjacency masks
-(:func:`repro.core.referee.union_rows`) and
+is rows-native: per-round messages (sorted edge-key arrays) union into
+per-vertex adjacency masks (:func:`repro.core.referee.union_rows`) and
 :func:`repro.patterns.matcher.find_copy_in_rows` walks them, so the
 reported copy is canonical-first — a deterministic function of the union
 itself.
@@ -32,6 +32,8 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.comm.encoding import edge_bits
 from repro.comm.players import Player, make_players
@@ -144,16 +146,16 @@ def find_subgraph_simultaneous(
     ]
 
     def message_fn(player: Player, _: SharedRandomness
-                   ) -> list[list[Edge]]:
+                   ) -> list[np.ndarray]:
         return [player.edges_within_mask(sample) for sample in samples]
 
-    def message_bits(message: list[list[Edge]]) -> int:
+    def message_bits(message: list[np.ndarray]) -> int:
         return max(
             1,
             sum(len(edges) * edge_bits(n) for edges in message),
         )
 
-    def referee_fn(messages: list[list[list[Edge]]],
+    def referee_fn(messages: list[list[np.ndarray]],
                    _: SharedRandomness):
         for round_index in range(params.rounds):
             rows = union_rows(

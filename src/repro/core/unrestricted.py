@@ -383,10 +383,10 @@ def _capped_star(player: Player, v: int, pred, cap: int) -> list[Edge]:
 def _first_edge_within(player: Player, candidate_mask: int) -> Edge | None:
     """The player's first local edge with both endpoints in the mask.
 
-    The mask harvest enumerates ascending, so element 0 is the minimum.
+    The mask harvest's keys ascend, so key 0 is the minimum.
     """
     inside = player.edges_within_mask(candidate_mask)
-    return inside[0] if inside else None
+    return divmod(int(inside[0]), player.n) if inside.size else None
 
 
 def _triangle_edges(triangle: tuple[int, int, int]) -> tuple[Edge, ...]:

@@ -641,10 +641,7 @@ def triangle_free_degree_spread(n: int, d: float, max_degree: int,
                        [count for _, count in runs])
     lefts = _np.repeat(_np.arange(sizes.size, dtype=_np.int64), sizes)
     rights = _replayed_samples(rng, right_size, runs) + half
-    # No density hint: ``auto`` keeps choosing as for a plain Graph(n).
-    graph = Graph(n, backend=backend)
-    graph.add_edge_arrays(lefts, rights)
-    return graph
+    return Graph.from_edge_arrays(n, lefts, rights, backend=backend)
 
 
 def _sample_setsize(k: int) -> int:

@@ -61,6 +61,12 @@ def unique_keys(keys):
     return keys
 
 
+def key_edges(keys, n: int) -> Iterator[Edge]:
+    """The ``(u, v)`` tuples of canonical edge keys ``u * n + v``, in
+    key order."""
+    return zip((keys // n).tolist(), (keys % n).tolist())
+
+
 def canonical_edge(u: int, v: int) -> Edge:
     """The canonical representation of the undirected edge {u, v}."""
     if u == v:

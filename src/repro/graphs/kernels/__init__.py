@@ -44,9 +44,12 @@ __all__ = [
 BACKEND_ENV_VAR = "REPRO_GRAPH_BACKEND"
 
 #: ``auto`` consults the ``expected_edges`` density hint only from this
-#: vertex count on.  Below it the bignum kernel's per-op latency wins
-#: whatever the density.
-SPARSE_HINT_THRESHOLD = 32768
+#: vertex count on.  From here an n-bit row per vertex costs at least
+#: 8 MiB per graph, and on sparse hosts (d = 8, n = 8192 / 16384) csr
+#: runs ``count_triangles`` about 4x / 9x and ``greedy_triangle_packing``
+#: about 3-4x / 5x faster.  Below it the bignum kernel's per-op latency
+#: wins whatever the density.
+SPARSE_HINT_THRESHOLD = 8192
 
 #: From this vertex count on ``auto`` always picks the csr kernel: an
 #: n-bit row per vertex costs n²/8 bytes (8.6 GB at 2^18, 125 GB at

@@ -31,7 +31,13 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.graphs.graph import Edge, Graph, canonical_edge, unique_keys
+from repro.graphs.graph import (
+    Edge,
+    Graph,
+    canonical_edge,
+    key_edges,
+    unique_keys,
+)
 
 __all__ = [
     "EdgePartition",
@@ -119,8 +125,7 @@ class EdgePartition:
         return self._views
 
     def _view_of(self, keys: np.ndarray) -> frozenset[Edge]:
-        n = self.graph.n
-        return frozenset(zip((keys // n).tolist(), (keys % n).tolist()))
+        return frozenset(key_edges(keys, self.graph.n))
 
     @property
     def k(self) -> int:

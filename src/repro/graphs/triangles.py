@@ -198,8 +198,10 @@ def find_triangle_in_rows(rows) -> Triangle | None:
     """First triangle (ascending) in raw per-vertex adjacency masks.
 
     The kernel form of :func:`find_triangle` for callers that hold bare
-    rows rather than a :class:`Graph` — referees that union messages
-    word-wide, the blackboard's posted-rows board.  Scans base edges
+    rows rather than a :class:`Graph`, such as the blackboard's
+    posted-rows board.  (The simultaneous referee,
+    :func:`repro.core.referee.key_union_triangle_referee`, reports the
+    same triangle on a key union without building rows.)  Scans base edges
     ascending; the first edge whose endpoints share a neighbour closes
     with the lowest such apex, so the result is a deterministic function
     of the edge *set*, independent of any message or iteration order.

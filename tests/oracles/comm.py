@@ -13,10 +13,13 @@ as an executable specification, mirroring
   (sim-low, sim-high, oblivious) with mask players against this baseline.
 
 ``SetPlayer`` also implements the mask-form harvest API (``*_mask``
-methods, :meth:`sorted_edges`) the rebuilt protocols call, computed the
-slow way — masks are expanded to vertex sets, the original set algorithms
-run, and results are order-normalized to the kernel's ascending canonical
-order — so every protocol entry point runs unmodified on either backend.
+methods, :meth:`sorted_edges`, :meth:`edge_keys`) the rebuilt protocols
+call, computed the slow way — masks are expanded to vertex sets, the
+original set algorithms run, and results are order-normalized to the
+kernel's ascending canonical order (the sample-wide harvests and
+:meth:`edge_keys` as sorted canonical key arrays, the players' message
+form) — so every protocol entry point runs unmodified on either
+backend.
 :func:`set_players` makes the swap: inside it, a protocol module's
 ``make_players`` builds set players.
 """
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.graphs.buckets import degrees_from_view, player_suspected_bucket
 from repro.graphs.graph import Edge, canonical_edge, mask_of
@@ -84,6 +89,15 @@ class SetPlayer:
         """All local edges in ascending canonical order."""
         return sorted(self._edges)
 
+    def _keys_of(self, edges: Iterable[Edge]) -> np.ndarray:
+        """Canonical edges as a sorted int64 key array ``u * n + v``."""
+        n = self.n
+        return np.array(sorted(u * n + v for u, v in edges), dtype=np.int64)
+
+    def edge_keys(self) -> np.ndarray:
+        """All local edges as sorted canonical keys."""
+        return self._keys_of(self._edges)
+
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
@@ -102,8 +116,6 @@ class SetPlayer:
 
     def local_neighbor_array(self, v: int):
         """N_j(v) as an ascending int64 array, sorted from the set."""
-        import numpy as np
-
         return np.array(sorted(self._adjacency.get(v, ())), dtype=np.int64)
 
     def average_local_degree(self) -> float:
@@ -196,7 +208,8 @@ class SetPlayer:
                 found.add((u, v))
         return found
 
-    # Mask-form harvests: expand masks, run the set algorithms, sort.
+    # Mask-form harvests: expand masks, run the set algorithms, sort
+    # (the sample-wide two into key arrays).
     # The expansion uses the byte-scan below (not per-bit int peeling) so
     # benchmark baselines measure the original per-edge set work, not an
     # artificial conversion tax the old protocols never paid.
@@ -205,12 +218,12 @@ class SetPlayer:
             self.edges_at_vertex_in_sample(v, _mask_to_set(sample_mask))
         )
 
-    def edges_within_mask(self, sample_mask: int) -> list[Edge]:
-        return sorted(self.edges_within(_mask_to_set(sample_mask)))
+    def edges_within_mask(self, sample_mask: int) -> np.ndarray:
+        return self._keys_of(self.edges_within(_mask_to_set(sample_mask)))
 
     def edges_touching_both_mask(self, r_mask: int, rs_mask: int
-                                 ) -> list[Edge]:
-        return sorted(
+                                 ) -> np.ndarray:
+        return self._keys_of(
             self.edges_touching_both(
                 _mask_to_set(r_mask), _mask_to_set(rs_mask)
             )

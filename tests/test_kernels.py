@@ -77,17 +77,20 @@ class TestRegistry:
                 assert known in str(raised.value)
 
     def test_auto_policy_switches_on_size(self):
-        sparse = 4 * SPARSE_HINT_THRESHOLD  # d = 8
-        dense = SPARSE_HINT_THRESHOLD ** 2 // 4
+        # The hint counts from n = 8192 on: at 8191 even a sparse hint
+        # stays on bigint; at 8192 a sparse hint picks csr, while no
+        # hint or a dense one stays on bigint.
         table = [
             (0, None, BigintKernel),
-            (SPARSE_HINT_THRESHOLD - 1, sparse, BigintKernel),
-            (SPARSE_HINT_THRESHOLD, None, BigintKernel),
-            (SPARSE_HINT_THRESHOLD, sparse, CsrKernel),
-            (SPARSE_HINT_THRESHOLD, dense, BigintKernel),
+            (8191, 4 * 8191, BigintKernel),  # d = 8
+            (8191, None, BigintKernel),
+            (8191, 8191 ** 2 // 4, BigintKernel),
+            (8192, 4 * 8192, CsrKernel),
+            (8192, None, BigintKernel),
+            (8192, 8192 ** 2 // 4, BigintKernel),
             (CSR_AUTO_THRESHOLD, None, CsrKernel),
         ]
-        assert SPARSE_HINT_THRESHOLD == 32768
+        assert SPARSE_HINT_THRESHOLD == 8192
         assert CSR_AUTO_THRESHOLD == 1 << 18
         for n, expected_edges, kernel in table:
             assert get_kernel(

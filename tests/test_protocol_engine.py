@@ -69,6 +69,11 @@ def build_both(edges) -> tuple[Player, SetPlayer]:
     return Player(0, N_SMALL, edges), SetPlayer(0, N_SMALL, edges)
 
 
+def sorted_keys(edges) -> list[int]:
+    """Canonical edges as the ascending keys the mask harvests return."""
+    return sorted(u * N_SMALL + v for u, v in edges)
+
+
 class TestPlayerDifferential:
     @given(EDGE_VIEWS)
     @settings(max_examples=100, deadline=None)
@@ -130,21 +135,22 @@ class TestPlayerDifferential:
             assert mask.sample_hits_vertex(v, s_out) == \
                 ref.sample_hits_vertex(v, s_out)
 
+        assert mask.edge_keys().tolist() == ref.edge_keys().tolist() == \
+            sorted_keys(ref.edges)
         assert mask.edges_within(s_sample) == ref.edges_within(s_sample)
-        assert mask.edges_within_mask(s_mask) == ref.edges_within_mask(s_mask)
-        assert mask.edges_within_mask(s_mask) == sorted(
+        assert mask.edges_within_mask(s_mask).tolist() == \
+            ref.edges_within_mask(s_mask).tolist()
+        assert mask.edges_within_mask(s_mask).tolist() == sorted_keys(
             ref.edges_within(s_sample)
         )
 
         assert mask.edges_touching_both(r_sample, rs_sample) == \
             ref.edges_touching_both(r_sample, rs_sample)
-        assert mask.edges_touching_both_mask(r_mask, rs_mask) == sorted(
-            ref.edges_touching_both(r_sample, rs_sample)
-        )
+        assert mask.edges_touching_both_mask(r_mask, rs_mask).tolist() == \
+            sorted_keys(ref.edges_touching_both(r_sample, rs_sample))
         # The arguments need not be nested: R vs S alone must also agree.
-        assert mask.edges_touching_both_mask(r_mask, s_mask) == sorted(
-            ref.edges_touching_both(r_sample, s_sample)
-        )
+        assert mask.edges_touching_both_mask(r_mask, s_mask).tolist() == \
+            sorted_keys(ref.edges_touching_both(r_sample, s_sample))
 
         for v in range(N_SMALL):
             assert mask.edges_at_vertex_in_sample(v, s_sample) == \

@@ -29,6 +29,7 @@ from repro.graphs.generators import (
     planted_disjoint_triangles,
     tripartite_mu,
 )
+from repro.graphs.kernels import get_kernel
 
 from oracles.instances import (
     planted_disjoint_triangles_reference,
@@ -203,9 +204,11 @@ class TestBulkPlantingIdentity:
         scalar = triangle_free_degree_spread_reference(
             n, d, max_degree, seed=seed
         )
-        # No density hint on either path: past the sparse-hint minimum
-        # (n >= 32768) ``auto`` still lands both on the same kernel.
-        assert bulk.backend == scalar.backend
+        # The bulk build hints its edge count, so ``auto`` picks the
+        # kernel for that density (csr for the sparse n = 40000 host).
+        assert get_kernel(
+            None, n, expected_edges=bulk.num_edges
+        ) is type(bulk.kernel)
         assert_identical(scalar, bulk)
 
     def test_pattern_plant_bulk_agrees(self, monkeypatch):
