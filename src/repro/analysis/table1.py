@@ -45,6 +45,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from repro.analysis.experiments import run_sweep
 from repro.analysis.scaling import fit_axis
 from repro.obs import trace as obs_trace
@@ -74,7 +76,11 @@ from repro.patterns.catalog import (
 from repro.patterns.plant import planted_disjoint_subgraphs
 from repro.comm.encoding import edge_bits
 from repro.comm.players import make_players
-from repro.graphs.generators import far_instance, triangle_free_degree_spread
+from repro.graphs.generators import (
+    far_instance,
+    triangle_free_degree_spread,
+    tripartite_mu,
+)
 from repro.graphs.partition import EdgePartition, partition_disjoint
 from repro.lowerbounds.boolean_matching import (
     bm_product,
@@ -95,8 +101,10 @@ from repro.graphs.triangles import (
     greedy_triangle_packing,
     is_triangle_free,
 )
-from repro.streaming.stream import canonical_row_batches
-from repro.streaming.triangle_stream import ReservoirTriangleFinder
+from repro.streaming.triangle_stream import (
+    ReservoirTriangleFinder,
+    triangle_arrivals,
+)
 
 __all__ = [
     "RowReport",
@@ -537,16 +545,32 @@ def _loop_specs(trials: int, n: int, base_seed: int) -> list[TrialSpec]:
     ]
 
 
+class _MuStreamSample(NamedTuple):
+    """A cached T1-R3 instance: a µ graph's vertex count, its sorted
+    canonical edge keys (the stream) and the stream's triangle table
+    (:func:`~repro.streaming.triangle_stream.triangle_arrivals`), built
+    once per sample and read by every reservoir size.  The graph itself
+    is not kept: nothing reads its rows."""
+
+    n: int
+    keys: np.ndarray
+    triangles: np.ndarray
+
+
 @dataclass(frozen=True)
 class _MuSampleBuilder:
-    """Picklable ``(n, d, seed) -> µ sample`` builder for T1-R3."""
+    """Picklable ``(n, d, seed) -> µ stream sample`` builder for T1-R3."""
 
     part_size: int
     gamma: float = 1.2
 
-    def __call__(self, n: int, d: float, seed: int):
-        mu = MuDistribution(part_size=self.part_size, gamma=self.gamma)
-        return mu.sample(seed=seed)
+    def __call__(self, n: int, d: float, seed: int) -> _MuStreamSample:
+        # MuDistribution.sample's graph, without the 3-player split.
+        graph, _ = tripartite_mu(self.part_size, self.gamma, seed=seed)
+        keys = graph.edge_keys()
+        return _MuStreamSample(
+            graph.n, keys, triangle_arrivals(keys, graph.n)
+        )
 
 
 @dataclass(frozen=True)
@@ -556,30 +580,26 @@ class _ReservoirStreamProtocol:
     The finder seed of the historical loop was ``base_seed + 31·trial``;
     the trial index is recovered from the spec seed (specs carry
     ``base_seed + trial``), keeping the streams bit-identical.  The
-    stream is the ascending canonical edge order, fed as row batches
-    (:func:`~repro.streaming.stream.canonical_row_batches`).
+    stream is the ascending canonical edge order, run in bulk over the
+    sample's edge-key array
+    (:meth:`~repro.streaming.triangle_stream.ReservoirTriangleFinder.\
+process_keys`) with the sample's cached triangle table; an empty table
+    is a triangle-free sample, a vacuous success.
     """
 
     reservoir_size: int
     base_seed: int
 
-    def __call__(self, sample, seed: int) -> _LoopOutcome:
-        if is_triangle_free(sample.graph):
+    def __call__(self, sample: _MuStreamSample, seed: int) -> _LoopOutcome:
+        if not sample.triangles.size:
             return _LoopOutcome(0.0, True)  # nothing to find: vacuous success
         trial = seed - self.base_seed
         finder = ReservoirTriangleFinder(
-            sample.graph.n, reservoir_size=self.reservoir_size,
+            sample.n, reservoir_size=self.reservoir_size,
             seed=self.base_seed + 31 * trial,
         )
-        # Only success is read, and a found triangle is never cleared:
-        # stop after the first row batch that finds one.
-        for v, partners in canonical_row_batches(
-            sample.graph.adjacency_rows()
-        ):
-            finder.process_row(v, partners)
-            if finder.result() is not None:
-                return _LoopOutcome(0.0, True)
-        return _LoopOutcome(0.0, False)
+        finder.process_keys(sample.keys, sample.triangles)
+        return _LoopOutcome(0.0, finder.result() is not None)
 
 
 def row_oneway_streaming_lower(quick: bool = True, seed: int = 0, *,

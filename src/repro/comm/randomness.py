@@ -250,9 +250,9 @@ def _geometric_indices(local: random.Random, universe_size: int,
 
 
 class _WordStream:
-    """Doubles read in bulk from a copy of a ``random.Random`` stream.
+    """Doubles read in bulk from a ``random.Random`` stream, consuming it.
 
-    ``random_sample(k)`` equals ``[local.random() for _ in range(k)]``
+    ``random_sample(k)`` equals ``[rng.random() for _ in range(k)]``
     draw for draw: ``random()`` assembles a double as
     ``((a >> 5) * 2^26 + (b >> 6)) / 2^53`` from two consecutive 32-bit
     MT19937 outputs, and ``getrandbits(64 * k)`` hands out the next
@@ -261,9 +261,8 @@ class _WordStream:
 
     __slots__ = ("_rng",)
 
-    def __init__(self, local: random.Random) -> None:
-        self._rng = random.Random()
-        self._rng.setstate(local.getstate())
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
 
     def random_sample(self, size: int) -> "_np.ndarray":
         words = _np.frombuffer(
@@ -279,26 +278,31 @@ def _numpy_stream(local: random.Random) -> _WordStream:
     """A double stream continuing ``local``'s exact MT19937 stream.
 
     ``stream.random_sample(k)`` equals ``[local.random()] * k`` draw for
-    draw.  ``local`` itself is left untouched: the stream reads a copy.
+    draw.  ``local`` itself is left untouched: the stream reads a copy,
+    so a caller that goes on drawing from ``local`` sees its own stream.
     """
-    return _WordStream(local)
+    copy = random.Random()
+    copy.setstate(local.getstate())
+    return _WordStream(copy)
 
 
 def _geometric_indices_array(local: random.Random, universe_size: int,
                              probability: float) -> "_np.ndarray":
     """:func:`_geometric_indices` as one vectorized pass, equal output.
 
-    Uniform draws come in chunks from the transplanted stream; gaps,
-    cumulative positions, and the two termination conditions (a gap at
-    least the universe, or a position past it) are array expressions.
-    Gap entries at or beyond the terminator carry clamped garbage, but
-    the first terminator cuts them off before they are emitted —
-    exactly where the scalar generator returns.
+    Uniform draws come in chunks straight from ``local``, which the
+    draw consumes: its callers build it for this one subset and throw
+    it away, so no copy of the MT state is taken.  Gaps, cumulative
+    positions, and the two termination conditions (a gap at least the
+    universe, or a position past it) are array expressions.  Gap
+    entries at or beyond the terminator carry clamped garbage, but the
+    first terminator cuts them off before they are emitted — exactly
+    where the scalar generator returns.
     """
     log_q = math.log1p(-probability)
     if log_q == 0.0:
         return _np.empty(0, dtype=_np.int64)
-    stream = _numpy_stream(local)
+    stream = _WordStream(local)
     chunks: list["_np.ndarray"] = []
     index = -1
     # Expected draw count is ~p·n + 1; the first chunk covers it with

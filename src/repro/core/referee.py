@@ -7,7 +7,8 @@ H).  A message is the sender's sorted canonical edge-key array
 is one sort of the concatenated keys.
 
 The triangle referee, :func:`key_union_triangle_referee`, searches that
-sorted key union directly and builds no per-vertex rows.  Each key
+sorted key union directly and builds no per-vertex rows
+(:func:`~repro.graphs.graph.closed_wedges`).  Each key
 (a, b) pairs with the later keys (a, c) that share its lower endpoint;
 the wedge (a, b, c) closes iff the key of (b, c) is in the union, one
 ``searchsorted``.  Wedges are generated in (a, b, c) order, so the
@@ -43,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.graphs.graph import unique_keys
+from repro.graphs.graph import closed_wedges, unique_keys
 from repro.graphs.kernels.bigint import or_edges_into_rows
 from repro.graphs.triangles import Triangle
 from repro.obs import trace as obs_trace
@@ -81,28 +82,10 @@ def union_rows(messages: Iterable[np.ndarray], n: int) -> list[int]:
 
 def _first_closed_wedge(keys: np.ndarray, n: int) -> Triangle | None:
     """Lexicographically first triangle of sorted distinct edge keys."""
-    m = int(keys.size)
-    if m < 3:
-        return None
-    lows = keys // n
-    highs = keys - lows * n
-    # later[i]: keys after i with the same lower endpoint, i.e. the
-    # wedges key i is the base of; ends[i]: wedges of keys 0..i.
-    later = np.searchsorted(lows, lows, side="right") - np.arange(1, m + 1)
-    ends = np.cumsum(later)
-    total = int(ends[-1])
-    for start in range(0, total, WEDGE_BUDGET):
-        wedge = np.arange(start, min(total, start + WEDGE_BUDGET))
-        base = np.searchsorted(ends, wedge, side="right")
-        other = wedge + base + 1 - (ends[base] - later[base])
-        closing = highs[base] * n + highs[other]
-        found = np.searchsorted(keys, closing)
-        np.minimum(found, m - 1, out=found)
-        hit = keys[found] == closing
-        if hit.any():
-            first = int(hit.argmax())
-            a = int(lows[base[first]])
-            return (a, int(highs[base[first]]), int(highs[other[first]]))
+    for ab, ac, _ in closed_wedges(keys, n, WEDGE_BUDGET):
+        if ab.size:
+            a, b = divmod(int(keys[ab[0]]), n)
+            return (a, b, int(keys[ac[0]]) % n)
     return None
 
 

@@ -67,6 +67,39 @@ def key_edges(keys, n: int) -> Iterator[Edge]:
     return zip((keys // n).tolist(), (keys % n).tolist())
 
 
+def closed_wedges(keys, n: int, budget: int):
+    """The triangles of sorted distinct edge keys, ``budget`` wedges at a time.
+
+    Each key (a, b) pairs with the later keys (a, c) that share its
+    lower endpoint; the wedge (a, b, c) closes iff the key of (b, c) is
+    present, one ``searchsorted``.  Yields, per chunk of at most
+    ``budget`` wedges (open ones included), the index arrays
+    ``(ab, ac, bc)`` into ``keys`` of the chunk's closed wedges, in
+    (a, b, c) order; a chunk may yield empty arrays.
+    """
+    import numpy as np
+
+    m = int(keys.size)
+    if m < 3:
+        return
+    lows = keys // n
+    highs = keys - lows * n
+    # later[i]: keys after i with the same lower endpoint, i.e. the
+    # wedges key i is the base of; ends[i]: wedges of keys 0..i.
+    later = np.searchsorted(lows, lows, side="right") - np.arange(1, m + 1)
+    ends = np.cumsum(later)
+    total = int(ends[-1])
+    for start in range(0, total, budget):
+        wedge = np.arange(start, min(total, start + budget))
+        base = np.searchsorted(ends, wedge, side="right")
+        other = wedge + base + 1 - (ends[base] - later[base])
+        closing = highs[base] * n + highs[other]
+        found = np.searchsorted(keys, closing)
+        np.minimum(found, m - 1, out=found)
+        hit = keys[found] == closing
+        yield base[hit], other[hit], found[hit]
+
+
 def canonical_edge(u: int, v: int) -> Edge:
     """The canonical representation of the undirected edge {u, v}."""
     if u == v:

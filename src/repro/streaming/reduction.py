@@ -3,10 +3,12 @@
 **Streaming → one-way.**  Partition the stream among the players in order;
 each player runs the streaming algorithm over its own segment, then
 forwards the serialized state (charged at its bit size) to the next; the
-last player finishes the pass and outputs.  A space-s algorithm yields a
-chain protocol with s bits per hop, so the protocol's cost per hop
-lower-bounds streaming space: CC ≥ (hops) · space means
-space ≥ CC / hops.
+last player finishes the pass and outputs.  A randomized algorithm's
+state carries its coin position (public coins, not charged), so the
+chain is exactly one pass over the concatenated player segments.  A
+space-s algorithm yields a chain protocol with s bits per hop, so the
+protocol's cost per hop lower-bounds streaming space:
+CC ≥ (hops) · space means space ≥ CC / hops.
 
 Each player's segment is fed to the algorithm as *row batches* straight
 from the player's adjacency rows

@@ -10,19 +10,57 @@ grows with the reservoir, which is exactly the space/success trade-off the
 Ω(n^{1/4}) lower bound constrains on µ-distributed inputs.
 
 Both finders index their stored edges as per-vertex bitmasks (the same
-kernel representation as :class:`~repro.graphs.graph.Graph`), so the
-per-arrival closure check is a single ``&`` of two ints.
+kernel representation as :class:`~repro.graphs.graph.Graph`), so in the
+per-edge and row forms an arrival's closure check is a single ``&`` of
+two ints.  :meth:`ReservoirTriangleFinder.process_keys` runs a whole
+canonical edge-key stream without per-edge Python: it replays the slot
+draws from bulk RNG words, records only the reservoir's insertions and
+evictions, and finds the first closing arrival with array operations
+over the stream's triangle table (:func:`triangle_arrivals`).
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.comm.encoding import edge_bits
-from repro.graphs.graph import Edge, canonical_edge, iter_bits
+from repro.graphs.graph import Edge, canonical_edge, closed_wedges, iter_bits
 from repro.streaming.stream import StreamingAlgorithm
 
-__all__ = ["ReservoirTriangleFinder", "CountingExactFinder"]
+__all__ = [
+    "ReservoirTriangleFinder",
+    "CountingExactFinder",
+    "triangle_arrivals",
+]
+
+#: Wedges :func:`triangle_arrivals` materializes at once: a few int64
+#: arrays of this length, so a µ sample's table build holds about
+#: 0.4 MiB at its peak (1.4 MiB at ``1 << 16`` for a part size of 144)
+#: and runs no slower.
+_WEDGE_CHUNK = 1 << 12
+
+
+def triangle_arrivals(keys: np.ndarray, n: int) -> np.ndarray:
+    """The triangle table of an ascending canonical edge-key stream.
+
+    ``keys`` are sorted distinct ``u * n + v`` keys (``u < v``), read as
+    a stream in that order.  Returns an ``(T, 3)`` int64 array with one
+    row ``(closing, first_arm, second_arm)`` of arrival indices per
+    triangle {a, b, c} (a < b < c): the closing edge is (b, c), the
+    last of the three to arrive, and the arms are (a, b) and (a, c), so
+    ``a`` is the apex the closing arrival probes.  Rows are ordered by
+    closing index, then apex — the order in which a per-edge reservoir
+    finder would discover them.  A triangle-free stream gives ``T = 0``.
+    """
+    chunks = list(closed_wedges(keys, n, _WEDGE_CHUNK))
+    if not chunks:
+        return np.empty((0, 3), dtype=np.int64)
+    ab, ac, bc = (np.concatenate(part) for part in zip(*chunks))
+    # Same closing edge: the lower apex a has the lower (a, b) key.
+    order = np.lexsort((ab, bc))
+    return np.stack((bc[order], ab[order], ac[order]), axis=1)
 
 
 def _slot_below(getrandbits, seen: int) -> int:
@@ -39,6 +77,43 @@ def _slot_below(getrandbits, seen: int) -> int:
     while slot >= seen:
         slot = getrandbits(bits)
     return slot
+
+
+def _reservoir_draws(getrandbits, seen: int, last: int,
+                     size: int) -> tuple[list[int], list[int]]:
+    """:func:`_slot_below` for ``seen .. last`` in turn, from bulk words.
+
+    For ``b = seen.bit_length() <= 32``, ``getrandbits(b)`` consumes
+    one 32-bit MT19937 output and returns its top ``b`` bits, and
+    ``getrandbits(32 * W)`` hands out the next ``W`` outputs, least
+    significant first.  Every draw takes at least one word, so a batch
+    of as many words as draws remain is never over-read: the generator
+    ends exactly where the per-draw loop leaves it (``seen`` must stay
+    below ``2^32``: past it the shift turns negative and raises).
+    Returns the ``(arrival index, slot)`` pairs of the draws that land
+    in the reservoir (slot below ``size``); the rest are only counted.
+    """
+    arrivals: list[int] = []
+    slots: list[int] = []
+    while seen <= last:
+        count = last - seen + 1
+        words = np.frombuffer(
+            getrandbits(32 * count).to_bytes(4 * count, "little"),
+            dtype="<u4",
+        ).tolist()
+        shift = 32 - seen.bit_length()
+        limit = 1 << seen.bit_length()
+        for word in words:
+            slot = word >> shift
+            if slot < seen:
+                if slot < size:
+                    arrivals.append(seen - 1)
+                    slots.append(slot)
+                seen += 1
+                if seen == limit:
+                    shift -= 1
+                    limit <<= 1
+    return arrivals, slots
 
 
 class ReservoirTriangleFinder(StreamingAlgorithm):
@@ -128,6 +203,74 @@ class ReservoirTriangleFinder(StreamingAlgorithm):
         self._seen = seen
         self._found = found
 
+    def process_keys(self, keys: np.ndarray,
+                     triangles: np.ndarray | None = None) -> None:
+        """Stream a canonical edge-key array from the fresh state, in bulk.
+
+        ``keys`` are sorted distinct ``u * n + v`` keys (``u < v``, this
+        finder's ``n``); the stream is their edges in that order.
+        ``triangles`` is the stream's :func:`triangle_arrivals` table,
+        built here when not given (a caller streaming one array many
+        times builds it once).  The outcome equals :meth:`process` edge
+        by edge — the same :meth:`result`, reservoir, seen count,
+        :meth:`export_state` and RNG position — in three steps:
+
+        1. the slot draws at seen counts ``R + 1 .. m`` are replayed from
+           bulk words (:func:`_reservoir_draws`), keeping only those
+           that land in the reservoir;
+        2. each edge that entered the reservoir gets the arrival whose
+           update evicts it (the next occupant of its slot);
+        3. a triangle closes at its closing arrival ``t`` iff both arms
+           entered and neither was evicted before ``t`` — the probe runs
+           before ``t``'s own update, so an arm evicted *by* ``t`` still
+           counts.  The first closing row of the table wins: the
+           earliest arrival, then the lowest apex, which is the lowest
+           set bit the per-edge ``&`` probe reads.
+        """
+        if self._seen:
+            raise ValueError("process_keys streams from the fresh state only")
+        m = int(keys.size)
+        if m > 1 and not (keys[1:] > keys[:-1]).all():
+            raise ValueError("edge keys must be strictly ascending")
+        n = self.n
+        if triangles is None:
+            triangles = triangle_arrivals(keys, n)
+        size = self.reservoir_size
+        arrivals, slots = _reservoir_draws(
+            self._rng.getrandbits, size + 1, m, size
+        )
+        filled = min(m, size)
+        # Every occupant of every slot: the initial fill, then the draws
+        # in arrival order; a stable sort groups them by slot.
+        slot = np.concatenate((np.arange(filled), np.array(slots, np.int64)))
+        order = np.argsort(slot, kind="stable")
+        slot = slot[order]
+        arrival = np.concatenate(
+            (np.arange(filled), np.array(arrivals, np.int64))
+        )[order]
+        current = np.ones(arrival.size, dtype=bool)
+        current[:-1] = slot[1:] != slot[:-1]
+        # until[e]: the arrival whose update evicts e (m if none), or -1
+        # for an edge that never entered.
+        evictor = np.empty_like(arrival)
+        evictor[:-1] = arrival[1:]
+        evictor[current] = m
+        until = np.full(m, -1, dtype=np.int64)
+        until[arrival] = evictor
+        if triangles.size:
+            live = np.minimum(
+                until[triangles[:, 1]], until[triangles[:, 2]]
+            ) >= triangles[:, 0]
+            if live.any():
+                _, arm, other = triangles[live.argmax()].tolist()
+                a, b = divmod(int(keys[arm]), n)
+                self._found = (a, b, int(keys[other]) % n)
+        kept = keys[arrival[current]]
+        self._reservoir = list(zip((kept // n).tolist(), (kept % n).tolist()))
+        self._seen = m
+        for edge in self._reservoir:
+            self._index(edge)
+
     def _check_closure(self, edge: Edge) -> None:
         """Does ``edge`` close a vee whose two arms are in the reservoir?"""
         u, v = edge
@@ -161,16 +304,24 @@ class ReservoirTriangleFinder(StreamingAlgorithm):
         return self._found
 
     def export_state(self) -> dict:
+        """Reservoir, seen count, found register and the RNG position.
+
+        The RNG state is public coins: a resumed finder must draw the
+        slots a single pass would, but the coins are not charged in
+        :meth:`state_bits`.
+        """
         return {
             "reservoir": list(self._reservoir),
             "seen": self._seen,
             "found": self._found,
+            "rng": self._rng.getstate(),
         }
 
     def import_state(self, state: dict) -> None:
         self._reservoir = list(state["reservoir"])
         self._seen = state["seen"]
         self._found = state["found"]
+        self._rng.setstate(state["rng"])
         self._adjacency = {}
         for edge in self._reservoir:
             self._index(edge)

@@ -2,13 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.encoding import edge_bits
-from repro.graphs.generators import far_instance, gnd
-from repro.graphs.graph import Graph
+from repro.graphs.generators import far_instance, gnd, gnp
+from repro.graphs.graph import Graph, key_edges
 from repro.graphs.partition import partition_disjoint
 from repro.graphs.triangles import is_triangle_free, iter_triangles
 from repro.lowerbounds.distributions import MuDistribution
@@ -25,6 +26,7 @@ from repro.streaming.stream import (
 from repro.streaming.triangle_stream import (
     CountingExactFinder,
     ReservoirTriangleFinder,
+    triangle_arrivals,
 )
 
 from oracles.streaming import streaming_to_oneway_reference
@@ -237,7 +239,7 @@ class TestRowBatching:
 
 class TestReservoirSlotDraws:
     """One exact slot draw behind both reservoir feeds, and T1-R3's
-    early stop."""
+    protocol against the per-edge stream."""
 
     @pytest.mark.parametrize("seed", [0, 1, 97])
     def test_slot_helper_replays_randrange(self, seed):
@@ -293,21 +295,182 @@ class TestReservoirSlotDraws:
         base_seed = 0
         for part_size in (24, 96):  # T1-R3's quick part sizes
             builder = _MuSampleBuilder(part_size=part_size)
+            mu = MuDistribution(part_size=part_size, gamma=1.2)
             specs = _loop_specs(10, 3 * part_size, base_seed)
             samples = [builder(spec.n, spec.d, spec.seed) for spec in specs]
+            graphs = [mu.sample(seed=spec.seed).graph for spec in specs]
+            for sample, graph in zip(samples, graphs):
+                assert sample.n == graph.n
+                assert sample.keys.tolist() == [
+                    u * graph.n + v for u, v in graph.edges()
+                ]
             for size in (2, 4, 8, 16, 32, 64, 128, 256):
                 protocol = _ReservoirStreamProtocol(size, base_seed)
-                for spec, sample in zip(specs, samples):
+                for spec, sample, graph in zip(specs, samples, graphs):
                     outcome = protocol(sample, spec.seed)
-                    if is_triangle_free(sample.graph):
+                    if is_triangle_free(graph):
                         assert outcome.found
                         continue
                     finder = ReservoirTriangleFinder(
-                        sample.graph.n, reservoir_size=size,
+                        graph.n, reservoir_size=size,
                         seed=base_seed + 31 * spec.trial_index,
                     )
-                    run = run_stream(finder, sorted(sample.graph.edges()))
+                    run = run_stream(finder, sorted(graph.edges()))
                     assert outcome.found == (run.result is not None)
+
+
+def _keys_of(edges, n=20):
+    return np.array(sorted({u * n + v for u, v in edges}), dtype=np.int64)
+
+
+def _per_edge(keys, n, size, seed):
+    finder = ReservoirTriangleFinder(n, reservoir_size=size, seed=seed)
+    for edge in key_edges(keys, n):
+        finder.process(edge)
+    return finder
+
+
+def _assert_bulk_matches(keys, n, size, seed):
+    """``process_keys`` against per-edge ``process``: the whole state."""
+    reference = _per_edge(keys, n, size, seed)
+    bulk = ReservoirTriangleFinder(n, reservoir_size=size, seed=seed)
+    bulk.process_keys(keys)
+    assert bulk.result() == reference.result()
+    assert bulk._seen == reference._seen == keys.size
+    assert bulk.export_state() == reference.export_state()
+    assert bulk.state_bits() == reference.state_bits()
+    return reference.result()
+
+
+#: Seen counts at and around powers of two: the slot draw's bit length
+#: grows by one at each 2^b.
+BIT_BOUNDARY_LENGTHS = sorted(
+    {2 ** b + off for b in range(2, 10) for off in (-1, 0, 1)}
+)
+
+
+class TestBulkKeyStream:
+    """``ReservoirTriangleFinder.process_keys`` is pinned to ``process``."""
+
+    @given(EDGE_STREAMS, st.integers(min_value=2, max_value=70),
+           st.integers(min_value=0, max_value=2 ** 20))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_edge(self, edges, size, seed):
+        # Sizes up to 70 also cover R >= m for every stream (m <= 60).
+        _assert_bulk_matches(_keys_of(edges), 20, size, seed)
+
+    @given(EDGE_STREAMS, st.integers(min_value=0, max_value=2 ** 20))
+    @settings(max_examples=150, deadline=None)
+    def test_smallest_reservoir(self, edges, seed):
+        _assert_bulk_matches(_keys_of(edges), 20, 2, seed)
+
+    @given(EDGE_STREAMS, st.integers(min_value=0, max_value=2 ** 20))
+    @settings(max_examples=60, deadline=None)
+    def test_reservoir_holds_whole_stream(self, edges, seed):
+        keys = _keys_of(edges)
+        found = _assert_bulk_matches(keys, 20, max(2, keys.size), seed)
+        # Nothing is ever evicted: every triangle is found.
+        assert (found is None) == (triangle_arrivals(keys, 20).size == 0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=10, max_value=19),
+            ),
+            max_size=60,
+        ),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=0, max_value=2 ** 20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_triangle_free_stream(self, edges, size, seed):
+        keys = _keys_of(edges)  # bipartite: {0..9} x {10..19}
+        assert triangle_arrivals(keys, 20).shape == (0, 3)
+        assert _assert_bulk_matches(keys, 20, size, seed) is None
+
+    @given(st.sampled_from(BIT_BOUNDARY_LENGTHS),
+           st.sampled_from([2, 3, 4, 7, 16, 100]),
+           st.integers(min_value=0, max_value=2 ** 20))
+    @settings(max_examples=120, deadline=None)
+    def test_streams_crossing_bit_length_boundaries(self, length, size,
+                                                    seed):
+        graph = gnp(64, 0.3, seed=seed % 7)
+        keys = np.sort(
+            np.random.default_rng(seed).choice(
+                graph.edge_keys(), size=length, replace=False
+            )
+        )
+        _assert_bulk_matches(keys, 64, size, seed)
+
+    @given(st.integers(min_value=2, max_value=12),
+           st.integers(min_value=0, max_value=2 ** 20))
+    @settings(max_examples=150, deadline=None)
+    def test_closing_edge_with_several_vees(self, size, seed):
+        # (14, 15) arrives last and closes a vee at every apex 0..13.
+        edges = [(a, b) for a in range(14) for b in (14, 15)]
+        edges.append((14, 15))
+        _assert_bulk_matches(_keys_of(edges), 20, size, seed)
+
+    def test_lowest_apex_wins(self):
+        edges = [(a, b) for a in range(3, 9) for b in (14, 15)]
+        edges.append((14, 15))
+        finder = ReservoirTriangleFinder(20, reservoir_size=64, seed=0)
+        finder.process_keys(_keys_of(edges))
+        assert finder.result() == (3, 14, 15)
+
+    @pytest.mark.parametrize("part_size", [12, 24, 36])
+    def test_matches_per_edge_on_mu(self, part_size):
+        mu = MuDistribution(part_size=part_size, gamma=1.2)
+        for sample_seed in (0, 3):
+            graph = mu.sample(seed=sample_seed).graph
+            keys = graph.edge_keys()
+            for finder_seed in (0, 31, 1_000_003):
+                for size in (2, 4, 8, 16, 32, 64, 128, 256):
+                    _assert_bulk_matches(keys, graph.n, size, finder_seed)
+
+    @given(EDGE_STREAMS)
+    @settings(max_examples=100, deadline=None)
+    def test_triangle_table(self, edges):
+        keys = _keys_of(edges)
+        index = {int(key): i for i, key in enumerate(keys)}
+        expected = sorted(
+            (index[b * 20 + c], index[a * 20 + b], index[a * 20 + c])
+            for a, b, c in iter_triangles(Graph(20, edges))
+        )
+        table = triangle_arrivals(keys, 20)
+        assert table.dtype == np.int64
+        assert [tuple(row) for row in table.tolist()] == expected
+
+    def test_draw_replay_matches_slot_draws(self):
+        from repro.streaming.triangle_stream import (
+            _reservoir_draws,
+            _slot_below,
+        )
+
+        for seed in (0, 5, 2 ** 33):
+            for first, last, size in ((3, 2, 2), (3, 3, 2), (3, 5000, 2),
+                                      (17, 4097, 16), (129, 1025, 128)):
+                reference = random.Random(seed)
+                expected = ([], [])
+                for seen in range(first, last + 1):
+                    slot = _slot_below(reference.getrandbits, seen)
+                    if slot < size:
+                        expected[0].append(seen - 1)
+                        expected[1].append(slot)
+                replay = random.Random(seed)
+                got = _reservoir_draws(replay.getrandbits, first, last, size)
+                assert got == expected
+                assert replay.getstate() == reference.getstate()
+
+    def test_rejects_non_fresh_finder_and_unsorted_keys(self):
+        finder = ReservoirTriangleFinder(20, reservoir_size=4, seed=0)
+        finder.process((0, 1))
+        with pytest.raises(ValueError, match="fresh"):
+            finder.process_keys(_keys_of([(2, 3)]))
+        fresh = ReservoirTriangleFinder(20, reservoir_size=4, seed=0)
+        with pytest.raises(ValueError, match="ascending"):
+            fresh.process_keys(np.array([43, 21], dtype=np.int64))
 
 
 class TestReduction:
@@ -390,6 +553,26 @@ class TestReduction:
         assert oneway_cost_of_streaming(
             partition, lambda: CountingExactFinder(150)
         ) == run.total_bits
+
+    def test_chain_equals_single_pass_over_player_streams(self):
+        """The chain resumes the reservoir's coins at every hop, so it
+        is the single pass over the concatenated player streams."""
+        for seed in range(40):
+            graph = gnp(60, 0.15, seed=seed)
+            partition = partition_disjoint(graph, 3, seed=seed + 100)
+            chain = streaming_to_oneway(
+                partition, lambda: ReservoirTriangleFinder(60, 8, seed=seed)
+            )
+            single = ReservoirTriangleFinder(60, 8, seed=seed)
+            states = []
+            for view in partition.views:
+                for edge in sorted(view):
+                    single.process(edge)
+                states.append(single.export_state())
+            assert chain.output == single.result()
+            assert [
+                state["state"] for _, state, _ in chain.transcript.messages
+            ] == states[:-1]
 
     def test_chain_cost_floor_on_empty_views(self):
         """Empty segments still charge the 1-bit floor per hop."""
