@@ -4,7 +4,11 @@ The workload is the repo's bread-and-butter experiment: estimating a
 protocol's detection probability at one grid point by running many
 seeded trials against one instance.  The per-trial reference
 (``TrialTask.__call__`` on every spec) pays the full cost per trial —
-rebuild the instance, rebuild the players, reseed the coins.
+redraw the instance's edge keys and partition, rebuild the players,
+reseed the coins.  It builds no adjacency rows: graphs build their
+mask kernel on first read, and a sim-low trial never reads one.  So
+every speedup of generation or partitioning shrinks the reference,
+and with it the gated ratio.
 ``run_trials`` on shared-instance specs builds the instance once per
 grid point, reuses its players (and whatever they built) across the
 repetition axis, and constructs all trial coin streams in one pass.

@@ -20,6 +20,18 @@ decide.  Whatever the backend, every query speaks the Python-int
 mask exchange format, so pinned-seed runs are byte-identical across
 backends and callers never see which kernel is underneath.
 
+Graphs built from edge arrays are *keys-first*, like the players cut
+from them: :meth:`Graph.from_edge_arrays` keeps the validated, sorted
+edge-key array and the kernel class the policy picks at that moment
+(the ``kernel.selected`` event and ``kernel.select.*`` counters fire
+there), and the kernel itself is built from those keys the first time
+a query needs it — so its build time lands in the first reader's trace
+span, not the generator's.  ``n``, ``num_edges``, ``edge_keys``,
+``average_degree``, ``backend``, ``nbytes``, ``copy``, ``==``,
+pickling and :meth:`Graph.add_edge_arrays` work on the keys alone; the
+scalar mutators build first, then mutate.  Most generated instances
+are only ever partitioned into players and never build a kernel.
+
 The paper's model hands each player a *characteristic vector* over potential
 edges; :class:`Graph` is the ground-truth union of those vectors, and
 :mod:`repro.graphs.partition` produces the per-player views.
@@ -126,7 +138,9 @@ class Graph:
         csr kernel).  Never changes the edge set, only the storage.
     """
 
-    __slots__ = ("_n", "_kernel", "_edge_count", "_edge_keys")
+    # _built is the kernel once built, else None; an unbuilt graph
+    # always holds its _edge_keys, and _kernel_cls builds them.
+    __slots__ = ("_n", "_kernel_cls", "_built", "_edge_count", "_edge_keys")
 
     def __init__(self, n: int, edges: Iterable[Edge] = (),
                  backend: str | None = None,
@@ -134,21 +148,46 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self._n = n
-        self._kernel: MaskKernel = get_kernel(backend, n, expected_edges)(n)
+        self._kernel_cls = get_kernel(backend, n, expected_edges)
+        self._built: MaskKernel | None = self._kernel_cls(n)
         self._edge_count = 0
         self._edge_keys = None
         for u, v in edges:
             self.add_edge(u, v)
 
     @classmethod
-    def _wrap(cls, n: int, kernel: MaskKernel, edge_count: int,
-              edge_keys=None) -> "Graph":
+    def _wrap(cls, n: int, kernel: MaskKernel | None, edge_count: int,
+              edge_keys=None, kernel_cls: type | None = None) -> "Graph":
         graph = cls.__new__(cls)
         graph._n = n
-        graph._kernel = kernel
+        graph._kernel_cls = type(kernel) if kernel_cls is None else kernel_cls
+        graph._built = kernel
         graph._edge_count = edge_count
         graph._edge_keys = edge_keys
         return graph
+
+    @property
+    def _kernel(self) -> MaskKernel:
+        """The mask kernel, built from the edge keys on first read."""
+        kernel = self._built
+        if kernel is None:
+            keys = self._edge_keys
+            n = self._n
+            kernel = self._built = self._kernel_cls.from_edge_array(
+                n, keys // n, keys % n
+            )
+        return kernel
+
+    # The state is the slot tuple; a graph that holds its keys pickles
+    # without its kernel and rebuilds it on first read.
+    def __getstate__(self):
+        built = self._built if self._edge_keys is None else None
+        return (self._n, self._kernel_cls, built, self._edge_count,
+                self._edge_keys)
+
+    def __setstate__(self, state) -> None:
+        (self._n, self._kernel_cls, self._built, self._edge_count,
+         self._edge_keys) = state
 
     # ------------------------------------------------------------------
     # Backend seam
@@ -156,7 +195,7 @@ class Graph:
     @property
     def backend(self) -> str:
         """Name of the mask kernel this instance runs on."""
-        return self._kernel.name
+        return self._kernel_cls.name
 
     @property
     def kernel(self) -> MaskKernel:
@@ -166,13 +205,17 @@ class Graph:
     def to_backend(self, backend: str) -> "Graph":
         """A copy of this graph on the named backend.
 
-        Rows convert losslessly through the Python-int exchange format,
-        so the result is == to the source whatever the two kernels.
+        A graph that holds its keys hands them over unbuilt; otherwise
+        rows convert losslessly through the Python-int exchange format.
+        Either way the result is == to the source whatever the two
+        kernels.
         """
         cls = get_kernel(backend, self._n)
-        kernel = cls.from_rows(self._n, self._kernel.rows())
+        kernel = None
+        if self._edge_keys is None:
+            kernel = cls.from_rows(self._n, self._built.rows())
         return Graph._wrap(self._n, kernel, self._edge_count,
-                           self._edge_keys)
+                           self._edge_keys, cls)
 
     # ------------------------------------------------------------------
     # Construction
@@ -226,8 +269,11 @@ class Graph:
         return True
 
     def copy(self) -> "Graph":
-        return Graph._wrap(self._n, self._kernel.copy(), self._edge_count,
-                           self._edge_keys)
+        """An independent copy; an unbuilt graph shares its read-only
+        keys and stays unbuilt."""
+        kernel = None if self._built is None else self._built.copy()
+        return Graph._wrap(self._n, kernel, self._edge_count,
+                           self._edge_keys, self._kernel_cls)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -271,11 +317,14 @@ class Graph:
 
         The vectorized-generation entry point: endpoints may come in
         any orientation with duplicates; they are canonicalized,
-        deduplicated, validated once, and handed to the kernel's
-        ``from_edge_array`` — O(m log m) array work instead of m
-        Python-level inserts.  The resulting graph equals
-        ``Graph(n, zip(us, vs), backend=...)`` on every backend, and
-        keeps the canonical keys as its :meth:`edge_keys`.
+        deduplicated and validated once — O(m log m) array work instead
+        of m Python-level inserts.  The graph keeps the canonical keys
+        as its :meth:`edge_keys` and the kernel class the policy picks
+        now; the kernel's ``from_edge_array`` runs on those keys the
+        first time a query needs the kernel (see the module docstring),
+        so instances that are only partitioned never build one.  The
+        result equals ``Graph(n, zip(us, vs), backend=...)`` on every
+        backend.
 
         ``expected_edges`` overrides the ``auto`` density hint (the
         deduplicated count is used when omitted), letting callers keep
@@ -286,17 +335,16 @@ class Graph:
         keys = cls._canonical_keys(n, us, vs)
         if expected_edges is None:
             expected_edges = int(keys.size)
-        kernel = get_kernel(backend, n, expected_edges).from_edge_array(
-            n, keys // n, keys % n
-        )
-        return cls._wrap(n, kernel, int(keys.size), keys)
+        return cls._wrap(n, None, int(keys.size), keys,
+                         get_kernel(backend, n, expected_edges))
 
     def add_edge_arrays(self, us, vs) -> int:
         """Bulk insert from numpy endpoint arrays; returns #new edges.
 
         The array twin of :meth:`add_edges`: the input is filtered
-        against :meth:`edge_keys`, the kernel merges only the new edges
-        in one call, and the memoized keys absorb them.
+        against :meth:`edge_keys` and the memoized keys absorb the new
+        edges.  A built kernel merges them in one call; an unbuilt
+        graph merges keys only and stays unbuilt.
         """
         import numpy as np
 
@@ -306,7 +354,8 @@ class Graph:
         fresh = np.setdiff1d(keys, old, assume_unique=True)
         if fresh.size == 0:
             return 0
-        self._kernel.merge_edge_array(fresh // n, fresh % n)
+        if self._built is not None:
+            self._built.merge_edge_array(fresh // n, fresh % n)
         merged = np.sort(np.concatenate((old, fresh)))
         merged.flags.writeable = False
         self._edge_keys = merged
@@ -341,13 +390,16 @@ class Graph:
 
     @property
     def nbytes(self) -> int:
-        """Approximate adjacency-storage bytes of the active kernel.
+        """Approximate adjacency-storage bytes this graph holds.
 
-        Delegates to the kernel's ``memory_bytes()``.  Surfaced per
-        instance in ``InstanceCache.stats()`` so sweep logs show memory
-        at scale.
+        The kernel's ``memory_bytes()`` once built; before that, the
+        bytes of the edge-key array, the only storage an unbuilt graph
+        has.  Surfaced per instance in ``InstanceCache.stats()`` so
+        sweep logs show memory at scale.
         """
-        return int(self._kernel.memory_bytes())
+        if self._built is None:
+            return int(self._edge_keys.nbytes)
+        return int(self._built.memory_bytes())
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -531,6 +583,11 @@ find_triangle_in_rows` or the patterns matcher — no edge tuples are
             return NotImplemented
         if self._n != other._n:
             return False
+        if self._edge_keys is not None or other._edge_keys is not None:
+            # A key-holding side compares by keys: no kernel is built.
+            import numpy as np
+
+            return np.array_equal(self.edge_keys(), other.edge_keys())
         if type(self._kernel) is type(other._kernel):
             return self._kernel.rows_equal(other._kernel)
         # Cross-backend: compare through the int exchange format.
@@ -542,7 +599,7 @@ find_triangle_in_rows` or the patterns matcher — no edge tuples are
     def __repr__(self) -> str:
         return (
             f"Graph(n={self._n}, m={self._edge_count}, "
-            f"backend={self._kernel.name!r})"
+            f"backend={self.backend!r})"
         )
 
     def _check_vertex(self, v: int) -> None:

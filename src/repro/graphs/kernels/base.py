@@ -134,10 +134,10 @@ class MaskKernel(Protocol):
     def memory_bytes(self) -> int:
         """Approximate bytes of adjacency storage this kernel holds.
 
-        Powers :attr:`repro.graphs.graph.Graph.nbytes` and the
-        instance-memory figures in ``InstanceCache.stats()`` — a
-        bookkeeping estimate (payload arrays / bignum digits), not an
-        exact allocator measurement.
+        Powers :attr:`repro.graphs.graph.Graph.nbytes` once the graph
+        has built its kernel, and so the instance-memory figures in
+        ``InstanceCache.stats()`` — a bookkeeping estimate (payload
+        arrays / bignum digits), not an exact allocator measurement.
         """
         ...
 
@@ -181,9 +181,12 @@ class MaskKernel(Protocol):
         """Bulk-build from canonical numpy edge arrays.
 
         ``us``/``vs`` are equal-length int64 arrays with
-        ``us[i] < vs[i]``, no duplicates, vertices in range — exactly
-        what :meth:`repro.graphs.graph.Graph.from_edge_arrays` produces
-        after validation.  This is the vectorized-generation entry
-        point: O(m) array work instead of m Python-level inserts.
+        ``us[i] < vs[i]``, no duplicates, vertices in range — the
+        validated keys of a graph from
+        :meth:`repro.graphs.graph.Graph.from_edge_arrays`, split into
+        endpoints.  It runs when such a graph's kernel is first read,
+        not when the graph is generated (graphs that are only
+        partitioned never call it): O(m) array work instead of m
+        Python-level inserts.
         """
         ...

@@ -51,9 +51,10 @@ def instance_nbytes(value: Any, _depth: int = 0) -> int:
     """Best-effort adjacency bytes held by a cached instance.
 
     Recognises anything exposing an integer ``nbytes`` (``Graph``
-    delegates to its kernel's ``memory_bytes``), follows a ``graph``
-    attribute (``EdgePartition``, ``PlantedInstance``), and sums over
-    tuples/lists.  Everything else counts zero — this sizes the
+    reports its kernel's ``memory_bytes``, or its edge-key array's
+    bytes while the kernel is unbuilt, so sizing builds nothing),
+    follows a ``graph`` attribute (``EdgePartition``,
+    ``PlantedInstance``), and sums over tuples/lists.  Everything else counts zero — this sizes the
     dominant adjacency payload for sweep logs, it is not a full object
     graph measurement.
     """

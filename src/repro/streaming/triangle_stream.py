@@ -142,6 +142,9 @@ class ReservoirTriangleFinder(StreamingAlgorithm):
         self._seen = 0
         self._found: tuple[int, int, int] | None = None
         self._adjacency: dict[int, int] = {}
+        # Stored copies per edge: a repeated edge keeps its bits until
+        # its last copy leaves the reservoir.
+        self._copies: dict[Edge, int] = {}
 
     def process(self, edge: Edge) -> None:
         edge = canonical_edge(*edge)
@@ -285,11 +288,19 @@ class ReservoirTriangleFinder(StreamingAlgorithm):
         self._index(edge)
 
     def _index(self, edge: Edge) -> None:
+        copies = self._copies.get(edge, 0)
+        self._copies[edge] = copies + 1
+        if copies:
+            return
         u, v = edge
         self._adjacency[u] = self._adjacency.get(u, 0) | (1 << v)
         self._adjacency[v] = self._adjacency.get(v, 0) | (1 << u)
 
     def _evict(self, edge: Edge) -> None:
+        copies = self._copies.pop(edge) - 1
+        if copies:
+            self._copies[edge] = copies
+            return
         u, v = edge
         self._adjacency[u] = self._adjacency.get(u, 0) & ~(1 << v)
         self._adjacency[v] = self._adjacency.get(v, 0) & ~(1 << u)
@@ -323,6 +334,7 @@ class ReservoirTriangleFinder(StreamingAlgorithm):
         self._found = state["found"]
         self._rng.setstate(state["rng"])
         self._adjacency = {}
+        self._copies = {}
         for edge in self._reservoir:
             self._index(edge)
 

@@ -320,6 +320,9 @@ class TestMemoryReporting:
             backend="csr",
         )
         bigint = sparse.to_backend("bigint")
+        # Unbuilt, both hold only the keys; compare the built kernels.
+        assert sparse.nbytes == bigint.nbytes == sparse.edge_keys().nbytes
+        assert sparse.has_edge(0, 1) and bigint.has_edge(0, 1)  # builds
         assert 0 < sparse.nbytes < bigint.nbytes
         # CSR is a few dozen bytes per edge plus the n+1 offsets.
         assert sparse.nbytes < 64 * sparse.num_edges + 16 * n

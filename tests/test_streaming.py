@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from repro.comm.encoding import edge_bits
 from repro.graphs.generators import far_instance, gnd, gnp
 from repro.graphs.graph import Graph, key_edges
-from repro.graphs.partition import partition_disjoint
+from repro.graphs.partition import (
+    partition_disjoint,
+    partition_with_duplication,
+)
 from repro.graphs.triangles import is_triangle_free, iter_triangles
 from repro.lowerbounds.distributions import MuDistribution
 from repro.streaming.reduction import (
@@ -553,6 +556,34 @@ class TestReduction:
         assert oneway_cost_of_streaming(
             partition, lambda: CountingExactFinder(150)
         ) == run.total_bits
+
+    def test_duplicate_eviction_keeps_the_stored_copy(self):
+        """Evicting one copy of a repeated edge leaves the other's bits.
+
+        Player 0 holds (0,1) and player 1 the whole graph, so the chain
+        streams (0,1),(0,1),(0,2),(0,3),(1,2) with R = 3.  (1,2) closes
+        the triangle exactly when (0,1) and (0,2) are still stored after
+        (0,3)'s update, whichever copy of (0,1) that update evicted.
+        """
+        graph = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+        partition = partition_with_duplication(graph, 2, seed=47)
+        assert [sorted(view) for view in partition.views] == [
+            [(0, 1)], [(0, 1), (0, 2), (0, 3), (1, 2)],
+        ]
+        both_stored = 0
+        for seed in range(200):
+            reference = ReservoirTriangleFinder(4, 3, seed=seed)
+            for edge in [(0, 1), (0, 1), (0, 2), (0, 3)]:
+                reference.process(edge)
+            stored = {(0, 1), (0, 2)} <= set(
+                reference.export_state()["reservoir"]
+            )
+            both_stored += stored
+            run = streaming_to_oneway(
+                partition, lambda: ReservoirTriangleFinder(4, 3, seed=seed)
+            )
+            assert run.output == ((0, 1, 2) if stored else None)
+        assert 0 < both_stored < 200
 
     def test_chain_equals_single_pass_over_player_streams(self):
         """The chain resumes the reservoir's coins at every hop, so it
