@@ -9,11 +9,6 @@ Options:
   --backend B  graph kernel backend (bigint, csr, auto); sets
                REPRO_GRAPH_BACKEND for this run — records are
                byte-identical across backends on pinned seeds
-  --journal-dir DIR  durably journal every sweep's completed trials to
-               per-sweep JSONL files under DIR (crash-safe)
-  --resume     with --journal-dir: skip trials already journaled by a
-               previous (possibly interrupted) run — records are
-               byte-identical to an uninterrupted run
   --trace-dir DIR  record a structured span/event trace of the whole
                run to DIR/trace.jsonl (fork workers add sibling files);
                render it with `python -m repro.obs summarize DIR`
@@ -65,12 +60,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=kernel_names(),
                         help="graph kernel backend "
                              "(sets REPRO_GRAPH_BACKEND for this run)")
-    parser.add_argument("--journal-dir", type=str, default=None,
-                        help="journal completed trials to per-sweep JSONL "
-                             "files under this directory (crash-safe)")
-    parser.add_argument("--resume", action="store_true",
-                        help="with --journal-dir: skip trials already "
-                             "journaled by a previous run")
     parser.add_argument("--trace-dir", type=str, default=None,
                         help="record a span/event trace of the run to "
                              "DIR/trace.jsonl (see python -m repro.obs)")
@@ -78,10 +67,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the run's merged metrics registry "
                              "(counters and gauges) to this file as JSON")
     args = parser.parse_args(argv)
-
-    if args.resume and args.journal_dir is None:
-        print("error: --resume requires --journal-dir", file=sys.stderr)
-        return 2
 
     if args.backend is not None:
         # Environment, not a threaded argument: sweeps re-resolve the
@@ -122,14 +107,10 @@ def main(argv: list[str] | None = None) -> int:
                             seed=args.seed):
             if row_fn is None:
                 print(generate_table1(quick=quick, seed=args.seed,
-                                      workers=args.workers,
-                                      journal_dir=args.journal_dir,
-                                      resume=args.resume))
+                                      workers=args.workers))
             else:
                 print(table1.run_row(row_fn, quick=quick, seed=args.seed,
-                                     workers=args.workers,
-                                     journal_dir=args.journal_dir,
-                                     resume=args.resume).formatted())
+                                     workers=args.workers).formatted())
         if registry is not None:
             obs_trace.event("metrics", snapshot=registry.snapshot())
             with open(args.metrics_out, "w", encoding="utf-8") as handle:

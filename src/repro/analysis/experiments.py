@@ -48,14 +48,7 @@ InstanceFn = Callable[[int, float, int], EdgePartition]
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One grid point's aggregated measurements.
-
-    ``errors`` counts trials whose supervised execution exhausted every
-    retry (``status != "ok"``); those records are excluded from the cost
-    and detection aggregates, and the point's ``detection_rate``
-    denominator shrinks accordingly.  Unsupervised sweeps always have
-    ``errors == 0``.
-    """
+    """One grid point's aggregated measurements."""
 
     n: int
     d: float
@@ -64,7 +57,6 @@ class SweepPoint:
     mean_bits: float
     detection_rate: float
     trials: int
-    errors: int = 0
 
 
 @dataclass
@@ -131,13 +123,7 @@ def _aggregate(grid: Sequence[tuple[int, float, int]], trials: int,
     result = SweepResult(records=records)
     for point_index, (n, d, k) in enumerate(grid):
         point = [r for r in records if r.point_index == point_index]
-        ok = [r for r in point if r.ok]
-        errors = len(point) - len(ok)
-        # Failed trials carry placeholder measurements (bits=0.0,
-        # found=False) and must not drag the aggregates; a point with
-        # zero surviving trials reports NaN costs rather than lying.
-        costs = [r.bits for r in ok] if ok else [float("nan")]
-        detections = sum(1 for r in ok if r.found)
+        costs = [r.bits for r in point]
         result.points.append(
             SweepPoint(
                 n=n,
@@ -145,9 +131,8 @@ def _aggregate(grid: Sequence[tuple[int, float, int]], trials: int,
                 k=k,
                 median_bits=statistics.median(costs),
                 mean_bits=statistics.fmean(costs),
-                detection_rate=detections / len(ok) if ok else 0.0,
+                detection_rate=sum(1 for r in point if r.found) / len(point),
                 trials=trials,
-                errors=errors,
             )
         )
     return result
@@ -179,10 +164,6 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
               instance_key: str | None = None,
               metrics=None,
               shared_instances: bool = False,
-              retry=None,
-              journal=None,
-              resume: bool = False,
-              fault_plan=None,
               trace: "obs_trace.TraceRecorder | str | os.PathLike | None" = None) -> SweepResult:
     """Run ``protocol`` at every (n, d, k) grid point, ``trials`` seeds each.
 
@@ -193,6 +174,9 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
     :func:`repro.runtime.executor.run_trials`: its instances are built
     once per batch and its coin streams in one batched construction,
     with records identical to running every trial on its own.
+
+    The sweep fails fast: the first trial exception propagates
+    unchanged, so every aggregated point holds all of its ``trials``.
 
     Keyword knobs (all optional, defaults reproduce the serial harness):
 
@@ -229,21 +213,6 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
         instance (fresh coins per trial) instead of a fresh instance per
         trial — a different, much cheaper experiment.  Off by default;
         records match earlier releases only when off.
-    retry / journal / resume / fault_plan:
-        The fault-tolerance seams, passed straight through to
-        :func:`repro.runtime.executor.run_trials`: a
-        :class:`~repro.runtime.executor.RetryPolicy` for error capture,
-        timeouts and bounded retry; a
-        :class:`~repro.runtime.journal.RunJournal` (or path) durably
-        recording every completed grid point; ``resume=True`` to skip
-        specs the journal already holds (byte-identical records to an
-        uninterrupted run); a
-        :class:`~repro.runtime.faults.FaultPlan` for deterministic
-        fault injection.  The unit of retry, timeout and journaling is
-        one grid point.  With all of them off (the default) the sweep
-        fails fast: the first trial exception propagates unchanged;
-        with any of them, failed trials become records counted in
-        ``SweepPoint.errors``.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -265,8 +234,6 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
                 protocol, instance_fn, specs,
                 workers=workers, executor=executor,
                 cache=cache, instance_key=instance_key, metrics=hook,
-                retry=retry, journal=journal, resume=resume,
-                fault_plan=fault_plan,
             )
         if cache is not None:
             # stats() sizes every cached instance; only pay for it when
@@ -286,11 +253,4 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
         active = obs_metrics.get_metrics()
         if active is not None:
             obs_trace.event("metrics", snapshot=active.snapshot())
-    failed = sum(1 for r in records if not r.ok)
-    if failed:
-        _LOGGER.warning(
-            "run_sweep: %d of %d trials failed permanently and are "
-            "excluded from aggregation (see SweepPoint.errors and the "
-            "records' error fields)", failed, len(records),
-        )
     return _aggregate(grid, trials, records)

@@ -27,13 +27,9 @@ runs on the runtime executor path, batched per grid point; rows whose
 measurement has no trial axis accept both knobs for harness uniformity
 and run serially.  Records are independent of ``workers``.
 
-Rows additionally accept ``journal_dir=`` and ``resume=``: with a
-journal directory every sweep durably records its completed trials to a
-per-sweep JSONL file under it (one file per sweep, so protocols never
-share a journal), and ``resume=True`` skips trials a previous —
-possibly interrupted — run already recorded, yielding records
-byte-identical to an uninterrupted run.  Rows without a trial axis
-accept both for uniformity.
+The runtime fails fast: a trial that raises stops its row with the
+trial's own exception.  A whole table regenerates in seconds, so there
+is no retry, resume or partial-result path.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ import contextlib
 import math
 import statistics
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -158,19 +153,6 @@ FAR_DISJOINT_KEY = "far-eps0.2-disjoint"
 TRIFREE_SPREAD_KEY = "trifree-spread-eps0.2-disjoint"
 
 
-def _sweep_journal(journal_dir: str | Path | None,
-                   filename: str) -> str | None:
-    """The journal path for one sweep, or ``None`` when journaling is off.
-
-    One file per sweep: journal keys encode only trial coordinates, not
-    the protocol, so two sweeps sharing a file would serve each other's
-    records.  Distinct filenames make that impossible by construction.
-    """
-    if journal_dir is None:
-        return None
-    return str(Path(journal_dir) / filename)
-
-
 def far_disjoint_instance(epsilon: float, k: int):
     """The canonical Table 1 instance: epsilon-far graph, k-partitioned."""
 
@@ -206,9 +188,7 @@ def tuned_unrestricted_params(k: int, d: float) -> UnrestrictedParams:
 
 def row_unrestricted_upper(quick: bool = True, seed: int = 0, *,
                            workers: int | None = None,
-                           cache: InstanceCache | None = None,
-                           journal_dir: str | Path | None = None,
-                           resume: bool = False) -> RowReport:
+                           cache: InstanceCache | None = None) -> RowReport:
     """T1-R1: unrestricted upper bound O~(k (nd)^{1/4} + k²).
 
     Measured on triangle-free degree-spread controls (worst-case path: the
@@ -241,7 +221,6 @@ def row_unrestricted_upper(quick: bool = True, seed: int = 0, *,
         protocol, instance, [(n, d, k) for n in ns],
         trials=3 if quick else 5, seed=seed,
         workers=workers, cache=cache, instance_key=TRIFREE_SPREAD_KEY,
-        journal=_sweep_journal(journal_dir, "t1-r1.jsonl"), resume=resume,
     )
     # The dominant SampleEdges term carries one log n factor (edge ids)
     # times the sqrt(log n) inside p; strip one log before fitting.
@@ -259,9 +238,7 @@ def row_unrestricted_upper(quick: bool = True, seed: int = 0, *,
 
 def row_sim_low_upper(quick: bool = True, seed: int = 0, *,
                       workers: int | None = None,
-                      cache: InstanceCache | None = None,
-                      journal_dir: str | Path | None = None,
-                      resume: bool = False) -> RowReport:
+                      cache: InstanceCache | None = None) -> RowReport:
     """T1-R2a: simultaneous, d = O(sqrt(n)): O~(k sqrt(n))."""
     ns = [600, 1200, 2400, 4800] if quick else [600, 1200, 2400, 4800, 9600]
     d = 6.0
@@ -275,7 +252,6 @@ def row_sim_low_upper(quick: bool = True, seed: int = 0, *,
         far_disjoint_instance(epsilon=0.2, k=k), [(n, d, k) for n in ns],
         trials=3, seed=seed,
         workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
-        journal=_sweep_journal(journal_dir, "t1-r2a.jsonl"), resume=resume,
     )
     fit = fit_axis(sweep.xs("n"), sweep.bits(), log_power=1.0)
     detection = statistics.fmean(sweep.detection_rates())
@@ -292,9 +268,7 @@ def row_sim_low_upper(quick: bool = True, seed: int = 0, *,
 
 def row_sim_high_upper(quick: bool = True, seed: int = 0, *,
                        workers: int | None = None,
-                       cache: InstanceCache | None = None,
-                       journal_dir: str | Path | None = None,
-                       resume: bool = False) -> RowReport:
+                       cache: InstanceCache | None = None) -> RowReport:
     """T1-R2b: simultaneous, d = Ω(sqrt(n)): O~(k (nd)^{1/3})."""
     ns = [400, 900, 1600, 2500] if quick else [400, 900, 1600, 2500, 3600]
     k = 3
@@ -307,7 +281,6 @@ def row_sim_high_upper(quick: bool = True, seed: int = 0, *,
         ),
         far_disjoint_instance(epsilon=0.2, k=k), grid, trials=3, seed=seed,
         workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
-        journal=_sweep_journal(journal_dir, "t1-r2b.jsonl"), resume=resume,
     )
     fit = fit_axis(sweep.xs("nd"), sweep.bits(), log_power=1.0)
     detection = statistics.fmean(sweep.detection_rates())
@@ -324,9 +297,7 @@ def row_sim_high_upper(quick: bool = True, seed: int = 0, *,
 
 def row_oblivious(quick: bool = True, seed: int = 0, *,
                   workers: int | None = None,
-                  cache: InstanceCache | None = None,
-                  journal_dir: str | Path | None = None,
-                  resume: bool = False) -> RowReport:
+                  cache: InstanceCache | None = None) -> RowReport:
     """T1-R2c: degree-oblivious simultaneous within polylog of degree-aware.
 
     Both protocols run through the runtime on the *same* instances: the
@@ -349,8 +320,6 @@ def row_oblivious(quick: bool = True, seed: int = 0, *,
             ),
             instance, grid, trials=trials, seed=seed,
             workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
-            journal=_sweep_journal(journal_dir, "t1-r2c-aware.jsonl"),
-            resume=resume,
         )
         oblivious = run_sweep(
             lambda partition, s, shared=None: find_triangle_sim_oblivious(
@@ -359,8 +328,6 @@ def row_oblivious(quick: bool = True, seed: int = 0, *,
             ),
             instance, grid, trials=trials, seed=seed,
             workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
-            journal=_sweep_journal(journal_dir, "t1-r2c-oblivious.jsonl"),
-            resume=resume,
         )
     ratios = [
         o.bits / max(1, a.bits)
@@ -381,9 +348,7 @@ def row_oblivious(quick: bool = True, seed: int = 0, *,
 
 def row_exact_baseline(quick: bool = True, seed: int = 0, *,
                        workers: int | None = None,
-                       cache: InstanceCache | None = None,
-                       journal_dir: str | Path | None = None,
-                       resume: bool = False) -> RowReport:
+                       cache: InstanceCache | None = None) -> RowReport:
     """X-1: exact detection pays Θ(nd) — the [38] regime testing escapes.
 
     Same construction and instance key as the sim-low sweep: with a
@@ -399,7 +364,6 @@ def row_exact_baseline(quick: bool = True, seed: int = 0, *,
         far_disjoint_instance(epsilon=0.2, k=k), [(n, d, k) for n in ns],
         trials=2, seed=seed,
         workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
-        journal=_sweep_journal(journal_dir, "x1.jsonl"), resume=resume,
     )
     fit = fit_axis(sweep.xs("nd"), sweep.bits(), log_power=1.0)
     return RowReport(
@@ -465,9 +429,7 @@ class PatternProtocol:
 
 def row_subgraph_patterns(quick: bool = True, seed: int = 0, *,
                           workers: int | None = None,
-                          cache: InstanceCache | None = None,
-                          journal_dir: str | Path | None = None,
-                          resume: bool = False) -> RowReport:
+                          cache: InstanceCache | None = None) -> RowReport:
     """X-2: the pattern engine's per-pattern H-freeness sweep.
 
     The H-diverse workload as a Table-1-style row: for every catalog
@@ -494,8 +456,6 @@ def row_subgraph_patterns(quick: bool = True, seed: int = 0, *,
             [(n, d, k)], trials=trials, seed=seed,
             workers=workers, cache=cache,
             instance_key=f"{PLANTED_PATTERN_KEY}:{pattern.name}",
-            journal=_sweep_journal(journal_dir, f"x2-{pattern.name}.jsonl"),
-            resume=resume,
         )
         rates.append(sweep.points[0].detection_rate)
         bits.append(sweep.points[0].median_bits)
@@ -604,9 +564,7 @@ process_keys`) with the sample's cached triangle table; an empty table
 
 def row_oneway_streaming_lower(quick: bool = True, seed: int = 0, *,
                                workers: int | None = None,
-                               cache: InstanceCache | None = None,
-                               journal_dir: str | Path | None = None,
-                               resume: bool = False) -> RowReport:
+                               cache: InstanceCache | None = None) -> RowReport:
     """T1-R3: one-way / streaming hardness evidence on µ.
 
     The trial loop runs on the runtime executor path (``workers=`` /
@@ -634,10 +592,6 @@ def row_oneway_streaming_lower(quick: bool = True, seed: int = 0, *,
                 _ReservoirStreamProtocol(size, seed), builder, specs,
                 workers=workers, cache=sample_cache,
                 instance_key=f"{MU_STREAM_KEY}:{part_size}",
-                journal=_sweep_journal(
-                    journal_dir, f"t1-r3-part{part_size}-res{size}.jsonl"
-                ),
-                resume=resume,
             )
             successes = sum(1 for r in results if r.found)
             if successes / trials >= 0.5:
@@ -668,13 +622,11 @@ def row_oneway_streaming_lower(quick: bool = True, seed: int = 0, *,
 
 def row_sim_covered_lower(quick: bool = True, seed: int = 0, *,
                           workers: int | None = None,
-                          cache: InstanceCache | None = None,
-                          journal_dir: str | Path | None = None,
-                          resume: bool = False) -> RowReport:
+                          cache: InstanceCache | None = None) -> RowReport:
     """T1-R4: covered-edge counts vs message budget (exact posteriors).
 
-    Exact computation, no trials: ``workers``/``cache`` (and the journal
-    knobs) accepted for harness uniformity only.
+    Exact computation, no trials: ``workers``/``cache`` accepted for
+    harness uniformity only.
 
     The expected covered *mass* Σ Pr[Cov(e)] is budget-invariant (tower
     rule); what a bigger message buys is *certainty* — pairs whose
@@ -741,13 +693,10 @@ def _sketch_protocol(max_edges: int) -> Callable[[EdgePartition, int],
 
 def row_symmetrization(quick: bool = True, seed: int = 0, *,
                        workers: int | None = None,
-                       cache: InstanceCache | None = None,
-                       journal_dir: str | Path | None = None,
-                       resume: bool = False) -> RowReport:
+                       cache: InstanceCache | None = None) -> RowReport:
     """T1-R5: the Theorem 4.15 identity E|Pi'| = (2/k) CC(Pi).
 
-    ``workers``/``cache`` (and the journal knobs) accepted for harness
-    uniformity; the identity check runs serially inside
+    ``workers``/``cache`` accepted for harness uniformity; the identity check runs serially inside
     :func:`verify_cost_identity`.
     """
     k = 6
@@ -795,9 +744,7 @@ def _bm_dichotomy_protocol(instance, seed: int) -> _LoopOutcome:
 
 def row_bm_lower(quick: bool = True, seed: int = 0, *,
                  workers: int | None = None,
-                 cache: InstanceCache | None = None,
-                 journal_dir: str | Path | None = None,
-                 resume: bool = False) -> RowReport:
+                 cache: InstanceCache | None = None) -> RowReport:
     """T1-R6: the BM reduction dichotomy behind the Omega(sqrt n) bound.
 
     The trial loop runs on the runtime executor path (``workers=`` /
@@ -810,7 +757,6 @@ def row_bm_lower(quick: bool = True, seed: int = 0, *,
         _bm_dichotomy_protocol, _BMPairBuilder(),
         _loop_specs(trials, n, seed),
         workers=workers, cache=cache, instance_key=BM_DICHOTOMY_KEY,
-        journal=_sweep_journal(journal_dir, "t1-r6.jsonl"), resume=resume,
     )
     verified = sum(1 for r in results if r.found)
     return RowReport(
@@ -826,13 +772,10 @@ def row_bm_lower(quick: bool = True, seed: int = 0, *,
 
 def row_mu_farness(quick: bool = True, seed: int = 0, *,
                    workers: int | None = None,
-                   cache: InstanceCache | None = None,
-                   journal_dir: str | Path | None = None,
-                   resume: bool = False) -> RowReport:
+                   cache: InstanceCache | None = None) -> RowReport:
     """Lemma 4.5 support: µ samples are far w.p. >= 1/2.
 
-    ``workers``/``cache`` (and the journal knobs) accepted for harness
-    uniformity; the estimate runs serially.
+    ``workers``/``cache`` accepted for harness uniformity; the estimate runs serially.
     """
     mu = MuDistribution(part_size=30 if quick else 60, gamma=1.2)
     probability = estimate_far_probability(
@@ -873,9 +816,7 @@ def run_row(row_fn: Callable[..., RowReport], **kwargs) -> RowReport:
 
 
 def generate_table1(quick: bool = True, seed: int = 0,
-                    workers: int | None = None,
-                    journal_dir: str | Path | None = None,
-                    resume: bool = False) -> str:
+                    workers: int | None = None) -> str:
     """Run every row and render the reproduction of Table 1.
 
     One cache is shared across rows, so rows measuring different
@@ -883,11 +824,6 @@ def generate_table1(quick: bool = True, seed: int = 0,
     each other's generated instances; in parallel mode the cache gets a
     temporary disk tier, since instances built inside forked workers
     only cross process boundaries through disk.
-
-    ``journal_dir`` makes every row's sweeps durably journal their
-    completed trials (one JSONL file per sweep under the directory);
-    ``resume=True`` then lets an interrupted table run pick up where it
-    stopped, recomputing nothing that was already recorded.
     """
     lines = [
         "Table 1 reproduction — paper bound vs measured "
@@ -898,7 +834,6 @@ def generate_table1(quick: bool = True, seed: int = 0,
         for row_fn in ALL_ROWS:
             lines.append(
                 run_row(row_fn, quick=quick, seed=seed, workers=workers,
-                        cache=cache, journal_dir=journal_dir,
-                        resume=resume).formatted()
+                        cache=cache).formatted()
             )
     return "\n".join(lines)

@@ -10,8 +10,8 @@ Two layers, both zero-RNG-impact and both off by default:
   their numbers home.
 
 ``python -m repro.obs summarize <trace.jsonl|dir>`` renders a run
-report from a recorded trace (phase breakdown, per-row times,
-retry/fault counts, cache effectiveness, backend/path mix).
+report from a recorded trace (phase breakdown, per-row times, event
+and log counts, cache effectiveness, backend/path mix).
 """
 
 from .metrics import (

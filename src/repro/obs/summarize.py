@@ -10,7 +10,7 @@ sibling files a forked run leaves behind — and prints:
   exactly, so the table always sums to the run's wall clock up to
   clock-read jitter,
 - the duration of each Table 1 ``row`` span, when the run had any,
-- retry/fault/degrade event counts,
+- event counts (log warnings by level, kernel selections, ...),
 - cache effectiveness, backend mix, and generator-path mix, read from
   the end-of-run ``metrics`` snapshot event when one was recorded.
 """
@@ -133,36 +133,20 @@ def summarize(records: list[dict]) -> str:
             row_id = (record.get("attrs") or {}).get("row", "?")
             lines.append(f"  {row_id:<8} {record['dur']:>10.3f}")
 
-    fault_names = (
-        "retry", "timeout", "pool_rebuild", "degrade_serial",
-        "worker_lost", "journal.truncated",
-    )
     event_counts: dict[str, int] = {}
-    log_counts: dict[str, int] = {}
     for record in events:
         name = record["name"]
         if name == "log":
             level = (record.get("attrs") or {}).get("level", "?")
-            log_counts[level] = log_counts.get(level, 0) + 1
-        else:
+            name = f"log[{level}]"
+        if name != "metrics":
             event_counts[name] = event_counts.get(name, 0) + 1
-    lines.append("")
-    lines.append("Faults and retries:")
-    parts = [f"{name}={event_counts.get(name, 0)}" for name in fault_names]
-    lines.append("  " + "  ".join(parts))
-    if log_counts:
-        rendered = "  ".join(
-            f"log[{level}]={count}" for level, count in sorted(log_counts.items())
-        )
-        lines.append("  " + rendered)
-    other = {
-        name: count for name, count in sorted(event_counts.items())
-        if name not in fault_names and name not in ("metrics",)
-    }
-    if other:
-        lines.append(
-            "  other: " + "  ".join(f"{n}={c}" for n, c in other.items())
-        )
+    if event_counts:
+        lines.append("")
+        lines.append("Events:")
+        lines.append("  " + "  ".join(
+            f"{name}={count}" for name, count in sorted(event_counts.items())
+        ))
 
     # The driver stamps a final "metrics" event carrying the merged
     # registry snapshot; mine it for the effectiveness sections.
@@ -207,10 +191,7 @@ def summarize(records: list[dict]) -> str:
         trials = counters.get("trial.ok", 0)
         if trials:
             lines.append("")
-            lines.append(
-                f"Trials: ok={trials:g}  error={counters.get('trial.error', 0):g}  "
-                f"retries={counters.get('retry.attempts', 0):g}"
-            )
+            lines.append(f"Trials: ok={trials:g}")
     else:
         lines.append("")
         lines.append("(no metrics snapshot in trace — run with metrics enabled"

@@ -6,14 +6,12 @@ file.  Two record types:
 ``span``
     A named interval with a monotonic-clock start offset and duration,
     a process-unique id, and the id of its parent span (``None`` for a
-    root).  Spans nest via a thread-local stack, so the serial
-    watchdog's daemon-thread trials and the driver thread each keep
-    coherent parent/child chains.
+    root).  Spans nest via a thread-local stack, so every thread keeps
+    a coherent parent/child chain of its own.
 
 ``event``
-    A point-in-time occurrence (a retry, a timeout, a journal
-    truncation, a log warning) attached to the innermost open span of
-    the emitting thread, if any.
+    A point-in-time occurrence (a kernel selection, a log warning)
+    attached to the innermost open span of the emitting thread, if any.
 
 As with metrics, the recorder is installed as a module global
 (:func:`set_recorder` / :func:`use_recorder`, or

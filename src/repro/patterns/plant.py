@@ -1,16 +1,17 @@
 """Scenario generators for H-diverse workloads.
 
-Three instance families, all built on the bitset kernel's bulk row
-primitives (:meth:`~repro.graphs.graph.Graph.add_neighbors`) rather than
-per-edge inserts:
+Instance families built from bulk inserts rather than per-edge ones
+(edge arrays for planted copies, whole neighbor rows for the incidence
+graph):
 
 * :func:`planted_disjoint_subgraphs` — vertex-disjoint planted copies of
   one pattern H over an optional G(n, d) background.  Vertex-disjoint
   copies are edge-disjoint, so the instance is certifiably
   ``copies / |E|``-far from H-freeness (each removal kills at most one
   copy).  Moved here from ``repro.core.subgraph_detection`` and rebuilt
-  on bulk row inserts; the RNG draw sequence and the produced graph are
-  identical to the historical per-edge construction (pinned by tests).
+  on one bulk edge-array insert; the RNG draw sequence and the produced
+  graph are identical to the historical per-edge construction (pinned
+  by tests).
 * :func:`planted_mixed_patterns` — one instance carrying vertex-disjoint
   planted copies of *several* patterns at once (all blocks mutually
   disjoint), for workloads that interleave pattern families.
@@ -78,42 +79,21 @@ class MixedPatternInstance:
         return len(self.copies_of(pattern)) / max(1, self.graph.num_edges)
 
 
-#: Planted-edge count at which `_plant_images` switches from int-mask
-#: row inserts to one bulk edge-array call (mask rows at large n cost
-#: O(n/8) bytes each; the array path stays O(edges)).
-_BULK_PLANT_EDGES = 2048
-
-
 def _plant_images(graph: Graph, pattern: SubgraphPattern,
                   images: Sequence[tuple[int, ...]]) -> None:
-    """Commit planted copies through bulk inserts.
+    """Commit planted copies in one
+    :meth:`~repro.graphs.graph.Graph.add_edge_arrays` call.
 
-    Small plants attach every edge from its lower endpoint with one
-    ``add_neighbors`` call per touched vertex (symmetry and the edge
-    count are the kernel's job; ascending vertex order keeps the
-    construction deterministic).  Large plants route through
-    :meth:`~repro.graphs.graph.Graph.add_edge_arrays` instead — same
-    resulting edge set, no O(n)-bit masks, which is what keeps planting
-    viable on n = 10^6 hosts.  Neither path draws randomness.
+    The array path costs O(edges) and merges edge keys only on a graph
+    whose kernel is not built yet, so planting never builds the host's
+    kernel (n-bit row masks at large n).  No randomness is drawn.
     """
-    total_edges = len(images) * len(pattern.edges)
-    if total_edges >= _BULK_PLANT_EDGES:
-        members = np.asarray(images, dtype=np.int64)
-        src = [u for u, _ in pattern.edges]
-        dst = [v for _, v in pattern.edges]
-        graph.add_edge_arrays(
-            members[:, src].ravel(), members[:, dst].ravel()
-        )
-        return
-    planted_rows: dict[int, int] = {}
-    for image in images:
-        for u, v in pattern.edges:
-            a, b = image[u], image[v]
-            if a > b:
-                a, b = b, a
-            planted_rows[a] = planted_rows.get(a, 0) | (1 << b)
-    for u in sorted(planted_rows):
-        graph.add_neighbors(u, planted_rows[u])
+    members = np.asarray(images, dtype=np.int64).reshape(
+        len(images), pattern.num_vertices
+    )
+    src = [u for u, _ in pattern.edges]
+    dst = [v for _, v in pattern.edges]
+    graph.add_edge_arrays(members[:, src].ravel(), members[:, dst].ravel())
 
 
 def planted_disjoint_subgraphs(n: int, pattern: SubgraphPattern,

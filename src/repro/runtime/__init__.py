@@ -12,33 +12,23 @@ Table 1 benchmark drivers:
   across the protocols compared at a grid point
   (:mod:`repro.runtime.cache`);
 * :func:`run_trials` with :class:`SerialExecutor` /
-  :class:`ParallelExecutor` — one batched, supervised loop, in-process
+  :class:`ParallelExecutor` — one batched, fail-fast loop, in-process
   or over a process pool, chosen by ``workers=`` or the
-  ``REPRO_WORKERS`` env var (:mod:`repro.runtime.executor`);
-* :class:`RunJournal` — durable, checksummed record of completed trials
-  for crash-safe resume (:mod:`repro.runtime.journal`);
-* :class:`RetryPolicy` — error capture, per-batch timeouts, and bounded
-  retry-with-backoff; without one a run fails fast
-  (:mod:`repro.runtime.executor`);
-* :class:`FaultPlan` — deterministic runtime fault injection, the seam
-  every recovery path is tested through (:mod:`repro.runtime.faults`).
+  ``REPRO_WORKERS`` env var (:mod:`repro.runtime.executor`).  Each
+  batch runs once; the first trial exception propagates unchanged.
 """
 
 from repro.runtime.cache import InstanceCache
 from repro.runtime.executor import (
     Executor,
     ParallelExecutor,
-    RetryPolicy,
     SerialExecutor,
     TrialTask,
-    TrialTimeout,
     default_executor,
     resolve_workers,
     run_trials,
     shared_cache,
 )
-from repro.runtime.faults import Fault, FaultPlan, InjectedFault
-from repro.runtime.journal import JournalError, RunJournal, spec_key
 from repro.runtime.seeding import derive_seed
 from repro.runtime.spec import (
     TrialBatch,
@@ -64,12 +54,4 @@ __all__ = [
     "resolve_workers",
     "run_trials",
     "shared_cache",
-    "RunJournal",
-    "JournalError",
-    "spec_key",
-    "RetryPolicy",
-    "TrialTimeout",
-    "Fault",
-    "FaultPlan",
-    "InjectedFault",
 ]

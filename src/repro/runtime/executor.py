@@ -1,4 +1,4 @@
-"""Trial execution: one batched, supervised loop, in-process or pooled.
+"""Trial execution: one batched, fail-fast loop, in-process or pooled.
 
 The unit of work is a :class:`~repro.runtime.spec.TrialBatch` — every
 trial of one grid point.  :meth:`TrialTask.run_batch` builds (or
@@ -33,28 +33,10 @@ boundary) and supports every start method:
   module-level callables (and the picklable callables in
   :mod:`repro.analysis.experiments`) parallelise everywhere.
 
-Both loops are supervised by a :class:`RetryPolicy`.  Without one —
-``run_trials`` given none of ``retry=``, ``journal=``, ``resume=``,
-``fault_plan=`` — the loop fails fast: one attempt, no watchdog, and
-the first trial exception propagates unchanged.  With one, each batch
-gets:
-
-* **error capture** — a trial that raises becomes a ``status="error"``
-  :class:`TrialResult` instead of killing the sweep;
-* a **wall-clock watchdog** (``RetryPolicy.timeout``) per attempt — a
-  hung batch times out instead of stalling the sweep forever (in
-  parallel mode the hung worker's pool is killed and rebuilt, because a
-  running pool worker cannot be cancelled);
-* **bounded deterministic retry-with-backoff** — failed batches are
-  re-run up to ``RetryPolicy.max_attempts`` times with a fixed
-  (jitter-free) backoff schedule; because trials are pure functions of
-  their specs, retries can change wall-clock but never records;
-* **pool rebuild** on ``BrokenProcessPool`` (a worker died), with
-  graceful **degradation to serial** execution once
-  ``RetryPolicy.max_pool_rebuilds`` is exhausted;
-* incremental **journaling**: each completed batch's ok-results are
-  durably appended to the :class:`~repro.runtime.journal.RunJournal`
-  the moment they exist, so a crash loses at most the in-flight batches.
+Both loops fail fast: each batch runs once, and the first trial
+exception propagates unchanged (a worker's exception is re-raised in
+the driver with its own type and message).  A Table 1 regeneration
+takes seconds, so a failed run is simply run again.
 """
 
 from __future__ import annotations
@@ -66,29 +48,19 @@ import multiprocessing
 import os
 import pickle
 import tempfile
-import threading
-import time
 from collections import deque
-from concurrent.futures import BrokenExecutor
 from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from dataclasses import replace
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.comm.randomness import SharedRandomness
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import InstanceCache
-from repro.runtime.journal import RunJournal
 from repro.runtime.spec import TrialBatch, TrialResult, TrialSpec, batch_specs
-
-if TYPE_CHECKING:  # circular-import-free type-only reference
-    from repro.runtime.faults import FaultPlan
 
 __all__ = [
     "TrialTask",
-    "RetryPolicy",
-    "TrialTimeout",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
@@ -99,56 +71,6 @@ __all__ = [
 ]
 
 _LOGGER = logging.getLogger(__name__)
-
-
-class TrialTimeout(RuntimeError):
-    """A supervised batch exceeded its wall-clock budget."""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the supervised loop responds to failure.
-
-    ``max_attempts`` bounds runs per batch (one grid point);
-    ``backoff_base * backoff_factor**i`` seconds separate attempt ``i``
-    from attempt ``i+1`` — a fixed, jitter-free schedule, so failure
-    handling is as deterministic as the trials themselves.  ``timeout``
-    (seconds per attempt, ``None`` = no watchdog) is the hang guard; in
-    parallel mode a timeout kills and rebuilds the pool, and after
-    ``max_pool_rebuilds`` rebuilds the remaining work degrades to
-    in-process serial execution.  ``sleep`` is injectable so tests can
-    run the schedule without waiting it out.
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    timeout: float | None = None
-    max_pool_rebuilds: int = 3
-    sleep: Callable[[float], None] = time.sleep
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be positive, got {self.max_attempts}"
-            )
-        if self.backoff_base < 0 or self.backoff_factor < 0:
-            raise ValueError("backoff terms must be non-negative")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError(
-                f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
-            )
-
-    def backoff(self, attempt: int) -> float:
-        """Seconds to wait before re-running after attempt ``attempt``."""
-        return self.backoff_base * self.backoff_factor ** attempt
-
-
-#: The policy of an unsupervised run (``retry=None``): one attempt, no
-#: watchdog, and no error capture — the first exception propagates.
-_FAIL_FAST = RetryPolicy(max_attempts=1)
 
 #: Any callable mapping an ``EdgePartition``-like instance and a seed to an
 #: object exposing ``total_bits`` and ``found`` (e.g. ``DetectionResult``).
@@ -178,23 +100,17 @@ class TrialTask:
     metrics:
         Optional ``(spec, instance, outcome) -> dict`` hook whose result
         lands in ``TrialResult.extras`` (picklable primitives only).
-    fault_plan:
-        Optional :class:`~repro.runtime.faults.FaultPlan` consulted
-        before every trial of :meth:`run_batch` — the deterministic
-        fault-injection seam the recovery machinery is tested through.
     """
 
     def __init__(self, instance_fn: InstanceFn, protocol: ProtocolFn, *,
                  cache: InstanceCache | None = None,
                  instance_key: str | None = None,
-                 metrics: MetricsFn | None = None,
-                 fault_plan: "FaultPlan | None" = None) -> None:
+                 metrics: MetricsFn | None = None) -> None:
         self.instance_fn = instance_fn
         self.protocol = protocol
         self.cache = cache
         self.instance_key = instance_key
         self.metrics = metrics
-        self.fault_plan = fault_plan
         try:
             parameters = inspect.signature(instance_fn).parameters
             self._pass_k = "k" in parameters
@@ -260,13 +176,12 @@ class TrialTask:
         return [None] * len(batch.specs)
 
     def __call__(self, spec: TrialSpec) -> TrialResult:
-        """Run one spec on its own: a fresh instance, the protocol's own
-        coin stream, no fault plan.  The per-trial oracle that
-        :meth:`run_batch` must match record for record."""
+        """Run one spec on its own: a fresh instance and the protocol's
+        own coin stream.  The per-trial oracle that :meth:`run_batch`
+        must match record for record."""
         return self._run_one(spec, None, {})
 
-    def run_batch(self, batch: TrialBatch, *, attempt: int = 0,
-                  capture: bool = False) -> list[TrialResult]:
+    def run_batch(self, batch: TrialBatch) -> list[TrialResult]:
         """Run one grid point's trials against batch-local instances.
 
         Each distinct instance key is built (or cache-fetched) exactly
@@ -277,35 +192,17 @@ class TrialTask:
         :meth:`~repro.comm.randomness.SharedRandomness.batch`
         construction — draw-for-draw identical to the stream they would
         build internally from the spec seed, so outcomes are unchanged.
-
-        ``attempt`` is the supervisor's attempt counter, handed to the
-        fault plan.  With ``capture``, a failing trial (fault, instance
-        build, protocol, metrics hook) becomes an error record and the
-        batch's other trials still run; a failure building the coin
-        streams fails every trial, since none can run without coins.
-        Without ``capture`` the first exception propagates.
+        The first exception propagates.
         """
         with obs_trace.span("batch", point=batch.point_index,
-                            trials=len(batch.specs), attempt=attempt):
-            try:
-                with obs_trace.span("streams"):
-                    streams = self._batch_streams(batch)
-            except Exception as error:
-                if not capture:
-                    raise
-                return _error_results(batch, error)
+                            trials=len(batch.specs)):
+            with obs_trace.span("streams"):
+                streams = self._batch_streams(batch)
             local: dict[tuple, object] = {}
-            results: list[TrialResult] = []
-            for spec, stream in zip(batch.specs, streams):
-                try:
-                    if self.fault_plan is not None:
-                        self.fault_plan.apply(spec, attempt)
-                    results.append(self._run_one(spec, stream, local))
-                except Exception as error:
-                    if not capture:
-                        raise
-                    results.append(TrialResult.from_error(spec, error))
-            return results
+            return [
+                self._run_one(spec, stream, local)
+                for spec, stream in zip(batch.specs, streams)
+            ]
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -328,42 +225,14 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-# ----------------------------------------------------------------------
-# Supervision helpers (shared by the serial and parallel loops)
-# ----------------------------------------------------------------------
-
-def _error_results(batch: TrialBatch, error: object,
-                   status: str = "error") -> list[TrialResult]:
-    return [
-        TrialResult.from_error(spec, error, status=status)
-        for spec in batch.specs
-    ]
-
-
-def _timeout_results(batch: TrialBatch,
-                     policy: RetryPolicy) -> list[TrialResult]:
-    return _error_results(
-        batch, f"trial timed out after {policy.timeout}s", status="timeout"
-    )
-
-
-def _journal_batch(journal: RunJournal | None, batch: TrialBatch,
-                   results: Sequence[TrialResult]) -> None:
-    if journal is None:
-        return
-    for spec, result in zip(batch.specs, results):
-        journal.record(spec, result)
-
-
 def _rebind_coordinates(spec: TrialSpec, result: TrialResult) -> TrialResult:
     """Rebuild a record made elsewhere on the driver's own spec objects.
 
     Exactly what a driver-side ``TrialResult.from_outcome`` call would
     reference: within a grid point the specs share coordinate objects
     (one ``d`` float per point), so the pickled byte stream of the final
-    record *list* matches serial execution no matter where the records
-    came from — a pool worker, split across futures, or a resumed run's
-    journal.
+    record *list* matches serial execution no matter which pool worker
+    produced which record.
     """
     return replace(
         result,
@@ -372,99 +241,17 @@ def _rebind_coordinates(spec: TrialSpec, result: TrialResult) -> TrialResult:
     )
 
 
-def _call_with_timeout(fn: Callable[[], object],
-                       timeout: float | None) -> object:
-    """Run ``fn`` with a wall-clock budget, in-process.
-
-    With a timeout, ``fn`` runs on a daemon worker thread and a hang
-    surfaces as :class:`TrialTimeout` after ``timeout`` seconds — the
-    abandoned thread finishes (or sleeps out its injected hang) in the
-    background, and its late result is discarded.  This is the only way
-    to put a watchdog on in-process execution; the pool loop instead
-    waits on futures and kills the hung worker's pool.
-    """
-    if timeout is None:
-        return fn()
-    box: dict[str, object] = {}
-
-    def target() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as error:  # re-raised on the caller's thread
-            box["error"] = error
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    if thread.is_alive():
-        raise TrialTimeout(f"no result within {timeout}s")
-    if "error" in box:
-        raise box["error"]  # type: ignore[misc]
-    return box["value"]
-
-
-def _supervise_serial(task: TrialTask, batch: TrialBatch,
-                      retry: RetryPolicy | None,
-                      journal: RunJournal | None) -> list[TrialResult]:
-    """The in-process attempt loop for one batch: timeout, capture,
-    backoff, retry — or, with ``retry=None``, one fail-fast attempt."""
-    policy = retry if retry is not None else _FAIL_FAST
-    outcome: list[TrialResult] = []
-    for attempt in range(policy.max_attempts):
-        if attempt:
-            obs_trace.event("retry", attempt=attempt)
-            obs_metrics.inc("retry.attempts")
-            policy.sleep(policy.backoff(attempt - 1))
-        try:
-            outcome = _call_with_timeout(
-                lambda: task.run_batch(batch, attempt=attempt,
-                                       capture=retry is not None),
-                policy.timeout,
-            )
-        except TrialTimeout:
-            obs_trace.event("timeout", attempt=attempt,
-                            timeout=policy.timeout)
-            outcome = _timeout_results(batch, policy)
-            continue
-        if all(result.ok for result in outcome):
-            break
-    _journal_batch(journal, batch, outcome)
-    return outcome
-
-
-def _kill_pool(pool: _PoolExecutor) -> None:
-    """Forcibly tear down a pool that may contain hung or dead workers.
-
-    ``shutdown`` alone never terminates a *running* worker, so a hung
-    trial would pin its process forever; terminate the children first
-    (via the executor's process table), then release the executor's
-    resources without waiting on them.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        with contextlib.suppress(Exception):
-            process.terminate()
-    with contextlib.suppress(Exception):
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
 class Executor:
     """Runs batches of trials; subclasses choose how, never what."""
 
-    def run_batches(self, task: TrialTask, batches: Iterable[TrialBatch], *,
-                    retry: RetryPolicy | None = None,
-                    journal: RunJournal | None = None) -> list[TrialResult]:
+    def run_batches(self, task: TrialTask,
+                    batches: Iterable[TrialBatch]) -> list[TrialResult]:
         """Execute per-point batches in-process, one after another,
-        returning results in batch order.
-
-        ``retry=None`` fails fast; a :class:`RetryPolicy` engages error
-        capture, the watchdog and bounded retry per batch.  Each
-        finished batch is journaled.  :class:`ParallelExecutor`
-        overrides this with the pool loop, which falls back to it.
-        """
+        returning results in batch order.  :class:`ParallelExecutor`
+        overrides this with the pool loop, which falls back to it."""
         results: list[TrialResult] = []
         for batch in batches:
-            results.extend(_supervise_serial(task, batch, retry, journal))
+            results.extend(task.run_batch(batch))
         return results
 
 
@@ -478,21 +265,20 @@ class SerialExecutor(Executor):
 _ACTIVE_TASK: TrialTask | None = None
 
 
-def _run_batch_in_worker(payload: tuple[TrialBatch, int, bool]
+def _run_batch_in_worker(batch: TrialBatch
                          ) -> tuple[list[TrialResult], dict | None]:
-    """The pool's one entry point: ``(batch, attempt, capture)`` in,
-    ``(results, metrics_snapshot)`` out.
+    """The pool's one entry point: a batch in, ``(results,
+    metrics_snapshot)`` out.
 
     The snapshot is the worker registry's delta since its last shipment
     (``None`` when metrics are off, so the common case adds two bytes of
     pickle); the driver folds it into its own registry as the results
     come home — see :mod:`repro.obs.metrics`.
     """
-    batch, attempt, capture = payload
     if _ACTIVE_TASK is None:
         raise RuntimeError("no active task in worker; pool misconfigured")
     obs_metrics.worker_sync()
-    results = _ACTIVE_TASK.run_batch(batch, attempt=attempt, capture=capture)
+    results = _ACTIVE_TASK.run_batch(batch)
     return results, obs_metrics.ship()
 
 
@@ -511,7 +297,7 @@ def _install_pickled_task(payload: bytes) -> None:
 
 
 def _task_name(task: TrialTask) -> str:
-    """A human-readable task identity for degradation warnings."""
+    """A human-readable task identity for the serial-fallback warning."""
 
     def name(fn: object) -> str:
         return getattr(fn, "__qualname__", None) or repr(fn)
@@ -565,188 +351,59 @@ class ParallelExecutor(Executor):
             resolve_workers(workers) if workers is not None
             else (os.cpu_count() or 1)
         )
-        if start_method is not None:
-            available = multiprocessing.get_all_start_methods()
-            if start_method not in available:
-                raise ValueError(
-                    f"start method {start_method!r} not available here "
-                    f"(choose from {available})"
-                )
-        self.start_method = start_method
-
-    def _resolve_start_method(self) -> str:
-        if self.start_method is not None:
-            return self.start_method
         available = multiprocessing.get_all_start_methods()
-        env = os.environ.get("REPRO_START_METHOD", "").strip()
-        if env and env not in available:
+        if start_method is None:
+            start_method = "fork" if "fork" in available else "spawn"
+        elif start_method not in available:
             raise ValueError(
-                f"REPRO_START_METHOD={env!r} not available here "
+                f"start method {start_method!r} not available here "
                 f"(choose from {available})"
             )
-        return env or ("fork" if "fork" in available else "spawn")
+        self.start_method = start_method
 
-    def run_batches(self, task: TrialTask, batches: Iterable[TrialBatch], *,
-                    retry: RetryPolicy | None = None,
-                    journal: RunJournal | None = None) -> list[TrialResult]:
-        """The pool loop.
+    def run_batches(self, task: TrialTask,
+                    batches: Iterable[TrialBatch]) -> list[TrialResult]:
+        """The pool loop: submit every batch once, collect the results
+        in batch order, fold the workers' shipped metrics into the
+        driver's registry, and rebind each record to the driver's specs.
 
-        Work proceeds in *waves*: every unresolved batch is submitted to
-        the pool, results are collected in batch order with the
-        watchdog's per-attempt budget, and failed batches re-enter the
-        next wave with an incremented attempt counter (after the backoff
-        pause).  With ``retry=None`` there is one wave and the first
-        failure propagates.
-
-        A timeout or a dead worker poisons the pool — running workers
-        cannot be cancelled — so the pool is killed and rebuilt between
-        waves, up to ``retry.max_pool_rebuilds`` times; after that the
-        remaining batches degrade to the in-process loop (where ``kill``
-        faults downgrade to ``raise``, and the sweep still finishes with
-        structured error records at worst).  A wave-wide
-        ``BrokenProcessPool`` cannot be attributed to one batch, so every
-        batch still unresolved in that wave is charged an attempt — this
-        keeps the faulty batch's counter advancing (and fault plans
-        deterministic) at the price of innocent batches occasionally
-        burning an attempt alongside it.
+        The first failure propagates once the batches already running
+        finish; batches not yet started are cancelled.  Either way the
+        workers are reaped (``shutdown(wait=True)``) before returning,
+        so no worker outlives the call and a caller reading the
+        children's peak RSS sees them all.
         """
         global _ACTIVE_TASK
         batch_list = list(batches)
         workers = min(self.workers, len(batch_list))
         pool_kwargs = None
         if workers > 1 and _ACTIVE_TASK is None:
-            method = self._resolve_start_method()
-            pool_kwargs = _pool_kwargs(task, method)
+            pool_kwargs = _pool_kwargs(task, self.start_method)
         if pool_kwargs is None:
-            return super().run_batches(task, batch_list, retry=retry,
-                                       journal=journal)
-        capture = retry is not None
-        policy = retry if capture else _FAIL_FAST
-        context = multiprocessing.get_context(method)
-
-        def make_pool() -> _PoolExecutor:
-            return _PoolExecutor(max_workers=workers, mp_context=context,
-                                 **pool_kwargs)
-
+            return super().run_batches(task, batch_list)
         _ACTIVE_TASK = task
-        pool: _PoolExecutor | None = make_pool()
-        rebuilds = 0
-        # batch index -> attempt counter; resolved batches leave the map.
-        remaining = dict.fromkeys(range(len(batch_list)), 0)
-        results: dict[int, list[TrialResult]] = {}
-        last_outcome: dict[int, list[TrialResult]] = {}
+        pool = _PoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(self.start_method),
+            **pool_kwargs,
+        )
         try:
-            while remaining:
-                if pool is None:
-                    _LOGGER.warning(
-                        "process pool could not be revived after %d "
-                        "rebuild(s); degrading %d batch(es) to serial "
-                        "execution", rebuilds, len(remaining),
-                    )
-                    obs_trace.event("degrade_serial", units=len(remaining),
-                                    rebuilds=rebuilds)
-                    obs_metrics.inc("pool.degrade_serial")
-                    for i in sorted(remaining):
-                        results[i] = _supervise_serial(
-                            task, batch_list[i], retry, journal
-                        )
-                    break
-                futures = {
-                    i: pool.submit(_run_batch_in_worker,
-                                   (batch_list[i], remaining[i], capture))
-                    for i in sorted(remaining)
-                }
-                break_kind: str | None = None  # None | "timeout" | "broken"
-                failed: list[int] = []
-                for i, future in futures.items():
-                    batch = batch_list[i]
-                    if break_kind is not None and not future.done():
-                        # The pool is going down; this batch never got to
-                        # run — it re-enters the next wave at the same
-                        # attempt (except after a worker death, charged
-                        # below to keep fault counters advancing).
-                        future.cancel()
-                        if break_kind == "broken":
-                            failed.append(i)
-                            last_outcome[i] = _error_results(
-                                batch, "worker process died (pool broken)"
-                            )
-                        continue
-                    try:
-                        wait = None if future.done() else policy.timeout
-                        outcome, shipped = future.result(timeout=wait)
-                    except Exception as error:
-                        if not capture:
-                            raise
-                        failed.append(i)
-                        if isinstance(error, _FuturesTimeout):
-                            break_kind = break_kind or "timeout"
-                            obs_trace.event("timeout", unit=i,
-                                            timeout=policy.timeout)
-                            last_outcome[i] = _timeout_results(batch, policy)
-                        elif isinstance(error, BrokenExecutor):
-                            break_kind = "broken"
-                            obs_trace.event("worker_lost", unit=i)
-                            obs_metrics.inc("pool.worker_lost")
-                            last_outcome[i] = _error_results(
-                                batch, "worker process died (pool broken)"
-                            )
-                        else:  # defensive: capture happens worker-side
-                            last_outcome[i] = _error_results(batch, error)
-                        continue
-                    obs_metrics.absorb(shipped)
-                    outcome = [
-                        _rebind_coordinates(spec, result)
-                        for spec, result in zip(batch.specs, outcome)
-                    ]
-                    if all(result.ok for result in outcome):
-                        results[i] = outcome
-                        _journal_batch(journal, batch, outcome)
-                        del remaining[i]
-                    else:
-                        failed.append(i)
-                        last_outcome[i] = outcome
-                # Resolve or re-queue this wave's failures.
-                backoff_from = None
-                for i in failed:
-                    attempt = remaining[i]
-                    if attempt + 1 >= policy.max_attempts:
-                        results[i] = last_outcome[i]
-                        _journal_batch(journal, batch_list[i], results[i])
-                        del remaining[i]
-                    else:
-                        remaining[i] = attempt + 1
-                        obs_trace.event("retry", unit=i, attempt=attempt + 1)
-                        obs_metrics.inc("retry.attempts")
-                        backoff_from = (
-                            attempt if backoff_from is None
-                            else max(backoff_from, attempt)
-                        )
-                if break_kind is not None:
-                    _kill_pool(pool)
-                    rebuilds += 1
-                    obs_trace.event("pool_rebuild", kind=break_kind,
-                                    rebuilds=rebuilds)
-                    obs_metrics.inc("pool.rebuilds")
-                    pool = (
-                        make_pool() if rebuilds <= policy.max_pool_rebuilds
-                        else None
-                    )
-                if remaining and backoff_from is not None:
-                    policy.sleep(policy.backoff(backoff_from))
-            if pool is not None:
-                # Reap the workers before returning, so a caller reading
-                # the children's peak RSS sees them.
-                pool.shutdown(wait=True)
-            return [
-                result
-                for i in range(len(batch_list))
-                for result in results[i]
+            futures = [
+                pool.submit(_run_batch_in_worker, batch)
+                for batch in batch_list
             ]
+            results: list[TrialResult] = []
+            for batch, future in zip(batch_list, futures):
+                outcome, shipped = future.result()
+                obs_metrics.absorb(shipped)
+                results.extend(
+                    _rebind_coordinates(spec, result)
+                    for spec, result in zip(batch.specs, outcome)
+                )
         finally:
             _ACTIVE_TASK = None
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
+        return results
 
 
 @contextlib.contextmanager
@@ -796,11 +453,7 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
                executor: Executor | None = None,
                cache: InstanceCache | None = None,
                instance_key: str | None = None,
-               metrics: MetricsFn | None = None,
-               retry: RetryPolicy | None = None,
-               journal: RunJournal | str | os.PathLike | None = None,
-               resume: bool = False,
-               fault_plan: "FaultPlan | None" = None) -> list[TrialResult]:
+               metrics: MetricsFn | None = None) -> list[TrialResult]:
     """Run every spec, one batch per grid point; results in spec order.
 
     The callables are wrapped in a :class:`TrialTask`, the specs are
@@ -809,92 +462,17 @@ def run_trials(protocol: ProtocolFn, instance_fn: InstanceFn,
     construction), and the batches run on ``executor`` (default: serial
     or a pool by ``workers=`` / ``REPRO_WORKERS``).  Records equal the
     per-trial oracle :meth:`TrialTask.__call__`, in input spec order.
-
-    With none of ``retry``, ``journal``, ``resume``, ``fault_plan`` the
-    run fails fast: the first trial exception propagates unchanged.
-    Passing any of them turns failures into records.  The unit of
-    retry, timeout and journaling is one grid point (batch).
-
-    retry:
-        A :class:`RetryPolicy` — error capture, per-batch wall-clock
-        timeout, bounded deterministic retry-with-backoff, pool rebuild
-        on worker death, serial degradation when the pool cannot be
-        revived.  Defaults to one attempt when another knob is given.
-    journal:
-        A :class:`~repro.runtime.journal.RunJournal` (or a path one is
-        opened at — and closed again — for the duration of the call).
-        Every completed batch's ok-results are durably appended as soon
-        as the batch finishes.
-    resume:
-        With a journal: specs already recorded are *not* re-run; their
-        journaled results are returned verbatim, byte-identical to what
-        an uninterrupted run would have produced.
-    fault_plan:
-        A :class:`~repro.runtime.faults.FaultPlan` injecting
-        deterministic failures (raise / hang / kill-worker) into chosen
-        trials — the CI seam that proves every recovery path above.
+    The first trial exception propagates unchanged.
     """
-    if resume and journal is None:
-        raise ValueError("resume=True requires a journal")
-    if retry is None and (journal is not None or resume
-                          or fault_plan is not None):
-        retry = RetryPolicy(max_attempts=1)
     task = TrialTask(instance_fn, protocol, cache=cache,
-                     instance_key=instance_key, metrics=metrics,
-                     fault_plan=fault_plan)
+                     instance_key=instance_key, metrics=metrics)
     chosen = executor if executor is not None else default_executor(workers)
-    with obs_trace.span("run_trials", specs=len(specs)):
-        owns_journal = (
-            journal is not None and not isinstance(journal, RunJournal)
+    spec_list = list(specs)
+    with obs_trace.span("run_trials", specs=len(spec_list)):
+        batches = batch_specs(spec_list)
+        results = _deal_batches(
+            batches, chosen.run_batches(task, batches), spec_list
         )
-        journal_obj: RunJournal | None = (
-            RunJournal(journal) if owns_journal else journal  # type: ignore[arg-type]
-        )
-        try:
-            results = _run_with_replay(task, chosen, list(specs), retry,
-                                       journal_obj, resume)
-        finally:
-            if owns_journal and journal_obj is not None:
-                journal_obj.close()
-    registry = obs_metrics.get_metrics()
-    if registry is not None:
-        for result in results:
-            registry.inc(f"trial.{result.status}")
+    if results:
+        obs_metrics.inc("trial.ok", len(results))
     return results
-
-
-def _run_with_replay(task: TrialTask, executor: Executor,
-                     spec_list: list[TrialSpec],
-                     retry: RetryPolicy | None,
-                     journal: RunJournal | None,
-                     resume: bool) -> list[TrialResult]:
-    """Replay what the journal holds (on resume), run the rest in
-    batches, and merge both back into input spec order."""
-    replayed: dict[int, TrialResult] = {}
-    if resume and journal is not None:
-        for index, spec in enumerate(spec_list):
-            recorded = journal.get(spec)
-            if recorded is not None:
-                replayed[index] = _rebind_coordinates(spec, recorded)
-    if replayed:
-        obs_metrics.inc("journal.replayed", len(replayed))
-        obs_trace.event("resume", replayed=len(replayed),
-                        pending=len(spec_list) - len(replayed))
-    pending_indices = [
-        i for i in range(len(spec_list)) if i not in replayed
-    ]
-    pending = [spec_list[i] for i in pending_indices]
-    batches = batch_specs(pending)
-    fresh = _deal_batches(
-        batches,
-        executor.run_batches(task, batches, retry=retry, journal=journal),
-        pending,
-    )
-    if not replayed:
-        return fresh
-    merged: list[TrialResult | None] = [None] * len(spec_list)
-    for index, result in zip(pending_indices, fresh):
-        merged[index] = result
-    for index, result in replayed.items():
-        merged[index] = result
-    return merged  # type: ignore[return-value]

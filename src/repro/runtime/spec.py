@@ -9,9 +9,8 @@ the spec's seed.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from repro.runtime.seeding import derive_seed
 
@@ -62,13 +61,10 @@ class TrialResult:
     only) recorded by a :class:`~repro.runtime.executor.TrialTask`
     metrics hook.
 
-    ``status`` / ``error`` are supervised runs' structured failure
-    channel: ``"ok"`` (the only status an unsupervised, fail-fast run
-    ever produces) carries a real measurement, while ``"error"`` and
-    ``"timeout"`` records stand in for trials whose every retry failed —
-    the sweep survives and reports *what* failed instead of dying.
-    Failed records carry ``bits=0.0`` / ``found=False`` placeholders and
-    are excluded from sweep aggregation.
+    ``status`` is always ``"ok"``: a trial that fails raises, and the
+    run fails fast, so every record that exists carries a real
+    measurement.  It is a class constant rather than a field, so it
+    never enters the pickled state.
     """
 
     point_index: int
@@ -80,37 +76,7 @@ class TrialResult:
     bits: float
     found: bool
     extras: dict = field(default_factory=dict)
-    status: str = "ok"
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    # Byte-identity across process boundaries: default-valued
-    # ``status``/``error`` are omitted from the pickled state (an ok
-    # record pickles to exactly the bytes it did before these fields
-    # existed), and a restored status is interned so every record —
-    # serial, parallel, resumed — shares the one code-constant string
-    # object.  Without this, each pipe crossing would mint a fresh
-    # ``"ok"`` and the pickled bytes of a record *list* would depend on
-    # which worker produced which record.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        if state["status"] == "ok":
-            del state["status"]
-        if state["error"] is None:
-            del state["error"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Intern the attribute names as well: the default (no
-        # ``__setstate__``) unpickling path interns state-dict keys, and
-        # re-pickling a record list leans on that sharing.
-        clean = {sys.intern(key): value for key, value in state.items()}
-        clean["status"] = sys.intern(clean.get("status", "ok"))
-        clean.setdefault("error", None)
-        self.__dict__.update(clean)
+    status: ClassVar[str] = "ok"
 
     @classmethod
     def from_outcome(cls, spec: TrialSpec, bits: float, found: bool,
@@ -127,39 +93,10 @@ class TrialResult:
             extras=dict(extras) if extras else {},
         )
 
-    @classmethod
-    def from_error(cls, spec: TrialSpec, error: object,
-                   status: str = "error") -> "TrialResult":
-        """A structured failure record for ``spec``.
-
-        ``error`` may be an exception or a pre-formatted string.  The
-        text must be deterministic for a given failure (no timings, no
-        attempt counters) so supervised serial and parallel runs surface
-        byte-identical error records.
-        """
-        text = (
-            error if isinstance(error, str)
-            else f"{type(error).__name__}: {error}"
-        )
-        return cls(
-            point_index=spec.point_index,
-            trial_index=spec.trial_index,
-            n=spec.n,
-            d=spec.d,
-            k=spec.k,
-            seed=spec.seed,
-            bits=0.0,
-            found=False,
-            extras={},
-            status=status,
-            error=text,
-        )
-
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """All trials of one grid point — the executor's unit of work, and
-    the unit of retry, timeout and journaling in supervised runs.
+    """All trials of one grid point — the executor's unit of work.
 
     Sharding stays by grid point: a parallel run hands whole batches to
     workers, so the per-batch instance reuse never crosses a process

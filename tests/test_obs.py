@@ -302,7 +302,7 @@ class TestByteIdentity:
 # ----------------------------------------------------------------------
 class TestTraceTiming:
     """Time is recorded in the trace: every phase of every trial, on any
-    executor, and every journal append."""
+    executor."""
 
     @staticmethod
     def assert_phase_tree(records):
@@ -330,13 +330,6 @@ class TestTraceTiming:
         assert all(r["pid"] != os.getpid()
                    for r in records if r["name"] == "trial")
         self.assert_phase_tree(records)
-
-    def test_journal_appends_are_spans(self, tmp_path):
-        sweep(workers=1, trace=tmp_path / "trace.jsonl",
-              journal=tmp_path / "journal" / "run.jsonl")
-        appends = [r for r in load_trace(tmp_path)
-                   if r["name"] == "journal.append"]
-        assert len(appends) == len(GRID) * 2
 
 
 # ----------------------------------------------------------------------

@@ -175,26 +175,38 @@ class TestExecutorIdentity:
         assert by_knob.records == serial.records
 
 
-def failing_protocol(partition, seed):
-    raise KeyError(f"protocol broke at seed {seed}")
-
-
 class TestFailFast:
-    """Without retry/journal/resume/fault_plan a run is unsupervised: the
-    first trial exception escapes with its own type and message."""
+    """Every run fails fast: the first trial exception escapes with its
+    own type and message, whichever executor ran the trial.  The failing
+    protocol lives in ``spawn_helpers`` so spawn workers can import it."""
 
     @pytest.mark.parametrize("executor", [
-        SerialExecutor(), ParallelExecutor(workers=2, start_method="fork"),
-    ], ids=["serial", "fork"])
+        SerialExecutor(),
+        ParallelExecutor(workers=2, start_method="fork"),
+        ParallelExecutor(workers=2, start_method="spawn"),
+    ], ids=["serial", "fork", "spawn"])
     def test_trial_exception_propagates_unchanged(self, executor):
         specs = build_specs(GRID, trials=2, sweep_seed=6)
         with pytest.raises(KeyError) as excinfo:
-            run_trials(failing_protocol, default_instance(epsilon=0.3, k=3),
-                       specs, executor=executor)
+            run_trials(spawn_helpers.failing_protocol,
+                       spawn_helpers.spawn_instance, specs,
+                       executor=executor)
         assert excinfo.type is KeyError
         assert excinfo.value.args == (
             f"protocol broke at seed {specs[0].seed}",
         )
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pool_workers_reaped_before_return(self, method):
+        """``run_batches`` shuts its pool down with ``wait=True``: no
+        worker outlives the call, so a caller reading the children's
+        peak RSS (``RUSAGE_CHILDREN``) sees every one of them."""
+        specs = build_specs(GRID, trials=2, sweep_seed=8)
+        run_trials(
+            spawn_helpers.spawn_protocol, spawn_helpers.spawn_instance,
+            specs, executor=ParallelExecutor(workers=2, start_method=method),
+        )
+        assert multiprocessing.active_children() == []
 
 
 class TestSpawnExecutor:
@@ -215,22 +227,27 @@ class TestSpawnExecutor:
         )
         assert pickle.dumps(spawned) == pickle.dumps(serial)
 
-    def test_spawn_falls_back_to_serial_on_unpicklable_task(self):
+    def test_spawn_falls_back_to_serial_on_unpicklable_task(self, caplog):
         epsilon = 0.3  # captured: the closures below never pickle
 
         def closure_instance(n, d, seed):
             return default_instance(epsilon=epsilon, k=3)(n, d, seed)
 
         specs = build_specs(GRID, trials=2, sweep_seed=22)
-        via_spawn = run_trials(
-            lambda p, s: sim_low_protocol(p, s), closure_instance, specs,
-            executor=ParallelExecutor(workers=2, start_method="spawn"),
-        )
+        with caplog.at_level("WARNING", logger="repro.runtime.executor"):
+            via_spawn = run_trials(
+                lambda p, s: sim_low_protocol(p, s), closure_instance, specs,
+                executor=ParallelExecutor(workers=2, start_method="spawn"),
+            )
         serial = run_trials(
             sim_low_protocol, closure_instance, specs,
             executor=SerialExecutor(),
         )
         assert via_spawn == serial
+        warnings = [r for r in caplog.records
+                    if "does not pickle" in r.message]
+        assert warnings, "the serial fallback must be loud"
+        assert "closure_instance" in warnings[0].message
 
     def test_unavailable_start_method_rejected(self):
         available = multiprocessing.get_all_start_methods()
@@ -328,6 +345,53 @@ class TestInstanceCache:
     def test_validates_max_entries(self):
         with pytest.raises(ValueError):
             InstanceCache(max_entries=0)
+
+
+class TestCacheQuarantine:
+    """A torn or corrupt disk-tier pickle is set aside and rebuilt."""
+
+    def build_value(self, cache, key):
+        return cache.get_or_build(key, lambda: {"graph": list(range(50))})
+
+    def test_truncated_pickle_quarantined_and_rebuilt(self, tmp_path, caplog):
+        key = ("far", 100, 4.0, 3, 11)
+        writer = InstanceCache(disk_dir=tmp_path)
+        value = self.build_value(writer, key)
+        pkl = next(tmp_path.glob("*.pkl"))
+        pkl.write_bytes(pkl.read_bytes()[:10])  # torn write artifact
+        reader = InstanceCache(disk_dir=tmp_path)  # fresh memory tier
+        with caplog.at_level("WARNING", logger="repro.runtime.cache"):
+            rebuilt = self.build_value(reader, key)
+        assert rebuilt == value
+        assert reader.stats()["quarantined"] == 1
+        assert reader.stats()["builds"] == 1
+        assert any("quarantined" in r.message for r in caplog.records)
+        assert list(tmp_path.glob("*.corrupt"))  # kept for post-mortem
+        # The quarantined file no longer shadows the rebuilt pickle.
+        fresh = InstanceCache(disk_dir=tmp_path)
+        assert self.build_value(fresh, key) == value
+        assert fresh.stats()["quarantined"] == 0
+        assert fresh.stats()["builds"] == 0
+
+    def test_garbage_bytes_quarantined(self, tmp_path):
+        key = ("bm", 24, 0.0, 1, 5)
+        writer = InstanceCache(disk_dir=tmp_path)
+        self.build_value(writer, key)
+        pkl = next(tmp_path.glob("*.pkl"))
+        pkl.write_bytes(b"not a pickle at all")
+        reader = InstanceCache(disk_dir=tmp_path)
+        assert self.build_value(reader, key) == {"graph": list(range(50))}
+        assert reader.stats()["quarantined"] == 1
+
+    def test_clear_resets_quarantine_counter(self, tmp_path):
+        cache = InstanceCache(disk_dir=tmp_path)
+        self.build_value(cache, ("x", 1))
+        next(tmp_path.glob("*.pkl")).write_bytes(b"junk")
+        fresh = InstanceCache(disk_dir=tmp_path)
+        self.build_value(fresh, ("x", 1))
+        assert fresh.stats()["quarantined"] == 1
+        fresh.clear()
+        assert fresh.stats()["quarantined"] == 0
 
 
 class TestCanonicalDiskKeys:

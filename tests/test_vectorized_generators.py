@@ -211,21 +211,83 @@ class TestBulkPlantingIdentity:
         ) is type(bulk.kernel)
         assert_identical(scalar, bulk)
 
-    def test_pattern_plant_bulk_agrees(self, monkeypatch):
-        from repro.patterns import plant as plant_module
+    def test_pattern_plant_bulk_agrees(self):
+        """Planting in one edge-array call equals adding every planted
+        edge one at a time to the same background."""
         from repro.patterns.catalog import FOUR_CLIQUE
+        from repro.patterns.plant import planted_disjoint_subgraphs
 
-        def build():
-            return plant_module.planted_disjoint_subgraphs(
-                200, FOUR_CLIQUE, 30, seed=5, background_degree=1.5
-            )
+        bulk = planted_disjoint_subgraphs(
+            200, FOUR_CLIQUE, 30, seed=5, background_degree=1.5
+        )
+        scalar = gen.gnd(200, 1.5, seed=6)
+        for image in bulk.planted_copies:
+            for u, v in FOUR_CLIQUE.edges:
+                scalar.add_edge(image[u], image[v])
+        assert_identical(scalar, bulk.graph)
 
-        monkeypatch.setattr(plant_module, "_BULK_PLANT_EDGES", 10**9)
-        scalar = build()
-        monkeypatch.setattr(plant_module, "_BULK_PLANT_EDGES", 1)
-        bulk = build()
-        assert scalar.planted_copies == bulk.planted_copies
-        assert_identical(scalar.graph, bulk.graph)
+    @pytest.mark.parametrize("name", [
+        "TRIANGLE", "FOUR_CLIQUE", "FOUR_CYCLE", "FIVE_CYCLE",
+    ])
+    def test_small_plant_leaves_keys_first_host_unbuilt(self, name):
+        """A few copies on a large keys-first host merge edge keys only:
+        planting never builds the host's kernel, and the planted graph
+        equals the per-edge construction."""
+        from repro.patterns import catalog
+        from repro.patterns.plant import planted_disjoint_subgraphs
+
+        pattern = getattr(catalog, name)
+        bulk = planted_disjoint_subgraphs(
+            5000, pattern, 12, seed=4, background_degree=1.5
+        )
+        assert bulk.graph._built is None
+        scalar = gen.gnd(5000, 1.5, seed=5)
+        for image in bulk.planted_copies:
+            for u, v in pattern.edges:
+                scalar.add_edge(image[u], image[v])
+        assert_identical(scalar, bulk.graph)
+
+    def test_mixed_plant_leaves_keys_first_host_unbuilt(self):
+        from repro.patterns.catalog import FIVE_CYCLE, TRIANGLE
+        from repro.patterns.plant import planted_mixed_patterns
+
+        mixed = planted_mixed_patterns(
+            5000, [(TRIANGLE, 10), (FIVE_CYCLE, 6)], seed=2,
+            background_degree=1.5,
+        )
+        assert mixed.graph._built is None
+        scalar = gen.gnd(5000, 1.5, seed=3)
+        for pattern, images in mixed.placements:
+            for image in images:
+                for u, v in pattern.edges:
+                    scalar.add_edge(image[u], image[v])
+        assert_identical(scalar, mixed.graph)
+
+    def test_zero_copies_plant_nothing(self):
+        from repro.patterns.catalog import FOUR_CYCLE
+        from repro.patterns.plant import planted_disjoint_subgraphs
+
+        empty = planted_disjoint_subgraphs(
+            300, FOUR_CYCLE, 0, seed=1, background_degree=2.0
+        )
+        assert empty.planted_copies == ()
+        assert_identical(gen.gnd(300, 2.0, seed=2), empty.graph)
+
+    @pytest.mark.parametrize("backend", ["bigint", "csr"])
+    def test_plant_identical_on_every_backend(self, backend):
+        from repro.patterns.catalog import FOUR_CLIQUE
+        from repro.patterns.plant import planted_disjoint_subgraphs
+
+        auto = planted_disjoint_subgraphs(
+            400, FOUR_CLIQUE, 25, seed=9, background_degree=2.0
+        )
+        forced = planted_disjoint_subgraphs(
+            400, FOUR_CLIQUE, 25, seed=9, background_degree=2.0,
+            backend=backend,
+        )
+        assert forced.graph.backend == backend
+        assert forced.planted_copies == auto.planted_copies
+        assert_identical(auto.graph, forced.graph)
 
 
 class TestDegreeSpreadSampleReplay:
