@@ -41,8 +41,11 @@ set-based ``SetPlayer`` preserved under ``tests/oracles/`` returns the
 same arrays.
 
 Players built via :func:`make_players` are memoized on the
-:class:`~repro.graphs.partition.EdgePartition`, so repeated trials on
-the same partition share whatever the first trial built.
+:class:`~repro.graphs.partition.EdgePartition` until
+:meth:`~repro.graphs.partition.EdgePartition.release_players`.  The
+trial executor releases them when a trial batch ends, so the trials of
+one batch share whatever the first trial built, and a partition kept in
+the instance cache holds only its key arrays between batches.
 """
 
 from __future__ import annotations
@@ -514,9 +517,13 @@ def make_players(partition) -> list[Player]:
     no row building.  The player list itself is memoized on the
     partition (players are read-only views over the partition's key
     arrays, and their internal caches memoize pure functions of those
-    keys), so the repetition axis of a batched grid point shares one set
-    of Player objects and whatever rows and indexes earlier trials
-    built.
+    keys) until :meth:`EdgePartition.release_players
+    <repro.graphs.partition.EdgePartition.release_players>`.
+    :meth:`~repro.runtime.executor.TrialTask.run_batch` releases the
+    batch's partitions when it returns, so the repetition axis of a
+    batched grid point shares one set of Player objects and whatever
+    rows and indexes earlier trials built, and no later batch reads or
+    pins them.
     """
     cached = partition._players_cache
     if cached is not None:

@@ -60,7 +60,8 @@ class EdgePartition:
     through :meth:`from_keys`.  :attr:`views` hands the edges out as
     frozensets, built on first use.  Players
     (:func:`~repro.comm.players.make_players`) are built from the key
-    arrays and memoized here.
+    arrays and memoized here until :meth:`release_players`; the trial
+    executor releases them when the batch that built them ends.
     """
 
     def __init__(self, graph: Graph,
@@ -132,6 +133,28 @@ class EdgePartition:
         return len(self.view_keys)
 
     @property
+    def nbytes(self) -> int:
+        """Bytes of the graph (:attr:`Graph.nbytes`) plus the view key
+        arrays, each distinct array once; a view that is the graph's own
+        key array (``partition_all_to_all``) adds nothing.  Player state
+        is scratch and not counted."""
+        distinct = {id(keys): keys for keys in self.view_keys}
+        distinct.pop(id(self.graph.edge_keys()), None)
+        return self.graph.nbytes + sum(
+            int(keys.nbytes) for keys in distinct.values()
+        )
+
+    def release_players(self) -> None:
+        """End the memoized player list's lifetime.
+
+        The players, and every row and index they built, become garbage
+        once their protocol run lets go of them; the next
+        :func:`~repro.comm.players.make_players` call builds fresh
+        players from the key arrays, which are kept.
+        """
+        self._players_cache = None
+
+    @property
     def has_duplication(self) -> bool:
         total = sum(int(keys.size) for keys in self.view_keys)
         return total > self.graph.num_edges
@@ -183,8 +206,15 @@ def _replayed_randrange(rng: random.Random, k: int,
 
 def _split_by_owner(keys: np.ndarray, owners: np.ndarray,
                     k: int) -> tuple[np.ndarray, ...]:
-    """Player j's keys are ``keys[owners == j]``, still sorted."""
-    order = np.argsort(owners, kind="stable")
+    """Player j's keys are ``keys[owners == j]``, still sorted.
+
+    The owners are sorted as the smallest unsigned dtype that holds
+    ``k - 1``: numpy's stable sort is a radix sort on 8- and 16-bit
+    integers, and a stable sort's permutation does not depend on the
+    dtype.
+    """
+    order = np.argsort(owners.astype(np.min_scalar_type(k - 1)),
+                       kind="stable")
     bounds = np.cumsum(np.bincount(owners, minlength=k))[:-1]
     return tuple(np.split(keys[order], bounds))
 

@@ -12,6 +12,13 @@ and sweep seed get the very same instance — the second protocol pays
 nothing for generation and, just as importantly, is measured on
 identical inputs.
 
+What is cached is the instance's input, not protocol scratch: a cached
+:class:`~repro.graphs.partition.EdgePartition` keeps its graph and view
+key arrays, while the players a batch builds on it (degree arrays,
+neighbour indexes, rows) are released when that batch ends
+(:meth:`~repro.runtime.executor.TrialTask.run_batch`), and a later hit
+rebuilds them from the keys.
+
 Two tiers:
 
 * **memory** — an LRU dict, per process.  Serial sweeps that share a
@@ -52,9 +59,10 @@ def instance_nbytes(value: Any, _depth: int = 0) -> int:
 
     Recognises anything exposing an integer ``nbytes`` (``Graph``
     reports its kernel's ``memory_bytes``, or its edge-key array's
-    bytes while the kernel is unbuilt, so sizing builds nothing),
-    follows a ``graph`` attribute (``EdgePartition``,
-    ``PlantedInstance``), and sums over tuples/lists.  Everything else counts zero — this sizes the
+    bytes while the kernel is unbuilt, so sizing builds nothing;
+    ``EdgePartition`` adds its view key arrays to its graph's),
+    follows a ``graph`` attribute (``PlantedInstance``), and sums over
+    tuples/lists.  Everything else counts zero — this sizes the
     dominant adjacency payload for sweep logs, it is not a full object
     graph measurement.
     """

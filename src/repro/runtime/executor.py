@@ -4,9 +4,12 @@ The unit of work is a :class:`~repro.runtime.spec.TrialBatch` — every
 trial of one grid point.  :meth:`TrialTask.run_batch` builds (or
 cache-fetches) each distinct instance once per batch, builds the
 trials' coin streams in one batched construction, and runs the trials
-against them.  :meth:`TrialTask.__call__` runs one spec on its own,
-sharing nothing; it is the per-trial oracle the batched records are
-tested against.
+against them.  Player state (:func:`~repro.comm.players.make_players`)
+lives for one batch: the batch's partitions release their players when
+it returns, so a partition kept in the instance cache holds only its
+key arrays between batches.  :meth:`TrialTask.__call__` runs one spec
+on its own, sharing nothing; it is the per-trial oracle the batched
+records are tested against.
 
 :func:`run_trials` groups specs into batches, runs them through an
 executor's ``run_batches``, and deals the results back out in input
@@ -54,6 +57,7 @@ from dataclasses import replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.comm.randomness import SharedRandomness
+from repro.graphs.partition import EdgePartition
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import InstanceCache
@@ -169,6 +173,19 @@ class TrialTask:
             ),
         )
 
+    @contextlib.contextmanager
+    def _instances(self) -> Iterator[dict[tuple, object]]:
+        """A batch-local instance map.  On exit every partition in it
+        releases its players: player state is scratch for the batch's
+        protocol runs, and a cached partition must not pin it."""
+        local: dict[tuple, object] = {}
+        try:
+            yield local
+        finally:
+            for instance in local.values():
+                if isinstance(instance, EdgePartition):
+                    instance.release_players()
+
     def _batch_streams(self, batch: TrialBatch
                        ) -> Sequence[SharedRandomness | None]:
         if self._pass_shared:
@@ -178,8 +195,10 @@ class TrialTask:
     def __call__(self, spec: TrialSpec) -> TrialResult:
         """Run one spec on its own: a fresh instance and the protocol's
         own coin stream.  The per-trial oracle that :meth:`run_batch`
-        must match record for record."""
-        return self._run_one(spec, None, {})
+        must match record for record; the instance's players are
+        released when it returns, as at the end of a batch."""
+        with self._instances() as local:
+            return self._run_one(spec, None, local)
 
     def run_batch(self, batch: TrialBatch) -> list[TrialResult]:
         """Run one grid point's trials against batch-local instances.
@@ -192,17 +211,19 @@ class TrialTask:
         :meth:`~repro.comm.randomness.SharedRandomness.batch`
         construction — draw-for-draw identical to the stream they would
         build internally from the spec seed, so outcomes are unchanged.
+        Player state lives for the batch: its trials share one player
+        list per partition, released when the batch returns.
         The first exception propagates.
         """
         with obs_trace.span("batch", point=batch.point_index,
                             trials=len(batch.specs)):
             with obs_trace.span("streams"):
                 streams = self._batch_streams(batch)
-            local: dict[tuple, object] = {}
-            return [
-                self._run_one(spec, stream, local)
-                for spec, stream in zip(batch.specs, streams)
-            ]
+            with self._instances() as local:
+                return [
+                    self._run_one(spec, stream, local)
+                    for spec, stream in zip(batch.specs, streams)
+                ]
 
 
 def resolve_workers(workers: int | None = None) -> int:

@@ -9,6 +9,9 @@ migrated Table 1 loops (T1-R3 / T1-R6) match their historical inline
 implementations.
 """
 
+import multiprocessing
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from repro.analysis.experiments import (
     run_sweep,
 )
 from repro.analysis.table1 import row_bm_lower, row_oneway_streaming_lower
+from repro.comm.players import make_players
 from repro.core.exact_baseline import (
     exact_triangle_detection,
     exact_triangle_detection_blackboard,
@@ -257,6 +261,123 @@ class TestBatchedCacheSemantics:
         assert stats == {"hits": 0, "misses": 0, "entries": 0,
                          "builds": 0, "build_seconds": 0.0,
                          "quarantined": 0, "instance_bytes": 0}
+
+
+class _Outcome(NamedTuple):
+    total_bits: float
+    found: bool
+
+
+# Every (partition, player list) a recording protocol was handed, in
+# call order; per process, so forked workers record into their own copy.
+_HANDED: list[tuple[object, list]] = []
+
+
+@pytest.fixture
+def handed():
+    _HANDED.clear()
+    yield _HANDED
+    _HANDED.clear()
+
+
+def _holds_players(partition) -> bool:
+    return partition._players_cache is not None
+
+
+def recording_protocol(partition, seed):
+    """Record the player list this trial got; ``found`` flags a partition
+    handed out earlier (another batch's, with shared instances) that
+    still holds players."""
+    stale = any(
+        other is not partition and _holds_players(other)
+        for other, _ in _HANDED
+    )
+    _HANDED.append((partition, make_players(partition)))
+    return _Outcome(0.0, stale)
+
+
+LIFETIME_EXECUTORS = {
+    "serial": SerialExecutor,
+    "fork-2": lambda: ParallelExecutor(workers=2, start_method="fork"),
+}
+
+
+class TestPlayerLifetime:
+    """Player state lives for one trial batch: the batch's trials share
+    one player list per partition, and cached partitions keep only
+    their key arrays once the batch returns."""
+
+    @pytest.mark.parametrize("executor", sorted(LIFETIME_EXECUTORS))
+    def test_cached_partitions_hold_no_players(self, executor, handed):
+        if (executor.startswith("fork")
+                and "fork" not in multiprocessing.get_all_start_methods()):
+            pytest.skip("fork start method unavailable")
+        builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
+        cache = InstanceCache()
+        grid = [(120, 4.0, 3), (160, 4.0, 3), (200, 4.0, 3),
+                (240, 4.0, 3)]
+        specs = build_specs(grid, trials=2, sweep_seed=3,
+                            shared_instances=True)
+        results = run_trials(recording_protocol, builder, specs,
+                             executor=LIFETIME_EXECUTORS[executor](),
+                             cache=cache, instance_key="lifetime")
+        # Four batches on two workers: some process ran several, and no
+        # batch saw an earlier batch's partition still holding players.
+        assert not any(result.found for result in results)
+        if executor == "serial":
+            task = TrialTask(builder, recording_protocol, cache=cache,
+                             instance_key="lifetime")
+            for spec in specs:
+                cached = cache.get_or_build(
+                    task.cache_key(spec), lambda: pytest.fail("not cached")
+                )
+                assert not _holds_players(cached)
+
+    def test_one_player_list_per_batch(self, handed):
+        builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
+        cache = InstanceCache()
+        specs = build_specs(GRID, trials=3, sweep_seed=2,
+                            shared_instances=True)
+        for _ in range(2):
+            run_trials(recording_protocol, builder, specs,
+                       executor=SerialExecutor(),
+                       cache=cache, instance_key="lifetime")
+        batches = [handed[i:i + 3] for i in range(0, len(handed), 3)]
+        assert len(batches) == 2 * len(GRID)
+        for batch in batches:
+            partition, players = batch[0]
+            assert all(p is partition and got is players
+                       for p, got in batch)
+        for first, again in zip(batches, batches[len(GRID):]):
+            # The cache hands the next batch the same partition, whose
+            # players were released and are built afresh.
+            assert again[0][0] is first[0][0]
+            assert again[0][1] is not first[0][1]
+
+    def test_per_trial_oracle_releases_players(self, handed):
+        builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
+        task = TrialTask(builder, recording_protocol,
+                         cache=InstanceCache(), instance_key="lifetime")
+        spec = build_specs(GRID, trials=1, sweep_seed=2,
+                           shared_instances=True)[0]
+        task(spec)
+        task(spec)
+        (first, first_players), (again, again_players) = handed
+        assert again is first
+        assert again_players is not first_players
+        assert not _holds_players(first)
+
+    def test_make_players_memoizes_outside_a_batch(self):
+        partition = DefaultInstanceBuilder(epsilon=0.3, k=3)(120, 4.0, 5)
+        players = make_players(partition)
+        assert make_players(partition) is players
+        partition.release_players()
+        fresh = make_players(partition)
+        assert fresh is not players
+        assert make_players(partition) is fresh
+        assert [p.num_edges for p in fresh] == [
+            p.num_edges for p in players
+        ]
 
 
 class TestMigratedTable1Loops:

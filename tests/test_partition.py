@@ -154,7 +154,8 @@ class TestByVertex:
 class TestReplayedOwners:
     """The bulk ``randrange`` replay is draw-for-draw the scalar loop."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 13, 64])
+    # k > 256 and k > 65536 sort the owners as uint16 and uint32.
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 13, 64, 300, 70_000])
     @pytest.mark.parametrize("seed", [0, 1, 17, 2**31 + 5])
     def test_disjoint_views_match_scalar_loop(self, graph, k, seed):
         partition = partition_disjoint(graph, k, seed=seed)
@@ -186,7 +187,7 @@ class TestReplayedOwners:
         partition = partition_disjoint(graph, 5, seed=6)
         assert partition.views == partition_disjoint_reference(graph, 5, 6)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 7, 13])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 13, 300])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_by_vertex_views_match_scalar_loop(self, graph, k, seed):
         partition = partition_by_vertex(graph, k, seed=seed)

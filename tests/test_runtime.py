@@ -21,6 +21,12 @@ import spawn_helpers
 
 from repro.analysis.experiments import default_instance, run_sweep
 from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
+from repro.graphs.generators import gnd
+from repro.graphs.partition import (
+    partition_all_to_all,
+    partition_disjoint,
+    partition_with_duplication,
+)
 from repro.runtime import (
     InstanceCache,
     ParallelExecutor,
@@ -34,6 +40,7 @@ from repro.runtime import (
     resolve_workers,
     run_trials,
 )
+from repro.runtime.cache import instance_nbytes
 
 GRID = [(200, 4.0, 3), (400, 4.0, 3)]
 
@@ -345,6 +352,23 @@ class TestInstanceCache:
     def test_validates_max_entries(self):
         with pytest.raises(ValueError):
             InstanceCache(max_entries=0)
+
+    def test_instance_bytes_count_partition_view_keys(self):
+        """A partition pins its graph's key array plus its view key
+        arrays, each distinct array once."""
+        graph = gnd(2400, 6.0, seed=1)
+        key_bytes = graph.edge_keys().nbytes
+        disjoint = partition_disjoint(graph, 3, seed=2)
+        assert instance_nbytes(disjoint) == 2 * key_bytes
+        # All-to-all views are the graph's own array, shared k times.
+        assert instance_nbytes(partition_all_to_all(graph, 3)) == key_bytes
+        duplicated = partition_with_duplication(graph, 3, seed=2)
+        assert instance_nbytes(duplicated) == key_bytes + sum(
+            keys.nbytes for keys in duplicated.view_keys
+        ) > 2 * key_bytes
+        cache = InstanceCache()
+        cache.get_or_build(("p",), lambda: disjoint)
+        assert cache.stats()["instance_bytes"] == 2 * key_bytes
 
 
 class TestCacheQuarantine:
