@@ -20,12 +20,15 @@ cost exactly when no triangle is ever found.
 
 Every row accepts ``workers=`` (process-pool width for its sweeps,
 ``None`` defers to the ``REPRO_WORKERS`` env var) and ``cache=`` (a
-shared :class:`~repro.runtime.cache.InstanceCache` so rows comparing
-protocols on the same construction reuse instances).  Every trial loop
-— the sweeps and the construction-shaped T1-R3 / T1-R6 loops alike —
-runs on the runtime executor path, batched per grid point; rows whose
-measurement has no trial axis accept both knobs for harness uniformity
-and run serially.  Records are independent of ``workers``.
+shared :class:`~repro.runtime.cache.InstanceCache`).  A sweep caches
+its instances only when a later sweep reads them — sim-low's for X-1,
+T1-R2c's aware sweep's for its oblivious sweep, T1-R3's µ samples for
+its larger reservoir sizes — so every other instance dies after its
+last trial.  Every trial loop — the sweeps and the construction-shaped
+T1-R3 / T1-R6 loops alike — runs on the runtime executor path, batched
+per grid point; rows whose measurement has no trial axis accept both
+knobs for harness uniformity and run serially.  Records are independent
+of ``workers``.
 
 The runtime fails fast: a trial that raises stops its row with the
 trial's own exception.  A whole table regenerates in seconds, so there
@@ -146,11 +149,12 @@ class RowReport:
 # Shared sweep configurations
 # ----------------------------------------------------------------------
 
-# Instance-cache keys: one per construction, shared by every row (and
-# benchmark driver) measuring protocols on that construction, so a shared
-# InstanceCache serves identical inputs to all of them.
+# Instance-cache key of the far-disjoint construction.  A sweep passes
+# the shared cache (and a key) only when a later sweep reads its
+# instances: sim-low's are re-read by X-1, T1-R2c's aware sweep's by its
+# oblivious sweep.  Sweeps whose instances no one re-reads build them
+# uncached, so each dies after its last trial.
 FAR_DISJOINT_KEY = "far-eps0.2-disjoint"
-TRIFREE_SPREAD_KEY = "trifree-spread-eps0.2-disjoint"
 
 
 def far_disjoint_instance(epsilon: float, k: int):
@@ -193,7 +197,8 @@ def row_unrestricted_upper(quick: bool = True, seed: int = 0, *,
 
     Measured on triangle-free degree-spread controls (worst-case path: the
     one-sided tester never exits early), exponent fit on nd after
-    stripping the bound's polylog factor.
+    stripping the bound's polylog factor.  ``cache`` is accepted for
+    harness uniformity; no later sweep reads these instances.
     """
     ns = (
         [2048, 4096, 8192, 16384]
@@ -219,8 +224,7 @@ def row_unrestricted_upper(quick: bool = True, seed: int = 0, *,
 
     sweep = run_sweep(
         protocol, instance, [(n, d, k) for n in ns],
-        trials=3 if quick else 5, seed=seed,
-        workers=workers, cache=cache, instance_key=TRIFREE_SPREAD_KEY,
+        trials=3 if quick else 5, seed=seed, workers=workers,
     )
     # The dominant SampleEdges term carries one log n factor (edge ids)
     # times the sqrt(log n) inside p; strip one log before fitting.
@@ -239,7 +243,10 @@ def row_unrestricted_upper(quick: bool = True, seed: int = 0, *,
 def row_sim_low_upper(quick: bool = True, seed: int = 0, *,
                       workers: int | None = None,
                       cache: InstanceCache | None = None) -> RowReport:
-    """T1-R2a: simultaneous, d = O(sqrt(n)): O~(k sqrt(n))."""
+    """T1-R2a: simultaneous, d = O(sqrt(n)): O~(k sqrt(n)).
+
+    Cached under ``FAR_DISJOINT_KEY``: X-1 re-reads these instances.
+    """
     ns = [600, 1200, 2400, 4800] if quick else [600, 1200, 2400, 4800, 9600]
     d = 6.0
     k = 3
@@ -269,7 +276,11 @@ def row_sim_low_upper(quick: bool = True, seed: int = 0, *,
 def row_sim_high_upper(quick: bool = True, seed: int = 0, *,
                        workers: int | None = None,
                        cache: InstanceCache | None = None) -> RowReport:
-    """T1-R2b: simultaneous, d = Ω(sqrt(n)): O~(k (nd)^{1/3})."""
+    """T1-R2b: simultaneous, d = Ω(sqrt(n)): O~(k (nd)^{1/3}).
+
+    ``cache`` is accepted for harness uniformity; no later sweep reads
+    these instances.
+    """
     ns = [400, 900, 1600, 2500] if quick else [400, 900, 1600, 2500, 3600]
     k = 3
     params = SimHighParams(epsilon=0.2, delta=0.2, c=2.0)
@@ -280,7 +291,7 @@ def row_sim_high_upper(quick: bool = True, seed: int = 0, *,
             partition, params, seed=s, shared=shared
         ),
         far_disjoint_instance(epsilon=0.2, k=k), grid, trials=3, seed=seed,
-        workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
+        workers=workers,
     )
     fit = fit_axis(sweep.xs("nd"), sweep.bits(), log_power=1.0)
     detection = statistics.fmean(sweep.detection_rates())
@@ -377,10 +388,6 @@ def row_exact_baseline(quick: bool = True, seed: int = 0, *,
     )
 
 
-#: One instance-cache key prefix per planted pattern family (suffixed
-#: with the pattern name), mirroring FAR_DISJOINT_KEY for the H sweeps.
-PLANTED_PATTERN_KEY = "planted-H-disjoint"
-
 #: The patterns the X-2 row sweeps: one representative per catalog
 #: family beyond the triangle (cliques, even/odd cycles, paths, stars).
 PATTERN_ROW_PATTERNS = (
@@ -435,9 +442,10 @@ def row_subgraph_patterns(quick: bool = True, seed: int = 0, *,
     The H-diverse workload as a Table-1-style row: for every catalog
     representative the generalized induced-sample tester runs on planted
     ε-far instances through the PR 1 runtime (``workers=`` parallelizes
-    the trials like every other row; one cache key per pattern family).
-    The tester is one-sided, so detection rate on planted instances is
-    the quantity repetition is supposed to drive to 1.
+    the trials like every other row).  The tester is one-sided, so
+    detection rate on planted instances is the quantity repetition is
+    supposed to drive to 1.  ``cache`` is accepted for harness
+    uniformity; no later sweep reads these instances.
     """
     n = 900 if quick else 2400
     d = 4.0
@@ -453,9 +461,7 @@ def row_subgraph_patterns(quick: bool = True, seed: int = 0, *,
         sweep = run_sweep(
             PatternProtocol(pattern, params),
             PlantedPatternBuilder(pattern, k),
-            [(n, d, k)], trials=trials, seed=seed,
-            workers=workers, cache=cache,
-            instance_key=f"{PLANTED_PATTERN_KEY}:{pattern.name}",
+            [(n, d, k)], trials=trials, seed=seed, workers=workers,
         )
         rates.append(sweep.points[0].detection_rate)
         bits.append(sweep.points[0].median_bits)
@@ -473,10 +479,9 @@ def row_subgraph_patterns(quick: bool = True, seed: int = 0, *,
     )
 
 
-#: Cache keys of the migrated lower-bound loops (T1-R3 / T1-R6) — one
-#: per construction, like FAR_DISJOINT_KEY and friends above.
+#: Cache key prefix of T1-R3's µ samples (suffixed with the part size),
+#: which every reservoir size of the row re-reads.
 MU_STREAM_KEY = "mu-stream-gamma1.2"
-BM_DICHOTOMY_KEY = "bm-dichotomy"
 
 
 class _LoopOutcome(NamedTuple):
@@ -748,15 +753,14 @@ def row_bm_lower(quick: bool = True, seed: int = 0, *,
     """T1-R6: the BM reduction dichotomy behind the Omega(sqrt n) bound.
 
     The trial loop runs on the runtime executor path (``workers=`` /
-    ``REPRO_WORKERS`` and batching apply); reduction pairs are cached
-    under ``BM_DICHOTOMY_KEY``.
+    ``REPRO_WORKERS`` and batching apply).  ``cache`` is accepted for
+    harness uniformity; each reduction pair is read by its one trial.
     """
     n = 24 if quick else 64
     trials = 10 if quick else 40
     results = run_trials(
         _bm_dichotomy_protocol, _BMPairBuilder(),
-        _loop_specs(trials, n, seed),
-        workers=workers, cache=cache, instance_key=BM_DICHOTOMY_KEY,
+        _loop_specs(trials, n, seed), workers=workers,
     )
     verified = sum(1 for r in results if r.found)
     return RowReport(
@@ -819,11 +823,11 @@ def generate_table1(quick: bool = True, seed: int = 0,
                     workers: int | None = None) -> str:
     """Run every row and render the reproduction of Table 1.
 
-    One cache is shared across rows, so rows measuring different
-    protocols on the same construction (the far-disjoint family) reuse
-    each other's generated instances; in parallel mode the cache gets a
-    temporary disk tier, since instances built inside forked workers
-    only cross process boundaries through disk.
+    One cache is shared across rows, so X-1's exact baseline reuses the
+    far-disjoint instances the sim-low sweep generated (rows whose
+    instances no later sweep reads leave it alone); in parallel mode the
+    cache gets a temporary disk tier, since instances built inside
+    forked workers only cross process boundaries through disk.
     """
     lines = [
         "Table 1 reproduction — paper bound vs measured "

@@ -43,9 +43,10 @@ same arrays.
 Players built via :func:`make_players` are memoized on the
 :class:`~repro.graphs.partition.EdgePartition` until
 :meth:`~repro.graphs.partition.EdgePartition.release_players`.  The
-trial executor releases them when a trial batch ends, so the trials of
-one batch share whatever the first trial built, and a partition kept in
-the instance cache holds only its key arrays between batches.
+trial executor releases them after a batch's last trial on the
+partition, so the trials of one batch share whatever the first trial
+built, and a partition kept in the instance cache holds only its key
+arrays between batches.
 """
 
 from __future__ import annotations
@@ -519,11 +520,11 @@ def make_players(partition) -> list[Player]:
     arrays, and their internal caches memoize pure functions of those
     keys) until :meth:`EdgePartition.release_players
     <repro.graphs.partition.EdgePartition.release_players>`.
-    :meth:`~repro.runtime.executor.TrialTask.run_batch` releases the
-    batch's partitions when it returns, so the repetition axis of a
-    batched grid point shares one set of Player objects and whatever
-    rows and indexes earlier trials built, and no later batch reads or
-    pins them.
+    :meth:`~repro.runtime.executor.TrialTask.run_batch` releases a
+    partition after the batch's last trial on it, so the repetition
+    axis of a batched grid point shares one set of Player objects and
+    whatever rows and indexes earlier trials built, and no later batch
+    reads or pins them.
     """
     cached = partition._players_cache
     if cached is not None:

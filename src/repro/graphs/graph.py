@@ -392,14 +392,16 @@ class Graph:
     def nbytes(self) -> int:
         """Approximate adjacency-storage bytes this graph holds.
 
-        The kernel's ``memory_bytes()`` once built; before that, the
-        bytes of the edge-key array, the only storage an unbuilt graph
-        has.  Surfaced per instance in ``InstanceCache.stats()`` so
-        sweep logs show memory at scale.
+        The kernel's ``memory_bytes()`` once built, plus the bytes of
+        the edge-key array while the graph holds it (an unbuilt graph
+        holds only the keys).  Surfaced per instance in
+        ``InstanceCache.stats()`` so sweep logs show memory at scale.
         """
-        if self._built is None:
-            return int(self._edge_keys.nbytes)
-        return int(self._built.memory_bytes())
+        keys = self._edge_keys
+        total = 0 if keys is None else int(keys.nbytes)
+        if self._built is not None:
+            total += int(self._built.memory_bytes())
+        return total
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:

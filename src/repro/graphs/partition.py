@@ -61,7 +61,8 @@ class EdgePartition:
     frozensets, built on first use.  Players
     (:func:`~repro.comm.players.make_players`) are built from the key
     arrays and memoized here until :meth:`release_players`; the trial
-    executor releases them when the batch that built them ends.
+    executor releases them after the last trial of the batch that
+    built them.
     """
 
     def __init__(self, graph: Graph,

@@ -12,12 +12,25 @@ and sweep seed get the very same instance — the second protocol pays
 nothing for generation and, just as importantly, is measured on
 identical inputs.
 
+An entry lives until the process drops the cache (or LRU evicts it), so
+the lifetime rule is the caller's: pass a cache only to sweeps whose
+instances a *later* sweep reads.  Table 1 does so for sim-low (re-read
+by X-1), T1-R2c's aware sweep (re-read by its oblivious sweep) and
+T1-R3's µ samples (re-read by every larger reservoir size); its other
+sweeps build uncached, and the executor drops each of their instances
+after its last trial.  On a quick run that leaves 35 entries at the end
+instead of 84, for the same 111 hits.  With the executor's own rule (a
+batch drops each instance after its last reader), this took perfbench
+peak RSS from 62.9 to 49.9 MiB on ``table1_full_rest``, 56.1 to 45.7
+MiB on ``table1_quick`` and 82.0 to 75.3 MiB on ``table1_quick_w2``
+(``--seconds 20 --trace 0``, medians of parent/change pairs, 2 vCPUs).
+
 What is cached is the instance's input, not protocol scratch: a cached
 :class:`~repro.graphs.partition.EdgePartition` keeps its graph and view
 key arrays, while the players a batch builds on it (degree arrays,
-neighbour indexes, rows) are released when that batch ends
-(:meth:`~repro.runtime.executor.TrialTask.run_batch`), and a later hit
-rebuilds them from the keys.
+neighbour indexes, rows) are released after the batch's last trial on
+it (:meth:`~repro.runtime.executor.TrialTask.run_batch`), and a later
+hit rebuilds them from the keys.
 
 Two tiers:
 
@@ -58,8 +71,8 @@ def instance_nbytes(value: Any, _depth: int = 0) -> int:
     """Best-effort adjacency bytes held by a cached instance.
 
     Recognises anything exposing an integer ``nbytes`` (``Graph``
-    reports its kernel's ``memory_bytes``, or its edge-key array's
-    bytes while the kernel is unbuilt, so sizing builds nothing;
+    reports its kernel's ``memory_bytes`` once built plus its edge-key
+    array's bytes while it holds one, so sizing builds nothing;
     ``EdgePartition`` adds its view key arrays to its graph's),
     follows a ``graph`` attribute (``PlantedInstance``), and sums over
     tuples/lists.  Everything else counts zero — this sizes the

@@ -4,12 +4,14 @@ The unit of work is a :class:`~repro.runtime.spec.TrialBatch` — every
 trial of one grid point.  :meth:`TrialTask.run_batch` builds (or
 cache-fetches) each distinct instance once per batch, builds the
 trials' coin streams in one batched construction, and runs the trials
-against them.  Player state (:func:`~repro.comm.players.make_players`)
-lives for one batch: the batch's partitions release their players when
-it returns, so a partition kept in the instance cache holds only its
-key arrays between batches.  :meth:`TrialTask.__call__` runs one spec
-on its own, sharing nothing; it is the per-trial oracle the batched
-records are tested against.
+against them.  A batch holds each instance until its last reader: once
+the last trial whose spec maps to an instance has run, the instance
+leaves the batch-local map and its partition releases its players
+(:func:`~repro.comm.players.make_players`), so a batch of per-trial
+instance seeds holds one instance at a time, and a partition kept in
+the instance cache holds only its key arrays between batches.
+:meth:`TrialTask.__call__` runs one spec on its own, sharing nothing;
+it is the per-trial oracle the batched records are tested against.
 
 :func:`run_trials` groups specs into batches, runs them through an
 executor's ``run_batches``, and deals the results back out in input
@@ -51,7 +53,7 @@ import multiprocessing
 import os
 import pickle
 import tempfile
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -175,16 +177,17 @@ class TrialTask:
 
     @contextlib.contextmanager
     def _instances(self) -> Iterator[dict[tuple, object]]:
-        """A batch-local instance map.  On exit every partition in it
-        releases its players: player state is scratch for the batch's
-        protocol runs, and a cached partition must not pin it."""
+        """A batch-local instance map.  :meth:`run_batch` pops each
+        instance after its last reader; on exit, normal or by a trial's
+        exception, every partition still in the map releases its
+        players: player state is scratch for the batch's protocol runs,
+        and a cached partition must not pin it."""
         local: dict[tuple, object] = {}
         try:
             yield local
         finally:
             for instance in local.values():
-                if isinstance(instance, EdgePartition):
-                    instance.release_players()
+                _release_players(instance)
 
     def _batch_streams(self, batch: TrialBatch
                        ) -> Sequence[SharedRandomness | None]:
@@ -204,26 +207,41 @@ class TrialTask:
         """Run one grid point's trials against batch-local instances.
 
         Each distinct instance key is built (or cache-fetched) exactly
-        once for the whole batch; with per-trial instance seeds the
-        local map never coalesces anything and the path degenerates to
-        the per-trial one.  Protocols that declare a ``shared`` keyword
-        receive their coin stream from one batched
+        once for the whole batch and held until its last reader: the
+        batch counts each key's specs, and after the trial of the last
+        one the instance leaves the batch-local map and its players are
+        released.  With per-trial instance seeds every key has one
+        reader, so the batch holds one instance at a time (plus whatever
+        the cache keeps); with ``shared_instances=True`` every trial
+        reads one instance, held, with one player list, for the whole
+        batch.  Protocols that declare a ``shared`` keyword receive
+        their coin stream from one batched
         :meth:`~repro.comm.randomness.SharedRandomness.batch`
         construction — draw-for-draw identical to the stream they would
         build internally from the spec seed, so outcomes are unchanged.
-        Player state lives for the batch: its trials share one player
-        list per partition, released when the batch returns.
-        The first exception propagates.
+        The first exception propagates, after :meth:`_instances`
+        releases the players of every instance still held.
         """
         with obs_trace.span("batch", point=batch.point_index,
                             trials=len(batch.specs)):
             with obs_trace.span("streams"):
                 streams = self._batch_streams(batch)
+            keys = [self.cache_key(spec) for spec in batch.specs]
+            readers = Counter(keys)
+            results: list[TrialResult] = []
             with self._instances() as local:
-                return [
-                    self._run_one(spec, stream, local)
-                    for spec, stream in zip(batch.specs, streams)
-                ]
+                for spec, stream, key in zip(batch.specs, streams, keys):
+                    results.append(self._run_one(spec, stream, local))
+                    readers[key] -= 1
+                    if not readers[key]:
+                        _release_players(local.pop(key))
+            return results
+
+
+def _release_players(instance: object) -> None:
+    """End a partition's player state; other instances hold none."""
+    if isinstance(instance, EdgePartition):
+        instance.release_players()
 
 
 def resolve_workers(workers: int | None = None) -> int:

@@ -7,12 +7,16 @@ import pytest
 from repro.analysis.experiments import default_instance, run_sweep
 from repro.analysis.scaling import fit_power_law, strip_polylog
 from repro.analysis.table1 import (
+    ROW_IDS,
     RowReport,
     row_bm_lower,
+    row_exact_baseline,
     row_sim_covered_lower,
+    row_sim_low_upper,
     row_symmetrization,
 )
 from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
+from repro.runtime import InstanceCache
 
 
 class TestPowerLawFit:
@@ -141,3 +145,29 @@ class TestTable1FastRows:
         # Per-pattern detection rates are itemized in the note.
         for name in ("K4", "C4", "C5", "P4", "K1,3"):
             assert name in report.note
+
+
+class TestTable1CacheUse:
+    """A row caches its instances only when a later sweep reads them."""
+
+    @pytest.mark.parametrize("row_id", ["T1-R1", "T1-R2b", "X-2", "T1-R6"])
+    def test_rows_nobody_rereads_leave_the_cache_empty(self, row_id):
+        row_fn = {rid: fn for fn, rid in ROW_IDS.items()}[row_id]
+        cache = InstanceCache()
+        report = row_fn(quick=True, seed=1, workers=1, cache=cache)
+        assert report.row_id == row_id
+        stats = cache.stats()
+        assert len(cache) == 0
+        assert stats["hits"] == stats["misses"] == stats["builds"] == 0
+
+    def test_exact_baseline_reuses_sim_low_instances(self):
+        cache = InstanceCache()
+        row_sim_low_upper(quick=True, seed=1, workers=1, cache=cache)
+        built = len(cache)
+        assert built == cache.stats()["builds"] > 0
+        cache.reset()
+        row_exact_baseline(quick=True, seed=1, workers=1, cache=cache)
+        stats = cache.stats()
+        assert stats["hits"] == 8
+        assert stats["builds"] == stats["misses"] == 0
+        assert len(cache) == built

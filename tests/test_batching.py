@@ -10,6 +10,7 @@ implementations.
 """
 
 import multiprocessing
+import weakref
 from typing import NamedTuple
 
 import pytest
@@ -378,6 +379,82 @@ class TestPlayerLifetime:
         assert [p.num_edges for p in fresh] == [
             p.num_edges for p in players
         ]
+
+
+# Weak references to every instance a protocol was handed, in call
+# order, to see which of them the batch still keeps alive.
+_SEEN: list[weakref.ref] = []
+
+
+@pytest.fixture
+def seen():
+    _SEEN.clear()
+    yield _SEEN
+    _SEEN.clear()
+
+
+def weakref_protocol(partition, seed):
+    """Build this trial's players; ``found`` flags an instance handed to
+    an earlier trial that is still alive."""
+    alive = any(
+        ref() is not None and ref() is not partition for ref in _SEEN
+    )
+    _SEEN.append(weakref.ref(partition))
+    make_players(partition)
+    return _Outcome(0.0, alive)
+
+
+def failing_second_trial(partition, seed):
+    """Record and build players like :func:`recording_protocol`, then
+    raise on the batch's second trial."""
+    _HANDED.append((partition, make_players(partition)))
+    if len(_HANDED) == 2:
+        raise RuntimeError("second trial broke")
+    return _Outcome(0.0, False)
+
+
+class TestInstanceLifetime:
+    """A batch holds each instance until its last reader: with per-trial
+    instance seeds one instance at a time, with shared instances one for
+    the whole batch."""
+
+    def test_per_trial_batch_holds_one_instance_at_a_time(self, seen):
+        builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
+        specs = build_specs([(160, 4.0, 3)], trials=4, sweep_seed=5)
+        assert len(batch_specs(specs)) == 1
+        results = run_trials(weakref_protocol, builder, specs,
+                             executor=SerialExecutor())
+        assert len(seen) == 4
+        assert not any(result.found for result in results)
+        assert all(ref() is None for ref in seen)
+
+    def test_shared_batch_keeps_its_instance_and_players(self, handed):
+        builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
+        specs = build_specs(GRID, trials=3, sweep_seed=2,
+                            shared_instances=True)
+        run_trials(recording_protocol, builder, specs,
+                   executor=SerialExecutor())
+        assert len(handed) == 3 * len(GRID)
+        for start in range(0, len(handed), 3):
+            (partition, players), *rest = handed[start:start + 3]
+            assert all(p is partition and got is players for p, got in rest)
+        assert handed[0][0] is not handed[3][0]
+        assert not any(_holds_players(p) for p, _ in handed)
+
+    @pytest.mark.parametrize("shared", [False, True],
+                             ids=["per-trial", "shared"])
+    def test_raising_trial_leaves_no_players(self, handed, shared):
+        builder = DefaultInstanceBuilder(epsilon=0.3, k=3)
+        cache = InstanceCache()
+        specs = build_specs([(160, 4.0, 3)], trials=3, sweep_seed=4,
+                            shared_instances=shared)
+        with pytest.raises(RuntimeError, match="second trial broke"):
+            run_trials(failing_second_trial, builder, specs,
+                       executor=SerialExecutor(),
+                       cache=cache, instance_key="lifetime")
+        assert len(handed) == 2
+        assert (handed[0][0] is handed[1][0]) == shared
+        assert not any(_holds_players(p) for p, _ in handed)
 
 
 class TestMigratedTable1Loops:

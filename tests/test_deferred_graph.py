@@ -147,7 +147,9 @@ class TestDeferredEqualsEager:
                                                     builds):
         deferred, eager = deferred_and_eager(random_edges(seed), backend)
         assert deferred.degrees() == eager.degrees()
-        assert deferred.nbytes == deferred.kernel.memory_bytes()
+        # Built, the graph holds its kernel and still its edge keys.
+        assert deferred.nbytes == (deferred.kernel.memory_bytes()
+                                   + deferred.edge_keys().nbytes)
         assert len(pickle.dumps(deferred)) == len(pickle.dumps(
             Graph.from_edge_arrays(N, *divmod(deferred.edge_keys(), N),
                                    backend=backend)
