@@ -235,19 +235,13 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
                 workers=workers, executor=executor,
                 cache=cache, instance_key=instance_key, metrics=hook,
             )
-        if cache is not None:
-            # stats() sizes every cached instance; only pay for it when
-            # the debug line is actually emitted.
-            if _LOGGER.isEnabledFor(logging.DEBUG):
-                _LOGGER.debug(
-                    "run_sweep cache stats (instance_key=%r): %s",
-                    instance_key, cache.stats(),
-                )
-            active = obs_metrics.get_metrics()
-            if active is not None:
-                stats = cache.stats()
-                active.gauge("cache.entries", stats["entries"])
-                active.gauge("cache.instance_bytes", stats["instance_bytes"])
+        # stats() sizes every cached instance; only pay for it when the
+        # debug line is actually emitted.
+        if cache is not None and _LOGGER.isEnabledFor(logging.DEBUG):
+            _LOGGER.debug(
+                "run_sweep cache stats (instance_key=%r): %s",
+                instance_key, cache.stats(),
+            )
         # Stamp the merged registry into the trace so `summarize` can
         # report cache effectiveness and backend mix from one file.
         active = obs_metrics.get_metrics()

@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis.table1 import ALL_ROWS, RowReport
+from repro.analysis.table1 import ALL_ROWS, RowReport, run_row
 from repro.runtime import shared_cache
 
 __all__ = ["build_report", "write_report"]
@@ -36,9 +36,10 @@ def build_report(quick: bool = True, seed: int = 0,
     """Run all rows and render the markdown report text.
 
     ``workers`` fans the sweep-backed rows out over a process pool (see
-    :mod:`repro.runtime`); one instance cache is shared across rows,
-    with a temporary disk tier in parallel mode so forked workers can
-    reuse instances earlier rows generated.
+    :mod:`repro.runtime`); one memory-only instance cache is shared
+    across rows, as in :func:`~repro.analysis.table1.generate_table1`.
+    Each row runs through :func:`~repro.analysis.table1.run_row`, so a
+    traced report has one ``row`` span per row.
     """
     started = time.time()
     rows: list[tuple[RowReport, float]] = []
@@ -46,7 +47,8 @@ def build_report(quick: bool = True, seed: int = 0,
         for row_fn in ALL_ROWS:
             t0 = time.time()
             rows.append((
-                row_fn(quick=quick, seed=seed, workers=workers, cache=cache),
+                run_row(row_fn, quick=quick, seed=seed, workers=workers,
+                        cache=cache),
                 time.time() - t0,
             ))
     total = time.time() - started

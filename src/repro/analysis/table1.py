@@ -37,7 +37,6 @@ is no retry, resume or partial-result path.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import statistics
 from dataclasses import dataclass
@@ -313,7 +312,8 @@ def row_oblivious(quick: bool = True, seed: int = 0, *,
 
     Both protocols run through the runtime on the *same* instances: the
     two sweeps share an instance key and cache, so the degree-aware
-    sweep's generated inputs are served back to the oblivious sweep.
+    sweep's generated inputs are served back to the oblivious sweep
+    (pool workers rebuild them from the same seeds instead).
     """
     n = 1600 if quick else 4800
     d = 6.0
@@ -321,25 +321,24 @@ def row_oblivious(quick: bool = True, seed: int = 0, *,
     trials = 3 if quick else 6
     grid = [(n, d, k)]
     instance = far_disjoint_instance(epsilon=0.2, k=k)
-    with contextlib.ExitStack() as stack:
-        if cache is None:  # standalone call: provision a mode-matched cache
-            cache = stack.enter_context(shared_cache(workers))
-        aware = run_sweep(
-            lambda partition, s, shared=None: find_triangle_sim_low(
-                partition, SimLowParams(epsilon=0.2, delta=0.2), seed=s,
-                shared=shared,
-            ),
-            instance, grid, trials=trials, seed=seed,
-            workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
-        )
-        oblivious = run_sweep(
-            lambda partition, s, shared=None: find_triangle_sim_oblivious(
-                partition, ObliviousParams(epsilon=0.2, delta=0.2), seed=s,
-                shared=shared,
-            ),
-            instance, grid, trials=trials, seed=seed,
-            workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
-        )
+    if cache is None:  # standalone call: a row-local cache
+        cache = InstanceCache()
+    aware = run_sweep(
+        lambda partition, s, shared=None: find_triangle_sim_low(
+            partition, SimLowParams(epsilon=0.2, delta=0.2), seed=s,
+            shared=shared,
+        ),
+        instance, grid, trials=trials, seed=seed,
+        workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
+    )
+    oblivious = run_sweep(
+        lambda partition, s, shared=None: find_triangle_sim_oblivious(
+            partition, ObliviousParams(epsilon=0.2, delta=0.2), seed=s,
+            shared=shared,
+        ),
+        instance, grid, trials=trials, seed=seed,
+        workers=workers, cache=cache, instance_key=FAR_DISJOINT_KEY,
+    )
     ratios = [
         o.bits / max(1, a.bits)
         for a, o in zip(aware.records, oblivious.records)
@@ -825,9 +824,10 @@ def generate_table1(quick: bool = True, seed: int = 0,
 
     One cache is shared across rows, so X-1's exact baseline reuses the
     far-disjoint instances the sim-low sweep generated (rows whose
-    instances no later sweep reads leave it alone); in parallel mode the
-    cache gets a temporary disk tier, since instances built inside
-    forked workers only cross process boundaries through disk.
+    instances no later sweep reads leave it alone).  The cache is
+    memory-only: in parallel mode the instances a pool worker builds
+    die with it, and a later sweep's workers rebuild them from the same
+    seeds, so the records match the serial run.
     """
     lines = [
         "Table 1 reproduction — paper bound vs measured "

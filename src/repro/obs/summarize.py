@@ -164,10 +164,8 @@ def summarize(records: list[dict]) -> str:
             rate = 100 * hits / (hits + misses)
             lines.append(
                 f"  hits={hits:g}  misses={misses:g}  hit_rate={rate:.1f}%  "
-                f"disk_hits={counters.get('cache.disk_hit', 0):g}  "
                 f"builds={counters.get('cache.build', 0):g}  "
-                f"build_s={counters.get('cache.build_seconds', 0):.3f}  "
-                f"quarantined={counters.get('cache.quarantined', 0):g}"
+                f"build_s={counters.get('cache.build_seconds', 0):.3f}"
             )
         else:
             lines.append("  (no cache activity recorded)")

@@ -8,7 +8,7 @@ Table 1 benchmark drivers:
 * :func:`derive_seed` — stable ``(sweep_seed, point, trial) -> child
   seed`` so serial and parallel runs are record-identical
   (:mod:`repro.runtime.seeding`);
-* :class:`InstanceCache` — memory/disk reuse of generated instances
+* :class:`InstanceCache` — per-process reuse of generated instances
   across the protocols compared at a grid point
   (:mod:`repro.runtime.cache`);
 * :func:`run_trials` with :class:`SerialExecutor` /

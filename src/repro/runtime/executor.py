@@ -52,7 +52,6 @@ import logging
 import multiprocessing
 import os
 import pickle
-import tempfile
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
 from dataclasses import replace
@@ -446,21 +445,22 @@ class ParallelExecutor(Executor):
 
 
 @contextlib.contextmanager
-def shared_cache(workers: int | None = None,
-                 max_entries: int = 128) -> Iterator[InstanceCache]:
-    """Yield an :class:`InstanceCache` matched to the execution mode.
+def shared_cache(workers: int | None = None) -> Iterator[InstanceCache]:
+    """Yield one :class:`InstanceCache` for the rows of a run.
 
-    Serial runs get a memory-only cache (same-process reuse suffices).
-    Parallel runs add a temporary disk tier: instances a worker builds
-    die with the worker, so only the disk tier lets the workers of a
-    *later* sweep reuse what an earlier sweep generated.  The directory
-    is removed when the context exits.
+    ``workers`` is accepted and not used: the cache is memory-only in
+    every mode.  Pool workers that miss rebuild the instance from its
+    key, so records do not depend on the mode.  On exit, if a metrics
+    registry is active, the cache's end-of-run ``cache.entries`` and
+    ``cache.instance_bytes`` gauges are written to it.
     """
-    if resolve_workers(workers) <= 1:
-        yield InstanceCache(max_entries=max_entries)
-        return
-    with tempfile.TemporaryDirectory(prefix="repro-instance-cache-") as tmp:
-        yield InstanceCache(max_entries=max_entries, disk_dir=tmp)
+    cache = InstanceCache()
+    yield cache
+    active = obs_metrics.get_metrics()
+    if active is not None:
+        stats = cache.stats()
+        active.gauge("cache.entries", stats["entries"])
+        active.gauge("cache.instance_bytes", stats["instance_bytes"])
 
 
 def default_executor(workers: int | None = None) -> Executor:

@@ -1,9 +1,11 @@
 """Tests for the analysis harness (scaling fits, sweeps, Table 1 rows)."""
 
 import math
+import tempfile
 
 import pytest
 
+from repro.analysis import table1
 from repro.analysis.experiments import default_instance, run_sweep
 from repro.analysis.scaling import fit_power_law, strip_polylog
 from repro.analysis.table1 import (
@@ -16,7 +18,7 @@ from repro.analysis.table1 import (
     row_symmetrization,
 )
 from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
-from repro.runtime import InstanceCache
+from repro.runtime import InstanceCache, shared_cache
 
 
 class TestPowerLawFit:
@@ -171,3 +173,35 @@ class TestTable1CacheUse:
         assert stats["hits"] == 8
         assert stats["builds"] == stats["misses"] == 0
         assert len(cache) == built
+
+    def test_parallel_pair_matches_serial_and_writes_no_file(
+            self, tmp_path, monkeypatch):
+        """At two workers X-1 rebuilds sim-low's instances inside its
+        workers, from the same seeds: records match the serial pair, and
+        the cache writes nothing to the temp directory."""
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        records: list[list] = []
+
+        def recording_sweep(*args, **kwargs):
+            sweep = run_sweep(*args, **kwargs)
+            records.append(sweep.records)
+            return sweep
+
+        monkeypatch.setattr(table1, "run_sweep", recording_sweep)
+
+        def run_pair(workers):
+            records.clear()
+            with shared_cache(workers) as cache:
+                reports = [
+                    row_fn(quick=True, seed=1, workers=workers, cache=cache)
+                    for row_fn in (row_sim_low_upper, row_exact_baseline)
+                ]
+                assert list(tmp_path.iterdir()) == []
+            return reports, list(records)
+
+        serial = run_pair(1)
+        parallel = run_pair(2)
+        assert len(parallel[1]) == 2 and all(parallel[1])
+        assert parallel == serial
+        assert list(tmp_path.iterdir()) == []

@@ -261,7 +261,7 @@ class TestBatchedCacheSemantics:
         stats = cache.stats()
         assert stats == {"hits": 0, "misses": 0, "entries": 0,
                          "builds": 0, "build_seconds": 0.0,
-                         "quarantined": 0, "instance_bytes": 0}
+                         "instance_bytes": 0}
 
 
 class _Outcome(NamedTuple):

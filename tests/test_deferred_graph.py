@@ -4,7 +4,7 @@ A graph from :meth:`Graph.from_edge_arrays` holds its sorted edge keys
 and the kernel class the policy picked, and builds the kernel only when
 a query needs it.  These tests pin that a deferred graph answers every
 public query exactly as one built edge by edge (on bigint and on csr,
-through mutations made after deferral and a disk-tier round trip), and
+through mutations made after deferral and a pickle round trip), and
 that the key-only operations and the Table 1 paths that need no kernel
 never build one.  Builds are counted at the kernels' ``from_edge_array``,
 the one entry point a deferred build goes through.
@@ -162,14 +162,16 @@ class TestDeferredEqualsEager:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_disk_tier_round_trip(tmp_path, backend, builds):
+def test_pickled_cache_round_trip(backend, builds):
+    """Spawn pools pickle a task together with its cache: a cached
+    deferred graph comes back unbuilt and answers like an eager one."""
     edges = random_edges(7)
-    writer = InstanceCache(disk_dir=tmp_path)
+    writer = InstanceCache()
     built = writer.get_or_build(
         ("g", backend), lambda: deferred_and_eager(edges, backend)[0]
     )
-    reader = InstanceCache(disk_dir=tmp_path)
     builds.clear()
+    reader = pickle.loads(pickle.dumps(writer))
     loaded = reader.get_or_build(("g", backend), pytest.fail)
     assert reader.stats()["hits"] == 1
     assert loaded == built and loaded.backend == backend

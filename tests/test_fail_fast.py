@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
 import pickle
+import tempfile
 
 import pytest
 
@@ -31,6 +31,7 @@ from repro.analysis.experiments import run_sweep
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.runtime import (
     Executor,
+    InstanceCache,
     ParallelExecutor,
     SerialExecutor,
     TrialBatch,
@@ -499,13 +500,33 @@ class TestExecutorChoice:
 
     def test_shared_cache_serial_is_memory_only(self):
         with shared_cache(workers=1) as cache:
-            assert cache.disk_dir is None
+            assert type(cache) is InstanceCache
+            cache.get_or_build(("k",), lambda: 1)
+            assert cache.get_or_build(("k",), pytest.fail) == 1
+            assert cache.stats()["hits"] == 1 and len(cache) == 1
 
-    def test_shared_cache_parallel_disk_tier_removed_on_exit(self):
+    def test_shared_cache_parallel_is_memory_only(self, tmp_path,
+                                                  monkeypatch):
+        """A parallel run's cache makes no temporary directory and
+        leaves no file behind."""
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
         with shared_cache(workers=2) as cache:
-            directory = cache.disk_dir
-            assert directory is not None and os.path.isdir(directory)
-        assert not os.path.exists(directory)
+            assert type(cache) is InstanceCache
+            cache.get_or_build(("k",), lambda: 1)
+            assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_shared_cache_gauges_the_cache_on_exit(self):
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            with shared_cache(workers=1) as cache:
+                cache.get_or_build(("a",), lambda: 1)
+                cache.get_or_build(("b",), lambda: 2)
+                assert "cache.entries" not in registry.snapshot()["gauges"]
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["cache.entries"] == 2
+        assert gauges["cache.instance_bytes"] == 0
 
 
 # ----------------------------------------------------------------------

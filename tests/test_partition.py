@@ -1,5 +1,6 @@
 """Unit tests for edge partitioning (repro.graphs.partition)."""
 
+import pickle
 import re
 
 import pytest
@@ -251,17 +252,20 @@ class TestCoveringCheck:
 
 
 class TestPartitionPickling:
-    def test_disk_tier_keeps_rows_and_views(self, tmp_path):
+    """Spawn pools pickle a task together with its cache, so a cached
+    partition must come back from a pickle round trip whole."""
+
+    def test_pickled_cache_keeps_rows_and_views(self):
         graph = gnd(120, 5.0, seed=2)
         built = partition_disjoint(graph, 3, seed=4)
         rows = [
             list(player.adjacency_rows()) for player in make_players(built)
         ]
-        writer = InstanceCache(disk_dir=tmp_path)
+        writer = InstanceCache()
         assert writer.get_or_build("p", lambda: built) is built
-        reader = InstanceCache(disk_dir=tmp_path)
+        reader = pickle.loads(pickle.dumps(writer))
         loaded = reader.get_or_build(
-            "p", lambda: pytest.fail("disk tier missed")
+            "p", lambda: pytest.fail("pickled cache missed")
         )
         assert reader.stats()["hits"] == 1
         assert loaded is not built
@@ -274,13 +278,13 @@ class TestPartitionPickling:
             len(view) for view in built.views
         ]
 
-    def test_given_views_survive_as_given(self, tmp_path):
+    def test_given_views_survive_as_given(self):
         graph = Graph(4, [(0, 1), (2, 3)])
         views = (frozenset({(1, 0)}), frozenset({(3, 2)}))
-        cache = InstanceCache(disk_dir=tmp_path)
+        cache = InstanceCache()
         cache.get_or_build("q", lambda: EdgePartition(graph, views))
-        loaded = InstanceCache(disk_dir=tmp_path).get_or_build(
-            "q", lambda: pytest.fail("disk tier missed")
+        loaded = pickle.loads(pickle.dumps(cache)).get_or_build(
+            "q", lambda: pytest.fail("pickled cache missed")
         )
         assert loaded.views == views
         assert make_players(loaded)[1].adjacency_rows() == [

@@ -10,6 +10,7 @@ from env_helpers import child_env
 from repro.analysis.report import build_report, write_report
 from repro.analysis.__main__ import ROWS_BY_ID, main
 from repro.obs.summarize import load_trace, summarize
+from repro.obs.trace import TraceRecorder, use_recorder
 
 _CHILD_ENV = child_env()
 
@@ -56,6 +57,23 @@ class TestCli:
         snapshot = json.loads(metrics_out.read_text())
         assert set(snapshot) == {"counters", "gauges"}
 
+    def test_metrics_gauge_the_cache_at_the_end_of_the_run(self, tmp_path):
+        """The entry gauge is written once the run's cache closes, so it
+        counts every instance the run cached (T1-R3's samples arrive
+        through ``run_trials``, after the last ``run_sweep`` that passes
+        a cache)."""
+        metrics_out = tmp_path / "metrics.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", "--workers", "1",
+             "--metrics-out", str(metrics_out)],
+            capture_output=True, text=True, timeout=300, env=_CHILD_ENV,
+        )
+        assert result.returncode == 0, result.stderr
+        snapshot = json.loads(metrics_out.read_text())
+        assert snapshot["counters"]["cache.build"] == 35
+        assert snapshot["gauges"]["cache.entries"] == 35
+        assert snapshot["gauges"]["cache.instance_bytes"] > 0
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro.analysis", "--row", "L4.5"],
@@ -95,6 +113,23 @@ class TestReportRendering:
         assert "T1-R6" in text
         assert "T1-R5" in text
         assert "| row | seconds |" in text
+
+    def test_build_report_traces_one_row_span_per_row(self, tmp_path,
+                                                      monkeypatch):
+        import repro.analysis.report as report_module
+        from repro.analysis import table1
+
+        monkeypatch.setattr(
+            report_module, "ALL_ROWS",
+            [table1.row_bm_lower, table1.row_symmetrization],
+        )
+        recorder = TraceRecorder(tmp_path / "trace.jsonl")
+        with use_recorder(recorder):
+            build_report(quick=True, seed=0)
+        recorder.close()
+        rows = [r["attrs"]["row"] for r in load_trace(tmp_path)
+                if r["name"] == "row"]
+        assert rows == ["T1-R6", "T1-R5"]
 
     def test_build_report_header(self, monkeypatch):
         import repro.analysis.report as report_module

@@ -331,16 +331,81 @@ class TestInstanceCache:
                   cache=cache, instance_key="b")
         assert cache.hits == 0 and cache.misses == 4
 
-    def test_disk_tier_shares_across_cache_objects(self, tmp_path):
+    def test_separate_cache_objects_do_not_share(self):
+        """The cache is memory only: a second cache object rebuilds, and
+        the rebuilt instances give the same records."""
         instance_fn = default_instance(epsilon=0.3, k=3)
-        writer = InstanceCache(disk_dir=tmp_path)
-        run_sweep(sim_low_protocol, instance_fn, GRID, trials=1, seed=9,
-                  cache=writer, instance_key="shared")
-        reader = InstanceCache(disk_dir=tmp_path)  # fresh memory tier
-        run_sweep(sim_low_protocol, instance_fn, GRID, trials=1, seed=9,
-                  cache=reader, instance_key="shared")
-        assert writer.misses == 2
-        assert reader.hits == 2 and reader.misses == 0
+        first = InstanceCache()
+        before = run_sweep(sim_low_protocol, instance_fn, GRID, trials=1,
+                           seed=9, cache=first, instance_key="shared")
+        second = InstanceCache()  # nothing inherited from ``first``
+        after = run_sweep(sim_low_protocol, instance_fn, GRID, trials=1,
+                          seed=9, cache=second, instance_key="shared")
+        assert first.misses == 2 and first.hits == 0
+        assert second.misses == 2 and second.hits == 0
+        assert [(r.bits, r.found, r.seed) for r in after.records] == [
+            (r.bits, r.found, r.seed) for r in before.records
+        ]
+
+    def test_rebuild_in_fresh_interpreter_is_identical(self):
+        """A pool worker that misses rebuilds from the key; a child
+        interpreter with another hash seed must build the same instance."""
+        import hashlib
+        import os
+        from pathlib import Path
+
+        import repro
+
+        def digest(partition):
+            h = hashlib.sha256(partition.graph.edge_keys().tobytes())
+            for keys in partition.view_keys:
+                h.update(keys.tobytes())
+            return h.hexdigest()
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        script = (
+            "import hashlib; "
+            "from repro.analysis.experiments import default_instance; "
+            "p = default_instance(epsilon=0.3, k=3)(200, 4.0, 77); "
+            "h = hashlib.sha256(p.graph.edge_keys().tobytes()); "
+            "[h.update(keys.tobytes()) for keys in p.view_keys]; "
+            "print(h.hexdigest())"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src
+        env["PYTHONHASHSEED"] = "54321"  # scrambles set/dict hash order
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        parent = default_instance(epsilon=0.3, k=3)(200, 4.0, 77)
+        assert out.stdout.strip() == digest(parent)
+
+    def test_any_hashable_key_is_accepted(self):
+        """Keys only need hashability; none is encoded or named."""
+        cache = InstanceCache()
+        token = object()
+
+        class Hashable:
+            pass
+
+        key = ("k", Hashable())
+        assert cache.get_or_build(key, lambda: token) is token
+        assert cache.get_or_build(key, pytest.fail) is token
+
+    def test_unhashable_key_rejected_loudly(self):
+        cache = InstanceCache()
+        with pytest.raises(TypeError, match="unhashable"):
+            cache.get_or_build(("k", {"a": 1}), pytest.fail)
+        assert cache.stats()["misses"] == 0 and len(cache) == 0
+
+    def test_clear_drops_entries_so_the_next_read_rebuilds(self):
+        cache = InstanceCache()
+        cache.get_or_build(("x", 1), lambda: "first")
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.get_or_build(("x", 1), lambda: "second") == "second"
+        assert cache.stats()["builds"] == 1 and cache.stats()["hits"] == 0
 
     def test_lru_eviction(self):
         cache = InstanceCache(max_entries=2)
@@ -387,108 +452,6 @@ class TestInstanceCache:
         # A mutation drops the keys: the kernel is all the graph holds.
         assert graph.remove_edge(*next(graph.edges()))
         assert graph.nbytes == graph.kernel.memory_bytes()
-
-
-class TestCacheQuarantine:
-    """A torn or corrupt disk-tier pickle is set aside and rebuilt."""
-
-    def build_value(self, cache, key):
-        return cache.get_or_build(key, lambda: {"graph": list(range(50))})
-
-    def test_truncated_pickle_quarantined_and_rebuilt(self, tmp_path, caplog):
-        key = ("far", 100, 4.0, 3, 11)
-        writer = InstanceCache(disk_dir=tmp_path)
-        value = self.build_value(writer, key)
-        pkl = next(tmp_path.glob("*.pkl"))
-        pkl.write_bytes(pkl.read_bytes()[:10])  # torn write artifact
-        reader = InstanceCache(disk_dir=tmp_path)  # fresh memory tier
-        with caplog.at_level("WARNING", logger="repro.runtime.cache"):
-            rebuilt = self.build_value(reader, key)
-        assert rebuilt == value
-        assert reader.stats()["quarantined"] == 1
-        assert reader.stats()["builds"] == 1
-        assert any("quarantined" in r.message for r in caplog.records)
-        assert list(tmp_path.glob("*.corrupt"))  # kept for post-mortem
-        # The quarantined file no longer shadows the rebuilt pickle.
-        fresh = InstanceCache(disk_dir=tmp_path)
-        assert self.build_value(fresh, key) == value
-        assert fresh.stats()["quarantined"] == 0
-        assert fresh.stats()["builds"] == 0
-
-    def test_garbage_bytes_quarantined(self, tmp_path):
-        key = ("bm", 24, 0.0, 1, 5)
-        writer = InstanceCache(disk_dir=tmp_path)
-        self.build_value(writer, key)
-        pkl = next(tmp_path.glob("*.pkl"))
-        pkl.write_bytes(b"not a pickle at all")
-        reader = InstanceCache(disk_dir=tmp_path)
-        assert self.build_value(reader, key) == {"graph": list(range(50))}
-        assert reader.stats()["quarantined"] == 1
-
-    def test_clear_resets_quarantine_counter(self, tmp_path):
-        cache = InstanceCache(disk_dir=tmp_path)
-        self.build_value(cache, ("x", 1))
-        next(tmp_path.glob("*.pkl")).write_bytes(b"junk")
-        fresh = InstanceCache(disk_dir=tmp_path)
-        self.build_value(fresh, ("x", 1))
-        assert fresh.stats()["quarantined"] == 1
-        fresh.clear()
-        assert fresh.stats()["quarantined"] == 0
-
-
-class TestCanonicalDiskKeys:
-    """Disk-tier paths must be identical across processes: ``repr`` of a
-    dict/set-bearing key is insertion/hash-order dependent and objects
-    with default reprs embed memory addresses."""
-
-    DICT_KEY = ("instance", {"b": 2.5, "a": 1}, frozenset({3, 1, 2}), None)
-
-    def test_dict_order_does_not_change_path(self, tmp_path):
-        cache = InstanceCache(disk_dir=tmp_path)
-        forward = cache._disk_path(("k", {"a": 1, "b": 2}))
-        backward = cache._disk_path(("k", {"b": 2, "a": 1}))
-        assert forward == backward
-
-    def test_two_processes_derive_identical_paths(self, tmp_path):
-        """A child interpreter (fresh hash seed) must agree on the path."""
-        import os
-        from pathlib import Path
-
-        import repro
-
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        script = (
-            "from repro.runtime.cache import InstanceCache; "
-            f"c = InstanceCache(disk_dir={str(tmp_path)!r}); "
-            f"print(c._disk_path({self.DICT_KEY!r}).name)"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src
-        env["PYTHONHASHSEED"] = "54321"  # scrambles set/dict hash order
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, check=True, env=env,
-        )
-        parent = InstanceCache(disk_dir=tmp_path)
-        assert out.stdout.strip() == parent._disk_path(self.DICT_KEY).name
-
-    def test_unencodable_key_rejected_loudly(self, tmp_path):
-        class Opaque:
-            pass
-
-        cache = InstanceCache(disk_dir=tmp_path)
-        with pytest.raises(TypeError, match="canonical encoding"):
-            cache.get_or_build(("k", Opaque()), lambda: 1)
-
-    def test_memory_tier_unaffected_by_encoding(self):
-        """No disk dir => keys only need hashability, as before."""
-        cache = InstanceCache()
-        token = object()
-
-        class Hashable:
-            pass
-
-        assert cache.get_or_build(("k", Hashable()), lambda: token) is token
 
 
 class TestTrialTask:
