@@ -22,7 +22,12 @@ there is no shared RNG state to race on.
 ``Executor.run_batches`` runs batches in-process, one after another.
 ``ParallelExecutor.run_batches`` shards whole batches over a
 ``ProcessPoolExecutor`` (so instance reuse never crosses a process
-boundary) and supports every start method:
+boundary).  It submits them largest first — by the sum of ``n·d·k``
+over a batch's specs, ties in batch order — so a sweep's biggest grid
+point, last in its ascending grid, starts at once instead of after the
+smaller ones (Graham's LPT rule); it collects the results in batch
+order, so records do not depend on which worker ran what.  It supports
+every start method:
 
 * **fork** (the fast path where available): protocol and instance
   callables are typically closures (every Table 1 row builds them
@@ -263,6 +268,12 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
+def _batch_work(batch: TrialBatch) -> float:
+    """The work estimate the pool orders submissions by: the sum of
+    ``n·d·k`` over the batch's specs.  Only its order matters."""
+    return sum(spec.n * spec.d * spec.k for spec in batch.specs)
+
+
 def _rebind_coordinates(spec: TrialSpec, result: TrialResult) -> TrialResult:
     """Rebuild a record made elsewhere on the driver's own spec objects.
 
@@ -371,7 +382,8 @@ def _pool_kwargs(task: TrialTask, method: str) -> dict | None:
 
 
 class ParallelExecutor(Executor):
-    """Fan batches out over a process pool, one grid point per task.
+    """Fan batches out over a process pool, one grid point per task,
+    submitted largest first and collected in batch order.
 
     ``workers=None`` means all cores.  ``start_method=None`` picks
     ``fork`` where the platform offers it and ``spawn`` otherwise
@@ -401,9 +413,12 @@ class ParallelExecutor(Executor):
 
     def run_batches(self, task: TrialTask,
                     batches: Iterable[TrialBatch]) -> list[TrialResult]:
-        """The pool loop: submit every batch once, collect the results
+        """The pool loop: submit every batch once, largest first (by
+        :func:`_batch_work`; ties keep batch order), collect the results
         in batch order, fold the workers' shipped metrics into the
         driver's registry, and rebind each record to the driver's specs.
+        Submission order changes only which worker runs which batch and
+        when, never the records or their order.
 
         The first failure propagates once the batches already running
         finish; batches not yet started are cancelled.  Either way the
@@ -426,13 +441,18 @@ class ParallelExecutor(Executor):
             **pool_kwargs,
         )
         try:
-            futures = [
-                pool.submit(_run_batch_in_worker, batch)
-                for batch in batch_list
-            ]
+            largest_first = sorted(
+                range(len(batch_list)),
+                key=lambda index: _batch_work(batch_list[index]),
+                reverse=True,
+            )
+            futures = {
+                index: pool.submit(_run_batch_in_worker, batch_list[index])
+                for index in largest_first
+            }
             results: list[TrialResult] = []
-            for batch, future in zip(batch_list, futures):
-                outcome, shipped = future.result()
+            for index, batch in enumerate(batch_list):
+                outcome, shipped = futures[index].result()
                 obs_metrics.absorb(shipped)
                 results.extend(
                     _rebind_coordinates(spec, result)

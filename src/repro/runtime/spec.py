@@ -101,6 +101,9 @@ class TrialBatch:
     Sharding stays by grid point: a parallel run hands whole batches to
     workers, so the per-batch instance reuse never crosses a process
     boundary and records stay byte-identical to per-trial execution.
+    The pool submits batches largest first (by the sum of ``n·d·k`` over
+    their specs) and collects them in batch order, so the order of the
+    batches given to an executor is the order of its records.
     """
 
     point_index: int

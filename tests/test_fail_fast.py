@@ -10,6 +10,8 @@ once per grid point, and the contract is the same on every executor:
   wherever it was raised (instance builder, protocol, metrics hook) and
   whichever process raised it;
 * a pool never outlives ``run_batches``, on success or on failure;
+* a pool gets the batches largest first and collects them in batch
+  order, so submission order never reaches the records;
 * the serial fallbacks (one worker, one batch, re-entry, a task that
   does not pickle) give the same records as the pool would.
 
@@ -23,6 +25,7 @@ import dataclasses
 import multiprocessing
 import pickle
 import tempfile
+from concurrent.futures import Future
 
 import pytest
 
@@ -280,6 +283,108 @@ class TestPoolReaped:
         run_trials(spawn_helpers.tiny_protocol, spawn_helpers.tiny_instance,
                    grid_specs(), executor=EXECUTORS["fork-2"]())
         assert calls[0] == (True, True)
+
+
+# ----------------------------------------------------------------------
+class InlinePool:
+    """A stand-in for the process pool: records each submitted batch's
+    point index and runs the batch inline, in the driver."""
+
+    submitted: list[int] = []
+
+    def __init__(self, max_workers, mp_context, **kwargs):
+        type(self).submitted = []
+
+    def submit(self, fn, batch):
+        type(self).submitted.append(batch.point_index)
+        future = Future()
+        future.set_result(fn(batch))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def batch_work(batch):
+    """``n·d·k·trials`` of one grid point's batch."""
+    spec = batch.specs[0]
+    return spec.n * spec.d * spec.k * len(batch.specs)
+
+
+class TestLargestFirst:
+    """The pool submits batches largest first and collects them in
+    batch order, so only which worker runs which batch changes."""
+
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "_PoolExecutor", InlinePool)
+        return InlinePool
+
+    def submitted_for(self, specs, pool):
+        task = TrialTask(spawn_helpers.tiny_instance,
+                         spawn_helpers.tiny_protocol)
+        batches = batch_specs(specs)
+        records = ParallelExecutor(
+            workers=2, start_method="fork"
+        ).run_batches(task, batches)
+        assert records == oracle([s for b in batches for s in b.specs])
+        return batches, pool.submitted
+
+    def test_submitted_in_descending_work_order(self, inline_pool):
+        # The ascending grid, but the largest point keeps one trial of
+        # three, so it ranks below the second largest.
+        specs = [s for s in grid_specs()
+                 if s.point_index != 3 or s.trial_index == 0]
+        batches, submitted = self.submitted_for(specs, inline_pool)
+        assert submitted == [2, 3, 1, 0]
+        works = {b.point_index: batch_work(b) for b in batches}
+        assert [works[p] for p in submitted] == sorted(works.values(),
+                                                       reverse=True)
+
+    def test_ties_keep_batch_order(self, inline_pool):
+        grid = [(10, 2.0, 2), (20, 1.0, 2), (40, 5.0, 3), (5, 4.0, 2)]
+        specs = build_specs(grid, trials=TRIALS, sweep_seed=SWEEP_SEED)
+        _, submitted = self.submitted_for(specs, inline_pool)
+        assert submitted == [2, 0, 1, 3]
+
+    def test_records_pickle_as_serial_on_an_ascending_grid(self,
+                                                           inline_pool):
+        serial = run_sweep(spawn_helpers.tiny_protocol,
+                           spawn_helpers.tiny_instance, GRID, trials=TRIALS,
+                           seed=SWEEP_SEED, executor=SerialExecutor())
+        pooled = run_sweep(spawn_helpers.tiny_protocol,
+                           spawn_helpers.tiny_instance, GRID, trials=TRIALS,
+                           seed=SWEEP_SEED, executor=EXECUTORS["fork-2"]())
+        assert inline_pool.submitted == [3, 2, 1, 0]
+        assert pooled.points == serial.points
+        assert pickle.dumps(pooled.records) == pickle.dumps(serial.records)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("where", ["smallest", "largest"])
+    def test_failing_batch_escapes_and_pool_is_reaped(self, where, workers):
+        """The smallest batch is submitted last, the largest first;
+        either one's own exception escapes, and no worker outlives the
+        call."""
+        failing_n = GRID[0][0] if where == "smallest" else GRID[-1][0]
+
+        def protocol(instance, seed):  # fork workers inherit closures
+            if instance[0] == failing_n:
+                raise ZeroDivisionError(f"n={failing_n} broke at seed {seed}")
+            return spawn_helpers.tiny_protocol(instance, seed)
+
+        task = TrialTask(spawn_helpers.tiny_instance, protocol)
+        batches = batch_specs(grid_specs())
+        first = next(s for s in grid_specs() if s.n == failing_n)
+        with pytest.raises(ZeroDivisionError) as excinfo:
+            ParallelExecutor(
+                workers=workers, start_method="fork"
+            ).run_batches(task, batches)
+        assert excinfo.type is ZeroDivisionError
+        assert excinfo.value.args == (
+            f"n={failing_n} broke at seed {first.seed}",
+        )
+        assert multiprocessing.active_children() == []
+        assert executor_module._ACTIVE_TASK is None
 
 
 # ----------------------------------------------------------------------
