@@ -6,9 +6,6 @@ Options:
   --row ID     run a single row by id (e.g. T1-R2a, X-1, L4.5)
   --workers N  process-pool width for sweeps (0 = all cores; default:
                the REPRO_WORKERS env var, else serial)
-  --backend B  graph kernel backend (bigint, csr, auto); sets
-               REPRO_GRAPH_BACKEND for this run — records are
-               byte-identical across backends on pinned seeds
   --trace-dir DIR  record a structured span/event trace of the whole
                run to DIR/trace.jsonl (fork workers add sibling files);
                render it with `python -m repro.obs summarize DIR`
@@ -24,13 +21,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from pathlib import Path
 
 from repro.analysis import table1
 from repro.analysis.table1 import generate_table1
-from repro.graphs.kernels import kernel_names
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
@@ -56,10 +51,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="process-pool width for sweeps "
                              "(0 = all cores; default REPRO_WORKERS)")
-    parser.add_argument("--backend", type=str, default=None,
-                        choices=kernel_names(),
-                        help="graph kernel backend "
-                             "(sets REPRO_GRAPH_BACKEND for this run)")
     parser.add_argument("--trace-dir", type=str, default=None,
                         help="record a span/event trace of the run to "
                              "DIR/trace.jsonl (see python -m repro.obs)")
@@ -67,11 +58,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the run's merged metrics registry "
                              "(counters and gauges) to this file as JSON")
     args = parser.parse_args(argv)
-
-    if args.backend is not None:
-        # Environment, not a threaded argument: sweeps re-resolve the
-        # backend inside worker processes from REPRO_GRAPH_BACKEND.
-        os.environ["REPRO_GRAPH_BACKEND"] = args.backend
 
     try:  # surface a bad --workers/REPRO_WORKERS before any sweep runs
         resolve_workers(args.workers)

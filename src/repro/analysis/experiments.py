@@ -197,9 +197,9 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
         its result is recorded into
         ``SweepResult.records[...].extras``.  A
         :class:`~repro.obs.metrics.MetricsRegistry` instead installs
-        that registry for the duration of the sweep — runtime counters,
-        cache traffic and kernel selections accumulate into it (merged
-        across workers), and the records are untouched.
+        that registry for the duration of the sweep — runtime counters
+        and cache traffic accumulate into it (merged across workers),
+        and the records are untouched.
     trace:
         A :class:`~repro.obs.trace.TraceRecorder`, or a path one is
         opened at (and closed again) for the duration of the sweep.
@@ -243,7 +243,7 @@ def run_sweep(protocol: ProtocolFn, instance_fn: InstanceFn,
                 instance_key, cache.stats(),
             )
         # Stamp the merged registry into the trace so `summarize` can
-        # report cache effectiveness and backend mix from one file.
+        # report cache effectiveness from one file.
         active = obs_metrics.get_metrics()
         if active is not None:
             obs_trace.event("metrics", snapshot=active.snapshot())

@@ -22,10 +22,7 @@ each story the paper tells:
   plus isolated vertices, lowering the average degree without changing the
   problem.
 
-All generators take an explicit ``seed`` and are deterministic given it,
-and thread an optional ``backend=`` through to ``Graph`` — the sampled
-edge set depends only on the seed, never on the kernel, so pinned-seed
-instances are identical across backends.
+All generators take an explicit ``seed`` and are deterministic given it.
 
 The heavy samplers (``gnp``/``gnd``, ``tripartite_mu``,
 ``powerlaw_host``) additionally carry a ``vectorized`` knob in the
@@ -36,8 +33,8 @@ reference loop, ``True`` forces the numpy path.  The vectorized paths
 read the scalar generator's exact MT19937 stream in bulk
 (:func:`repro.comm.randomness._numpy_stream`) and replay the same
 recurrences as array expressions, so the sampled edge set is
-draw-for-draw identical across {scalar, vectorized} × every backend —
-the knob only trades implementations, never outputs.
+draw-for-draw identical across {scalar, vectorized} — the knob only
+trades implementations, never outputs.
 """
 
 from __future__ import annotations
@@ -147,8 +144,7 @@ def _gnp_edge_arrays(rng: random.Random, n: int, log_q: float,
     return us, vs
 
 
-def gnp(n: int, p: float, seed: int = 0,
-        backend: str | None = None, *,
+def gnp(n: int, p: float, seed: int = 0, *,
         vectorized: bool | None = None) -> Graph:
     """Erdős–Rényi G(n, p).
 
@@ -161,20 +157,18 @@ def gnp(n: int, p: float, seed: int = 0,
         raise ValueError(f"p must be in [0,1], got {p}")
     rng = random.Random(seed)
     if p == 0.0 or n < 2:
-        return Graph(n, backend=backend)
+        return Graph(n)
     log_q = math.log1p(-p) if p < 1.0 else None
     total_pairs = n * (n - 1) // 2
     if log_q is None:
         # p == 1.0: K_n via one bulk fill — the all-ones mask is built
         # once, not rebuilt per vertex.
-        return Graph.complete(n, backend=backend)
+        return Graph.complete(n)
     expected = int(p * total_pairs)
     if _use_vectorized(vectorized, expected, "gnp"):
         us, vs = _gnp_edge_arrays(rng, n, log_q, total_pairs, expected)
-        return Graph.from_edge_arrays(
-            n, us, vs, backend=backend, expected_edges=expected
-        )
-    graph = Graph(n, backend=backend, expected_edges=expected)
+        return Graph.from_edge_arrays(n, us, vs)
+    graph = Graph(n)
     # Unranking state carried across hits: sampled indices are strictly
     # increasing, so (u, row_start, row_len) only ever move forward —
     # amortized O(1) per hit instead of O(n) re-unranking.
@@ -194,14 +188,13 @@ def gnp(n: int, p: float, seed: int = 0,
         graph.add_edge(u, u + 1 + (index - row_start))
 
 
-def gnd(n: int, d: float, seed: int = 0,
-        backend: str | None = None, *,
+def gnd(n: int, d: float, seed: int = 0, *,
         vectorized: bool | None = None) -> Graph:
     """Random graph with expected average degree ``d``."""
     if n < 2:
-        return Graph(n, backend=backend)
+        return Graph(n)
     p = min(1.0, d / (n - 1))
-    return gnp(n, p, seed, backend=backend, vectorized=vectorized)
+    return gnp(n, p, seed, vectorized=vectorized)
 
 
 @dataclass(frozen=True)
@@ -215,8 +208,7 @@ class PlantedInstance:
 
 
 def planted_disjoint_triangles(n: int, num_triangles: int, seed: int = 0,
-                               background_degree: float = 0.0,
-                               backend: str | None = None
+                               background_degree: float = 0.0
                                ) -> PlantedInstance:
     """Plant ``num_triangles`` vertex-disjoint triangles, plus background.
 
@@ -235,9 +227,9 @@ def planted_disjoint_triangles(n: int, num_triangles: int, seed: int = 0,
     vertices = list(range(n))
     rng.shuffle(vertices)
     graph = (
-        gnd(n, background_degree, seed=seed + 1, backend=backend)
+        gnd(n, background_degree, seed=seed + 1)
         if background_degree > 0
-        else Graph(n, backend=backend)
+        else Graph(n)
     )
     # Triangle t is the sorted shuffled slice vertices[3t : 3t + 3],
     # committed through one bulk edge-array insert.
@@ -256,8 +248,7 @@ def planted_disjoint_triangles(n: int, num_triangles: int, seed: int = 0,
 
 
 def far_instance(n: int, d: float, epsilon: float, seed: int = 0,
-                 strict: bool = False,
-                 backend: str | None = None) -> PlantedInstance:
+                 strict: bool = False) -> PlantedInstance:
     """An instance with average degree ≈ d that is ≈ epsilon-far.
 
     Total edges ≈ nd/2; we plant ``epsilon * nd / 2`` disjoint triangles
@@ -281,7 +272,6 @@ def far_instance(n: int, d: float, epsilon: float, seed: int = 0,
     background_degree = 2.0 * leftover / n
     instance = planted_disjoint_triangles(
         n, num_triangles, seed=seed, background_degree=background_degree,
-        backend=backend,
     )
     if instance.epsilon_certified < 0.9 * epsilon:
         cause = (
@@ -302,8 +292,8 @@ def far_instance(n: int, d: float, epsilon: float, seed: int = 0,
 
 
 def skewed_hub_graph(n: int, num_hubs: int, vees_per_hub: int,
-                     seed: int = 0, background_degree: float = 0.0,
-                     backend: str | None = None) -> Graph:
+                     seed: int = 0, background_degree: float = 0.0
+                     ) -> Graph:
     """A few high-degree hubs source all triangle-vees (§3.3 hard case).
 
     Each hub h is connected to ``2 * vees_per_hub`` distinct spoke vertices
@@ -324,9 +314,9 @@ def skewed_hub_graph(n: int, num_hubs: int, vees_per_hub: int,
     hubs = vertices[:num_hubs]
     spokes = vertices[num_hubs: num_hubs + spokes_needed]
     graph = (
-        gnd(n, background_degree, seed=seed + 1, backend=backend)
+        gnd(n, background_degree, seed=seed + 1)
         if background_degree > 0
-        else Graph(n, backend=backend)
+        else Graph(n)
     )
     cursor = 0
     for hub in hubs:
@@ -340,8 +330,7 @@ def skewed_hub_graph(n: int, num_hubs: int, vees_per_hub: int,
 
 
 def powerlaw_host(n: int, d: float, exponent: float = 2.5, seed: int = 0,
-                  backend: str | None = None, *,
-                  vectorized: bool | None = None) -> Graph:
+                  *, vectorized: bool | None = None) -> Graph:
     """Chung–Lu style heavy-tailed host with expected average degree ≈ d.
 
     Vertex ``i`` carries weight ``w_i ∝ (i + 1)^(-1/(exponent - 1))`` —
@@ -358,11 +347,10 @@ def powerlaw_host(n: int, d: float, exponent: float = 2.5, seed: int = 0,
     This is the adversarial-host workload the ROADMAP asks for: a few
     hubs concentrate most wedges, stressing the high/low split and
     degree-oblivious protocols — and at constant ``d`` it is the
-    natural n = 10^6 sparse instance for the csr kernel.
+    natural n = 10^6 sparse instance, built keys-first.
 
-    Deterministic given ``seed``; ``backend=`` threads through; the
-    ``vectorized`` knob follows the module contract (identical edge
-    sets on both paths).
+    Deterministic given ``seed``; the ``vectorized`` knob follows the
+    module contract (identical edge sets on both paths).
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
@@ -374,7 +362,7 @@ def powerlaw_host(n: int, d: float, exponent: float = 2.5, seed: int = 0,
         )
     draws = int(round(n * d / 2.0))
     if n < 2 or draws == 0:
-        return Graph(n, backend=backend)
+        return Graph(n)
     alpha = 1.0 / (exponent - 1.0)
     rng = random.Random(seed)
     cum = _np.cumsum(_np.arange(1, n + 1, dtype=_np.float64) ** (-alpha))
@@ -388,16 +376,14 @@ def powerlaw_host(n: int, d: float, exponent: float = 2.5, seed: int = 0,
         us = endpoints[0::2]
         vs = endpoints[1::2]
         keep = us != vs
-        return Graph.from_edge_arrays(
-            n, us[keep], vs[keep], backend=backend, expected_edges=draws
-        )
+        return Graph.from_edge_arrays(n, us[keep], vs[keep])
     edges: list[tuple[int, int]] = []
     for _ in range(draws):
         u = min(bisect.bisect_right(cum, rng.random() * total), n - 1)
         v = min(bisect.bisect_right(cum, rng.random() * total), n - 1)
         if u != v:
             edges.append((u, v))
-    graph = Graph(n, backend=backend, expected_edges=draws)
+    graph = Graph(n)
     graph.add_edges(edges)
     return graph
 
@@ -425,8 +411,7 @@ def mu_parts(part_size: int) -> TripartiteParts:
 
 
 def tripartite_mu(part_size: int, gamma: float, seed: int = 0,
-                  backend: str | None = None, *,
-                  vectorized: bool | None = None
+                  *, vectorized: bool | None = None
                   ) -> tuple[Graph, TripartiteParts]:
     """Sample from the lower-bound distribution µ (Section 4.2.1).
 
@@ -452,7 +437,6 @@ def tripartite_mu(part_size: int, gamma: float, seed: int = 0,
         (parts.v1_part, parts.v2_part),
     )
     total_draws = 3 * part_size * part_size
-    expected_edges = int(p * total_draws)
     if _use_vectorized(vectorized, total_draws, "tripartite_mu"):
         stream = _transplanted_stream(rng)
         us_parts: list["_np.ndarray"] = []
@@ -474,11 +458,9 @@ def tripartite_mu(part_size: int, gamma: float, seed: int = 0,
             vs = _np.concatenate(vs_parts)
         else:
             us = vs = _np.empty(0, dtype=_np.int64)
-        graph = Graph.from_edge_arrays(
-            n, us, vs, backend=backend, expected_edges=expected_edges
-        )
+        graph = Graph.from_edge_arrays(n, us, vs)
         return graph, parts
-    graph = Graph(n, backend=backend, expected_edges=expected_edges)
+    graph = Graph(n)
     random_value = rng.random
     for part_a, part_b in part_pairs:
         for u in part_a:
@@ -494,12 +476,11 @@ def tripartite_mu(part_size: int, gamma: float, seed: int = 0,
     return graph, parts
 
 
-def bipartite_triangle_free(n: int, d: float, seed: int = 0,
-                            backend: str | None = None) -> Graph:
+def bipartite_triangle_free(n: int, d: float, seed: int = 0) -> Graph:
     """A triangle-free control graph of average degree ≈ d (random bipartite)."""
     rng = random.Random(seed)
     half = n // 2
-    graph = Graph(n, backend=backend)
+    graph = Graph(n)
     if half == 0 or n - half == 0:
         return graph
     p = min(1.0, n * d / (2.0 * half * (n - half)))
@@ -515,8 +496,7 @@ def bipartite_triangle_free(n: int, d: float, seed: int = 0,
 
 
 def planted_triangles_at_degree(n: int, num_triangles: int,
-                                vertex_degree: int, seed: int = 0,
-                                backend: str | None = None) -> Graph:
+                                vertex_degree: int, seed: int = 0) -> Graph:
     """Plant disjoint triangles whose vertices all have a chosen degree.
 
     Each triangle vertex receives ``vertex_degree - 2`` extra leaf edges,
@@ -540,7 +520,7 @@ def planted_triangles_at_degree(n: int, num_triangles: int,
     rng = random.Random(seed)
     vertices = list(range(n))
     rng.shuffle(vertices)
-    graph = Graph(n, backend=backend)
+    graph = Graph(n)
     cursor = 3 * num_triangles
     for t in range(num_triangles):
         a, b, c = vertices[3 * t: 3 * t + 3]
@@ -555,7 +535,7 @@ def planted_triangles_at_degree(n: int, num_triangles: int,
 
 
 def disjoint_cliques(n: int, clique_size: int, count: int,
-                     seed: int = 0, backend: str | None = None) -> Graph:
+                     seed: int = 0) -> Graph:
     """``count`` vertex-disjoint copies of K_{clique_size}.
 
     Every clique vertex has degree ``clique_size - 1`` and a near-perfect
@@ -576,7 +556,7 @@ def disjoint_cliques(n: int, clique_size: int, count: int,
     rng = random.Random(seed)
     vertices = list(range(n))
     rng.shuffle(vertices)
-    graph = Graph(n, backend=backend)
+    graph = Graph(n)
     for index in range(count):
         members = vertices[index * clique_size: (index + 1) * clique_size]
         for i, u in enumerate(members):
@@ -586,8 +566,7 @@ def disjoint_cliques(n: int, clique_size: int, count: int,
 
 
 def triangle_free_degree_spread(n: int, d: float, max_degree: int,
-                                seed: int = 0,
-                                backend: str | None = None) -> Graph:
+                                seed: int = 0) -> Graph:
     """Triangle-free control with degrees spread across all buckets.
 
     A bipartite graph (hence triangle-free) whose left side contains
@@ -601,7 +580,7 @@ def triangle_free_degree_spread(n: int, d: float, max_degree: int,
     rng = random.Random(seed)
     half = n // 2
     if half < 2:
-        return Graph(n, backend=backend)
+        return Graph(n)
     max_degree = min(max_degree, half - 1)
     bucket_degrees: list[int] = []
     degree = 1
@@ -641,7 +620,7 @@ def triangle_free_degree_spread(n: int, d: float, max_degree: int,
                        [count for _, count in runs])
     lefts = _np.repeat(_np.arange(sizes.size, dtype=_np.int64), sizes)
     rights = _replayed_samples(rng, right_size, runs) + half
-    return Graph.from_edge_arrays(n, lefts, rights, backend=backend)
+    return Graph.from_edge_arrays(n, lefts, rights)
 
 
 def _sample_setsize(k: int) -> int:
@@ -734,8 +713,8 @@ def _replayed_samples(rng: random.Random, population: int,
     return _np.concatenate(parts)
 
 
-def embed_in_larger_graph(core: Graph, total_n: int, seed: int = 0,
-                          backend: str | None = None) -> Graph:
+def embed_in_larger_graph(core: Graph, total_n: int, seed: int = 0
+                          ) -> Graph:
     """Lemma 4.17 embedding: the core plus isolated vertices, shuffled ids.
 
     Triangle structure and distance to triangle-freeness are exactly those
@@ -748,7 +727,7 @@ def embed_in_larger_graph(core: Graph, total_n: int, seed: int = 0,
     rng = random.Random(seed)
     relabel = list(range(total_n))
     rng.shuffle(relabel)
-    graph = Graph(total_n, backend=backend)
+    graph = Graph(total_n)
     for u, v in core.edges():
         graph.add_edge(relabel[u], relabel[v])
     return graph

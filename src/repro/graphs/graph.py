@@ -3,34 +3,24 @@
 Vertices are integers ``0 .. n-1``; edges are canonical ordered pairs
 ``(u, v)`` with ``u < v``.  The class is deliberately small and keeps
 only the *semantics* — validation, edge counting, canonical orientation;
-storage and bulk mask arithmetic live in a pluggable *mask kernel*
-(:mod:`repro.graphs.kernels`), selected per instance:
-
-* ``bigint`` — one arbitrary-precision Python int per vertex whose bit
-  ``v`` is set iff edge ``{u, v}`` exists; ``has_edge`` is a
-  shift-and-test, ``degree`` is ``int.bit_count()``, and a common
-  neighbourhood is a single ``&`` executed word-at-a-time in C.
-* ``csr`` — sorted numpy neighbour-index arrays, O(m) memory; the
-  large sparse-host backend.
-
-``Graph(n, backend=...)`` picks explicitly; otherwise the
-``REPRO_GRAPH_BACKEND`` environment variable, then the ``auto`` policy
-(csr for large sparse hosts, see :func:`repro.graphs.kernels.get_kernel`)
-decide.  Whatever the backend, every query speaks the Python-int
-mask exchange format, so pinned-seed runs are byte-identical across
-backends and callers never see which kernel is underneath.
+storage and bulk mask arithmetic live in the bigint *mask kernel*
+(:class:`repro.graphs.kernels.bigint.BigintKernel`): one
+arbitrary-precision Python int per vertex whose bit ``v`` is set iff
+edge ``{u, v}`` exists; ``has_edge`` is a shift-and-test, ``degree`` is
+``int.bit_count()``, and a common neighbourhood is a single ``&``
+executed word-at-a-time in C.
 
 Graphs built from edge arrays are *keys-first*, like the players cut
 from them: :meth:`Graph.from_edge_arrays` keeps the validated, sorted
-edge-key array and the kernel class the policy picks at that moment
-(the ``kernel.selected`` event and ``kernel.select.*`` counters fire
-there), and the kernel itself is built from those keys the first time
+edge-key array, and the kernel is built from those keys the first time
 a query needs it — so its build time lands in the first reader's trace
 span, not the generator's.  ``n``, ``num_edges``, ``edge_keys``,
-``average_degree``, ``backend``, ``nbytes``, ``copy``, ``==``,
-pickling and :meth:`Graph.add_edge_arrays` work on the keys alone; the
-scalar mutators build first, then mutate.  Most generated instances
-are only ever partitioned into players and never build a kernel.
+``average_degree``, ``nbytes``, ``copy``, ``==``, pickling and
+:meth:`Graph.add_edge_arrays` work on the keys alone; the scalar
+mutators build first, then mutate.  Most generated instances are only
+ever partitioned into players and never build a kernel, which is what
+keeps hosts of n = 10^6 vertices cheap: an n-bit row per vertex would
+cost n²/8 bytes, the keys cost 8 bytes an edge.
 
 The paper's model hands each player a *characteristic vector* over potential
 edges; :class:`Graph` is the ground-truth union of those vectors, and
@@ -52,8 +42,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.graphs.kernels import get_kernel
-from repro.graphs.kernels.base import Edge, MaskKernel, iter_bits, mask_of
+from repro.graphs.kernels.base import Edge, iter_bits, mask_of
+from repro.graphs.kernels.bigint import BigintKernel
 
 __all__ = ["Graph", "canonical_edge", "iter_bits", "mask_of"]
 
@@ -129,51 +119,40 @@ class Graph:
         known vertex universe and only the edge set is distributed.
     edges:
         Optional iterable of edges (any orientation; canonicalized).
-    backend:
-        Mask-kernel name (``"bigint"``, ``"csr"``, ``"auto"``) or
-        ``None`` to defer to ``REPRO_GRAPH_BACKEND`` / the auto policy.
-    expected_edges:
-        Optional density hint for the ``auto`` policy (generators pass
-        their expected edge count so large sparse hosts land on the
-        csr kernel).  Never changes the edge set, only the storage.
     """
 
     # _built is the kernel once built, else None; an unbuilt graph
-    # always holds its _edge_keys, and _kernel_cls builds them.
-    __slots__ = ("_n", "_kernel_cls", "_built", "_edge_count", "_edge_keys")
+    # always holds its _edge_keys, and the kernel is built from them.
+    __slots__ = ("_n", "_built", "_edge_count", "_edge_keys")
 
-    def __init__(self, n: int, edges: Iterable[Edge] = (),
-                 backend: str | None = None,
-                 expected_edges: int | None = None) -> None:
+    def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self._n = n
-        self._kernel_cls = get_kernel(backend, n, expected_edges)
-        self._built: MaskKernel | None = self._kernel_cls(n)
+        self._built: BigintKernel | None = BigintKernel(n)
         self._edge_count = 0
         self._edge_keys = None
         for u, v in edges:
             self.add_edge(u, v)
 
     @classmethod
-    def _wrap(cls, n: int, kernel: MaskKernel | None, edge_count: int,
-              edge_keys=None, kernel_cls: type | None = None) -> "Graph":
+    def _wrap(cls, n: int, kernel: BigintKernel | None, edge_count: int,
+              edge_keys=None) -> "Graph":
         graph = cls.__new__(cls)
         graph._n = n
-        graph._kernel_cls = type(kernel) if kernel_cls is None else kernel_cls
         graph._built = kernel
         graph._edge_count = edge_count
         graph._edge_keys = edge_keys
         return graph
 
     @property
-    def _kernel(self) -> MaskKernel:
+    def _kernel(self) -> BigintKernel:
         """The mask kernel, built from the edge keys on first read."""
         kernel = self._built
         if kernel is None:
             keys = self._edge_keys
             n = self._n
-            kernel = self._built = self._kernel_cls.from_edge_array(
+            kernel = self._built = BigintKernel.from_edge_array(
                 n, keys // n, keys % n
             )
         return kernel
@@ -182,40 +161,10 @@ class Graph:
     # without its kernel and rebuilds it on first read.
     def __getstate__(self):
         built = self._built if self._edge_keys is None else None
-        return (self._n, self._kernel_cls, built, self._edge_count,
-                self._edge_keys)
+        return (self._n, built, self._edge_count, self._edge_keys)
 
     def __setstate__(self, state) -> None:
-        (self._n, self._kernel_cls, self._built, self._edge_count,
-         self._edge_keys) = state
-
-    # ------------------------------------------------------------------
-    # Backend seam
-    # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """Name of the mask kernel this instance runs on."""
-        return self._kernel_cls.name
-
-    @property
-    def kernel(self) -> MaskKernel:
-        """The underlying mask kernel (for dispatch to native paths)."""
-        return self._kernel
-
-    def to_backend(self, backend: str) -> "Graph":
-        """A copy of this graph on the named backend.
-
-        A graph that holds its keys hands them over unbuilt; otherwise
-        rows convert losslessly through the Python-int exchange format.
-        Either way the result is == to the source whatever the two
-        kernels.
-        """
-        cls = get_kernel(backend, self._n)
-        kernel = None
-        if self._edge_keys is None:
-            kernel = cls.from_rows(self._n, self._built.rows())
-        return Graph._wrap(self._n, kernel, self._edge_count,
-                           self._edge_keys, cls)
+        self._n, self._built, self._edge_count, self._edge_keys = state
 
     # ------------------------------------------------------------------
     # Construction
@@ -273,7 +222,7 @@ class Graph:
         keys and stays unbuilt."""
         kernel = None if self._built is None else self._built.copy()
         return Graph._wrap(self._n, kernel, self._edge_count,
-                           self._edge_keys, self._kernel_cls)
+                           self._edge_keys)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -310,33 +259,22 @@ class Graph:
         return keys
 
     @classmethod
-    def from_edge_arrays(cls, n: int, us, vs,
-                         backend: str | None = None,
-                         expected_edges: int | None = None) -> "Graph":
+    def from_edge_arrays(cls, n: int, us, vs) -> "Graph":
         """Bulk-build a graph from numpy endpoint arrays.
 
         The vectorized-generation entry point: endpoints may come in
         any orientation with duplicates; they are canonicalized,
         deduplicated and validated once — O(m log m) array work instead
         of m Python-level inserts.  The graph keeps the canonical keys
-        as its :meth:`edge_keys` and the kernel class the policy picks
-        now; the kernel's ``from_edge_array`` runs on those keys the
-        first time a query needs the kernel (see the module docstring),
-        so instances that are only partitioned never build one.  The
-        result equals ``Graph(n, zip(us, vs), backend=...)`` on every
-        backend.
-
-        ``expected_edges`` overrides the ``auto`` density hint (the
-        deduplicated count is used when omitted), letting callers keep
-        backend selection identical across scalar and vectorized paths.
+        as its :meth:`edge_keys`; the kernel's ``from_edge_array`` runs
+        on those keys the first time a query needs the kernel (see the
+        module docstring), so instances that are only partitioned never
+        build one.  The result equals ``Graph(n, zip(us, vs))``.
         """
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         keys = cls._canonical_keys(n, us, vs)
-        if expected_edges is None:
-            expected_edges = int(keys.size)
-        return cls._wrap(n, None, int(keys.size), keys,
-                         get_kernel(backend, n, expected_edges))
+        return cls._wrap(n, None, int(keys.size), keys)
 
     def add_edge_arrays(self, us, vs) -> int:
         """Bulk insert from numpy endpoint arrays; returns #new edges.
@@ -363,7 +301,7 @@ class Graph:
         return int(fresh.size)
 
     @classmethod
-    def complete(cls, n: int, backend: str | None = None) -> "Graph":
+    def complete(cls, n: int) -> "Graph":
         """K_n in one bulk fill: the all-ones row mask is built once
         and each vertex's bit cleared out of it, instead of n bignum
         rebuilds."""
@@ -371,7 +309,7 @@ class Graph:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         total = n * (n - 1) // 2
         full = (1 << n) - 1
-        kernel = get_kernel(backend, n, total).from_rows(
+        kernel = BigintKernel.from_rows(
             n, (full ^ (1 << u) for u in range(n))
         )
         return cls._wrap(n, kernel, total)
@@ -426,10 +364,9 @@ class Graph:
     def adjacency_rows(self) -> list[int]:
         """The adjacency masks, indexed by vertex — treat as READ-ONLY.
 
-        On the bigint backend this is the live kernel list (the hot
-        loops index it directly to skip per-call bounds checks; mutating
-        it would desynchronise the edge count and the symmetry
-        invariant); on other backends it is a converted snapshot.
+        This is the live kernel list: the hot loops index it directly
+        to skip per-call bounds checks; mutating it would desynchronise
+        the edge count and the symmetry invariant.
         """
         return self._kernel.rows()
 
@@ -565,12 +502,7 @@ find_triangle_in_rows` or the patterns matcher — no edge tuples are
             raise ValueError(
                 f"vertex-count mismatch: {self._n} vs {other.n}"
             )
-        other_kernel = other._kernel
-        if type(other_kernel) is not type(self._kernel):
-            other_kernel = type(self._kernel).from_rows(
-                self._n, other_kernel.rows()
-            )
-        kernel, edge_count = self._kernel.union_with(other_kernel)
+        kernel, edge_count = self._kernel.union_with(other._kernel)
         return Graph._wrap(self._n, kernel, edge_count)
 
     # ------------------------------------------------------------------
@@ -590,19 +522,13 @@ find_triangle_in_rows` or the patterns matcher — no edge tuples are
             import numpy as np
 
             return np.array_equal(self.edge_keys(), other.edge_keys())
-        if type(self._kernel) is type(other._kernel):
-            return self._kernel.rows_equal(other._kernel)
-        # Cross-backend: compare through the int exchange format.
-        return self._kernel.rows() == other._kernel.rows()
+        return self._kernel.rows_equal(other._kernel)
 
     def __hash__(self) -> int:  # pragma: no cover - graphs used as dict keys rarely
         return hash((self._n, frozenset(self.edges())))
 
     def __repr__(self) -> str:
-        return (
-            f"Graph(n={self._n}, m={self._edge_count}, "
-            f"backend={self.backend!r})"
-        )
+        return f"Graph(n={self._n}, m={self._edge_count})"
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self._n:

@@ -5,22 +5,16 @@ it owns the symmetric adjacency-bit matrix and nothing else.  ``Graph``
 keeps the semantics (validation, edge counting, canonical orientation)
 and delegates every bit of storage and bulk arithmetic to its kernel.
 
-Two kernels ship (selected by :func:`repro.graphs.kernels.get_kernel`):
+One kernel ships, ``bigint``
+(:class:`repro.graphs.kernels.bigint.BigintKernel`): one
+arbitrary-precision Python int per vertex, where CPython's bignum ``&``
+is effectively memory-bound C.  Its n²/8 bytes of rows are why large
+hosts stay keys-first and never build it (see :mod:`repro.graphs.graph`).
 
-* ``bigint`` (:class:`repro.graphs.kernels.bigint.BigintKernel`) — one
-  arbitrary-precision Python int per vertex.  Optimal up to tens of
-  thousands of vertices, where CPython's bignum ``&`` is effectively
-  memory-bound C.
-* ``csr`` (:class:`repro.graphs.kernels.csr.CsrKernel`) — sorted numpy
-  index arrays (CSR offsets + indices), O(m) memory instead of O(n²/8).
-  The sparse-host kernel: at n = 10^6 a constant-degree host fits in
-  tens of megabytes where an n-bit row per vertex would need ~125 GB.
-
-The *exchange format* between kernels, and between a kernel and every
-caller, is the Python-int row mask: bit ``v`` of row ``u`` is set iff
-``{u, v}`` is an edge.  Conversion both ways is lossless
-(:meth:`MaskKernel.row` / :meth:`MaskKernel.from_rows`), which is what
-makes pinned-seed runs byte-identical across backends.
+The *exchange format* between the kernel and every caller is the
+Python-int row mask: bit ``v`` of row ``u`` is set iff ``{u, v}`` is
+an edge.  Conversion both ways is lossless (:meth:`MaskKernel.row` /
+:meth:`MaskKernel.from_rows`).
 """
 
 from __future__ import annotations
@@ -50,26 +44,19 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 @runtime_checkable
 class MaskKernel(Protocol):
-    """Formal contract of a ``Graph`` adjacency backend.
+    """Formal contract of a ``Graph`` adjacency kernel.
 
     Invariants every implementation must keep:
 
     * the bit matrix is **symmetric** with a zero diagonal — mutators
       update both directions atomically;
     * ``row(u)`` is the **lossless** Python-int form of row ``u`` (the
-      exchange format), and ``from_rows(n, rows)`` is its exact inverse,
-      so converting between any two kernels round-trips bit for bit;
+      exchange format), and ``from_rows(n, rows)`` is its exact inverse;
     * callers (``Graph``) pre-validate vertices and masks — kernels may
       assume ``0 <= u, v < n``, ``u != v``, and masks without stray bits.
-
-    Kernels may additionally expose *native accelerators* —
-    ``count_triangles()``, ``greedy_triangle_packing()``,
-    ``find_triangle()`` — that :mod:`repro.graphs.triangles` dispatches
-    to when present.  Natives must return results identical to the
-    generic int-row algorithms (same values, same enumeration order).
     """
 
-    #: Backend name (``"bigint"``, ``"csr"``).
+    #: Kernel name (``"bigint"``).
     name: str
 
     @property
@@ -113,9 +100,7 @@ class MaskKernel(Protocol):
         """Every row as a Python int, indexed by vertex.
 
         The bigint kernel returns its **live** row list (callers treat
-        it as read-only; hot loops index it for free); other kernels
-        return a converted snapshot.  Either way the values are the
-        exact int forms of the current adjacency.
+        it as read-only; hot loops index it for free).
         """
         ...
 
@@ -147,7 +132,7 @@ class MaskKernel(Protocol):
 
     # -- whole-kernel operations ---------------------------------------
     def copy(self) -> "MaskKernel":
-        """An independent deep copy (same backend)."""
+        """An independent deep copy."""
         ...
 
     def induced(self, vertex_mask: int) -> tuple["MaskKernel", int]:
@@ -159,11 +144,11 @@ class MaskKernel(Protocol):
 
     def union_with(self, other: "MaskKernel") -> tuple["MaskKernel", int]:
         """(kernel of the edge union, #edges); ``other`` has the same
-        ``n`` and the same backend."""
+        ``n`` and the same kernel type."""
         ...
 
     def rows_equal(self, other: "MaskKernel") -> bool:
-        """Bit-for-bit adjacency equality (same-backend fast path)."""
+        """Bit-for-bit adjacency equality."""
         ...
 
     @classmethod
@@ -171,7 +156,7 @@ class MaskKernel(Protocol):
         """Build from int rows — the lossless conversion seam.
 
         ``rows`` must already be symmetric (it always is when it came
-        from another kernel's :meth:`rows`).
+        from a kernel's :meth:`rows`).
         """
         ...
 

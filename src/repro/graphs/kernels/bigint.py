@@ -1,12 +1,11 @@
 """The bignum mask kernel: one arbitrary-precision int per vertex.
 
-The default :class:`~repro.graphs.kernels.base.MaskKernel`: bit ``v``
+The one :class:`~repro.graphs.kernels.base.MaskKernel`: bit ``v``
 of ``rows()[u]`` is set iff the edge ``{u, v}`` exists.  CPython
 executes ``&``/``|``/``bit_count`` over 30-bit digits word-at-a-time in
 C, so a common-neighbourhood probe is a single allocation-plus-scan —
-effectively memory-bound — which keeps this kernel optimal up to tens
-of thousands of vertices and makes it the executable specification the
-csr kernel is differential-pinned against.
+effectively memory-bound.  Rows cost n²/8 bytes in all, so large hosts
+stay keys-first and build no kernel (see :mod:`repro.graphs.graph`).
 
 Because the int rows *are* the exchange format, ``rows()`` returns the
 live list (no conversion) and ``from_rows`` just materialises the list —

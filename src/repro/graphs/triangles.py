@@ -22,10 +22,9 @@ Everything here runs on the bitset kernel: a common neighbourhood is one
 ``&`` of two adjacency masks, and enumeration walks set bits in ascending
 order, so all outputs are deterministic (vertices ascending) and match the
 order-normalized set-based oracles under ``tests/oracles/`` bit for bit.
-Kernels with native triangle accelerators — the CSR kernel's
-merge-intersection sweeps over sorted adjacency arrays — are consulted
-first through ``_kernel_native`` and are contracted to return exactly
-what the generic int-row algorithms would.
+These scans build a graph's kernel; on a large keys-first host the
+simultaneous referee instead finds a triangle on the sorted edge keys
+(:func:`repro.core.referee.key_union_triangle_referee`).
 """
 
 from __future__ import annotations
@@ -62,23 +61,6 @@ def _canonical_triangle(a: int, b: int, c: int) -> Triangle:
     return (x, y, z)
 
 
-def _kernel_native(graph: Graph, name: str):
-    """The kernel's native accelerator for ``name``, already evaluated.
-
-    Kernels may implement ``count_triangles`` / ``find_triangle`` /
-    ``greedy_triangle_packing`` natively (the CSR kernel's
-    merge-intersection sweeps); natives are contracted to return
-    results identical to the generic int-row algorithms and may answer
-    ``NotImplemented`` to decline (e.g. on dense graphs) — both "no
-    native" and "declined" come back here as ``NotImplemented`` so
-    callers fall through.
-    """
-    native = getattr(getattr(graph, "kernel", None), name, None)
-    if native is None:
-        return NotImplemented
-    return native()
-
-
 def find_triangle(graph: Graph) -> Triangle | None:
     """Return the first triangle in ascending order, or ``None``.
 
@@ -86,9 +68,6 @@ def find_triangle(graph: Graph) -> Triangle | None:
     neighbour closes with the lowest such apex (equivalently: the
     lexicographically minimal canonical triple).
     """
-    native = _kernel_native(graph, "find_triangle")
-    if native is not NotImplemented:
-        return native
     rows = graph.adjacency_rows()
     for u in range(graph.n):
         row_u = rows[u]
@@ -129,9 +108,6 @@ def count_triangles(graph: Graph) -> int:
     to deduplicate — the single most-executed loop in the repo stays at
     two big-int ops per edge.
     """
-    native = _kernel_native(graph, "count_triangles")
-    if native is not NotImplemented:
-        return native
     rows = graph.adjacency_rows()
     total = 0
     for u in range(graph.n):
@@ -279,11 +255,8 @@ def greedy_triangle_packing(graph: Graph) -> list[Triangle]:
 
     The scan is exactly lexicographic greedy over the canonical triangle
     list (the minimum viable apex *is* the lex-next triangle on a free
-    base edge), which is the formulation kernel natives reproduce.
+    base edge).
     """
-    native = _kernel_native(graph, "greedy_triangle_packing")
-    if native is not NotImplemented:
-        return native
     rows = graph.adjacency_rows()
     used = [0] * graph.n
     packing: list[Triangle] = []

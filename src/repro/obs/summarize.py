@@ -10,8 +10,8 @@ sibling files a forked run leaves behind — and prints:
   exactly, so the table always sums to the run's wall clock up to
   clock-read jitter,
 - the duration of each Table 1 ``row`` span, when the run had any,
-- event counts (log warnings by level, kernel selections, ...),
-- cache effectiveness, backend mix, and generator-path mix, read from
+- event counts (log warnings by level, ...),
+- cache effectiveness and generator-path mix, read from
   the end-of-run ``metrics`` snapshot event when one was recorded.
 """
 
@@ -169,16 +169,8 @@ def summarize(records: list[dict]) -> str:
             )
         else:
             lines.append("  (no cache activity recorded)")
-        backends = _counter_block(counters, "kernel.select.")
-        lines.append("")
-        lines.append("Backend mix:")
-        if backends:
-            lines.append(
-                "  " + "  ".join(f"{name}={value:g}" for name, value in backends)
-            )
-        else:
-            lines.append("  (no kernel selections recorded)")
         paths = _counter_block(counters, "generator.path.")
+        lines.append("")
         lines.append("Generator paths:")
         if paths:
             lines.append(
@@ -193,7 +185,7 @@ def summarize(records: list[dict]) -> str:
     else:
         lines.append("")
         lines.append("(no metrics snapshot in trace — run with metrics enabled"
-                     " for cache/backend sections)")
+                     " for cache/generator sections)")
     return "\n".join(lines)
 
 

@@ -98,8 +98,7 @@ def _plant_images(graph: Graph, pattern: SubgraphPattern,
 
 def planted_disjoint_subgraphs(n: int, pattern: SubgraphPattern,
                                copies: int, seed: int = 0,
-                               background_degree: float = 0.0,
-                               backend: str | None = None
+                               background_degree: float = 0.0
                                ) -> PlantedSubgraphInstance:
     """Plant vertex-disjoint copies of H (plus optional background).
 
@@ -119,9 +118,9 @@ def planted_disjoint_subgraphs(n: int, pattern: SubgraphPattern,
     from repro.graphs.generators import gnd
 
     graph = (
-        gnd(n, background_degree, seed=seed + 1, backend=backend)
+        gnd(n, background_degree, seed=seed + 1)
         if background_degree > 0
-        else Graph(n, backend=backend)
+        else Graph(n)
     )
     planted = tuple(
         tuple(vertices[index * h: (index + 1) * h])
@@ -139,8 +138,7 @@ def planted_disjoint_subgraphs(n: int, pattern: SubgraphPattern,
 def planted_mixed_patterns(n: int,
                            specs: Sequence[tuple[SubgraphPattern, int]],
                            seed: int = 0,
-                           background_degree: float = 0.0,
-                           backend: str | None = None
+                           background_degree: float = 0.0
                            ) -> MixedPatternInstance:
     """Plant vertex-disjoint copies of several patterns in one instance.
 
@@ -159,9 +157,9 @@ def planted_mixed_patterns(n: int,
     from repro.graphs.generators import gnd
 
     graph = (
-        gnd(n, background_degree, seed=seed + 1, backend=backend)
+        gnd(n, background_degree, seed=seed + 1)
         if background_degree > 0
-        else Graph(n, backend=backend)
+        else Graph(n)
     )
     placements: list[tuple[SubgraphPattern, tuple[tuple[int, ...], ...]]] = []
     cursor = 0
@@ -214,7 +212,7 @@ def _projective_points(q: int) -> list[tuple[int, int, int]]:
     return points
 
 
-def incidence_c4_free(q: int, backend: str | None = None) -> Graph:
+def incidence_c4_free(q: int) -> Graph:
     """Point-line incidence graph of PG(2, q) — girth 6, hence C4-free.
 
     ``q`` must be prime (arithmetic is mod q).  Vertices: the
@@ -229,7 +227,7 @@ def incidence_c4_free(q: int, backend: str | None = None) -> Graph:
         raise ValueError(f"q must be prime, got {q}")
     points = _projective_points(q)
     count = len(points)
-    graph = Graph(2 * count, backend=backend)
+    graph = Graph(2 * count)
     for line_index, (a, b, c) in enumerate(points):
         incident = 0
         for point_index, (x, y, z) in enumerate(points):

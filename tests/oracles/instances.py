@@ -43,17 +43,16 @@ def partition_disjoint_reference(graph: Graph, k: int,
 
 def planted_disjoint_triangles_reference(n: int, num_triangles: int,
                                          seed: int = 0,
-                                         background_degree: float = 0.0,
-                                         backend: str | None = None
+                                         background_degree: float = 0.0
                                          ) -> PlantedInstance:
     """``planted_disjoint_triangles`` through per-edge inserts."""
     rng = random.Random(seed)
     vertices = list(range(n))
     rng.shuffle(vertices)
     graph = (
-        gnd(n, background_degree, seed=seed + 1, backend=backend)
+        gnd(n, background_degree, seed=seed + 1)
         if background_degree > 0
-        else Graph(n, backend=backend)
+        else Graph(n)
     )
     planted: list[tuple[int, int, int]] = []
     for t in range(num_triangles):
@@ -67,14 +66,12 @@ def planted_disjoint_triangles_reference(n: int, num_triangles: int,
 
 
 def triangle_free_degree_spread_reference(n: int, d: float, max_degree: int,
-                                          seed: int = 0,
-                                          backend: str | None = None
-                                          ) -> Graph:
+                                          seed: int = 0) -> Graph:
     """``triangle_free_degree_spread`` through per-edge inserts."""
     rng = random.Random(seed)
     half = n // 2
     if half < 2:
-        return Graph(n, backend=backend)
+        return Graph(n)
     max_degree = min(max_degree, half - 1)
     bucket_degrees: list[int] = []
     degree = 1
@@ -94,7 +91,7 @@ def triangle_free_degree_spread_reference(n: int, d: float, max_degree: int,
     if total_left > half:
         shrink = half / total_left
         counts = [max(1, int(count * shrink)) for count in counts]
-    graph = Graph(n, backend=backend)
+    graph = Graph(n)
     left_cursor = 0
     right = list(range(half, n))
     for bucket_degree, count in sorted(

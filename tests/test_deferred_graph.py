@@ -1,13 +1,13 @@
 """Keys-first graphs: the kernel is built from the edge keys on first read.
 
 A graph from :meth:`Graph.from_edge_arrays` holds its sorted edge keys
-and the kernel class the policy picked, and builds the kernel only when
-a query needs it.  These tests pin that a deferred graph answers every
-public query exactly as one built edge by edge (on bigint and on csr,
-through mutations made after deferral and a pickle round trip), and
-that the key-only operations and the Table 1 paths that need no kernel
-never build one.  Builds are counted at the kernels' ``from_edge_array``,
-the one entry point a deferred build goes through.
+and builds the kernel only when a query needs it.  These tests pin that
+a deferred graph answers every public query exactly as one built edge
+by edge (through mutations made after deferral and a pickle round
+trip), and that the key-only operations, the Table 1 paths that need
+no kernel and the large-n keys path (partition plus key referee) never
+build one.  Builds are counted at ``BigintKernel.from_edge_array``, the
+one entry point a deferred build goes through.
 """
 
 from __future__ import annotations
@@ -18,13 +18,15 @@ import numpy as np
 import pytest
 
 from repro.analysis.table1 import _MuSampleBuilder, far_disjoint_instance
+from repro.core.referee import key_union_triangle_referee
 from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
 from repro.graphs import Graph, mask_of
-from repro.graphs.kernels import BigintKernel, CsrKernel
+from repro.graphs.generators import far_instance
+from repro.graphs.kernels import BigintKernel
+from repro.graphs.partition import partition_disjoint
 from repro.runtime.cache import InstanceCache
 
 N = 70  # > 64: exchange masks straddle a 64-bit word boundary
-BACKENDS = ("bigint", "csr")
 VERTICES = (0, 1, 13, 63, 64, 65, N - 1)
 MASKS = (0, mask_of(range(0, N, 3)), mask_of((1, 2, 63, 64, 65)),
          (1 << N) - 1)
@@ -32,14 +34,16 @@ MASKS = (0, mask_of(range(0, N, 3)), mask_of((1, 2, 63, 64, 65)),
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Names of the kernels built by ``from_edge_array``, in call order."""
+    """One entry per kernel built by ``from_edge_array``."""
     calls: list[str] = []
-    for cls in (BigintKernel, CsrKernel):
-        def counted(n, us, vs, _build=cls.from_edge_array, _name=cls.name):
-            calls.append(_name)
-            return _build(n, us, vs)
+    build = BigintKernel.from_edge_array
 
-        monkeypatch.setattr(cls, "from_edge_array", staticmethod(counted))
+    def counted(n, us, vs):
+        calls.append("bigint")
+        return build(n, us, vs)
+
+    monkeypatch.setattr(BigintKernel, "from_edge_array",
+                        staticmethod(counted))
     return calls
 
 
@@ -50,11 +54,10 @@ def random_edges(seed: int, m: int = 150) -> list[tuple[int, int]]:
     return [(int(u), int(v)) for u, v in zip(us, vs) if u != v]
 
 
-def deferred_and_eager(edges, backend: str) -> tuple[Graph, Graph]:
+def deferred_and_eager(edges) -> tuple[Graph, Graph]:
     us = np.array([u for u, _ in edges], dtype=np.int64)
     vs = np.array([v for _, v in edges], dtype=np.int64)
-    deferred = Graph.from_edge_arrays(N, us, vs, backend=backend)
-    return deferred, Graph(N, edges, backend=backend)
+    return Graph.from_edge_arrays(N, us, vs), Graph(N, edges)
 
 
 def answers(graph: Graph) -> dict:
@@ -63,7 +66,6 @@ def answers(graph: Graph) -> dict:
     return {
         "n": graph.n,
         "num_edges": graph.num_edges,
-        "backend": graph.backend,
         "average_degree": graph.average_degree(),
         "edge_keys": graph.edge_keys().tolist(),
         "edges": list(graph.edges()),
@@ -90,17 +92,16 @@ def answers(graph: Graph) -> dict:
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", range(4))
 class TestDeferredEqualsEager:
-    def test_every_query_agrees(self, backend, seed):
-        deferred, eager = deferred_and_eager(random_edges(seed), backend)
+    def test_every_query_agrees(self, seed):
+        deferred, eager = deferred_and_eager(random_edges(seed))
         assert deferred == eager and eager == deferred
         assert answers(deferred) == answers(eager)
-        assert deferred.kernel.rows_equal(eager.kernel)
+        assert deferred._kernel.rows_equal(eager._kernel)
 
-    def test_mutations_after_deferral(self, backend, seed, builds):
-        deferred, eager = deferred_and_eager(random_edges(seed), backend)
+    def test_mutations_after_deferral(self, seed, builds):
+        deferred, eager = deferred_and_eager(random_edges(seed))
         extra = random_edges(seed + 100, 40)
         us = np.array([u for u, _ in extra], dtype=np.int64)
         vs = np.array([v for _, v in extra], dtype=np.int64)
@@ -112,11 +113,11 @@ class TestDeferredEqualsEager:
         assert deferred == eager
         # Scalar mutators build first, then mutate as on any graph.
         assert deferred.add_edge(0, N - 1) == eager.add_edge(0, N - 1)
-        assert builds == [backend]
+        assert builds == ["bigint"]
         assert deferred.remove_edge(1, 2) == eager.remove_edge(1, 2)
         mask = mask_of((3, 40, 64, 65))
         assert deferred.add_neighbors(5, mask) == eager.add_neighbors(5, mask)
-        assert builds == [backend]
+        assert builds == ["bigint"]
         assert answers(deferred) == answers(eager)
         # A built graph still merges arrays into its kernel.
         more = random_edges(seed + 200, 40)
@@ -125,58 +126,53 @@ class TestDeferredEqualsEager:
         ) == eager.add_edges(more)
         assert answers(deferred) == answers(eager)
 
-    def test_key_only_operations_never_build(self, backend, seed, builds):
-        deferred, eager = deferred_and_eager(random_edges(seed), backend)
+    def test_key_only_operations_never_build(self, seed, builds):
+        deferred, eager = deferred_and_eager(random_edges(seed))
         builds.clear()
         clone = deferred.copy()
         assert clone.edge_keys() is deferred.edge_keys()
         assert clone == deferred and deferred == eager
         thawed = pickle.loads(pickle.dumps(deferred))
-        assert thawed == deferred and thawed.backend == backend
-        other = deferred.to_backend("csr" if backend == "bigint" else "bigint")
-        assert other == deferred
+        assert thawed == deferred
         assert deferred.nbytes == deferred.edge_keys().nbytes
         assert (deferred.n, deferred.num_edges, deferred.average_degree()) \
             == (eager.n, eager.num_edges, eager.average_degree())
         assert builds == []
         # Copies and thawed pickles build on their own first read.
         assert answers(clone) == answers(thawed) == answers(eager)
-        assert builds == [backend, backend]
+        assert builds == ["bigint", "bigint"]
 
-    def test_built_graph_pickles_without_its_kernel(self, backend, seed,
-                                                    builds):
-        deferred, eager = deferred_and_eager(random_edges(seed), backend)
+    def test_built_graph_pickles_without_its_kernel(self, seed, builds):
+        deferred, eager = deferred_and_eager(random_edges(seed))
         assert deferred.degrees() == eager.degrees()
         # Built, the graph holds its kernel and still its edge keys.
-        assert deferred.nbytes == (deferred.kernel.memory_bytes()
+        assert deferred.nbytes == (deferred._kernel.memory_bytes()
                                    + deferred.edge_keys().nbytes)
         assert len(pickle.dumps(deferred)) == len(pickle.dumps(
-            Graph.from_edge_arrays(N, *divmod(deferred.edge_keys(), N),
-                                   backend=backend)
+            Graph.from_edge_arrays(N, *divmod(deferred.edge_keys(), N))
         ))
         builds.clear()
         thawed = pickle.loads(pickle.dumps(deferred))
         assert builds == []
         assert answers(thawed) == answers(eager)
-        assert builds == [backend]
+        assert builds == ["bigint"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pickled_cache_round_trip(backend, builds):
+def test_pickled_cache_round_trip(builds):
     """Spawn pools pickle a task together with its cache: a cached
     deferred graph comes back unbuilt and answers like an eager one."""
     edges = random_edges(7)
     writer = InstanceCache()
     built = writer.get_or_build(
-        ("g", backend), lambda: deferred_and_eager(edges, backend)[0]
+        ("g",), lambda: deferred_and_eager(edges)[0]
     )
     builds.clear()
     reader = pickle.loads(pickle.dumps(writer))
-    loaded = reader.get_or_build(("g", backend), pytest.fail)
+    loaded = reader.get_or_build(("g",), pytest.fail)
     assert reader.stats()["hits"] == 1
-    assert loaded == built and loaded.backend == backend
+    assert loaded == built
     assert builds == []
-    eager = Graph(N, edges, backend=backend)
+    eager = Graph(N, edges)
     assert answers(loaded) == answers(eager)
     assert loaded.add_edge(0, 2) == eager.add_edge(0, 2)
     assert answers(loaded) == answers(eager)
@@ -185,7 +181,7 @@ def test_pickled_cache_round_trip(backend, builds):
 def test_cache_stats_leave_instances_unbuilt(builds):
     cache = InstanceCache()
     graph = cache.get_or_build(
-        ("g",), lambda: deferred_and_eager(random_edges(3), "bigint")[0]
+        ("g",), lambda: deferred_and_eager(random_edges(3))[0]
     )
     stats = cache.stats()
     assert builds == []
@@ -198,8 +194,23 @@ def test_mu_sample_builds_no_kernel(builds):
     assert builds == []
 
 
-def test_far_instance_sim_low_trial_builds_no_kernel(builds):
+def _sim_low_trial() -> None:
     partition = far_disjoint_instance(epsilon=0.2, k=3)(600, 6.0, 1)
     params = SimLowParams(epsilon=0.2, delta=0.2)
     find_triangle_sim_low(partition, params, seed=2)
+
+
+def _key_referee_at_large_n() -> None:
+    """The large-n path: a kernel here would hold n²/8 bytes of rows
+    (about 1.2 GB); partition and key referee need none."""
+    graph = far_instance(100_000, 6.0, 0.2, seed=3).graph
+    partition = partition_disjoint(graph, k=3, seed=4)
+    assert key_union_triangle_referee(partition.view_keys, graph.n) \
+        is not None
+
+
+@pytest.mark.parametrize("trial", [_sim_low_trial, _key_referee_at_large_n],
+                         ids=["sim_low", "key_referee_n1e5"])
+def test_far_instance_trial_builds_no_kernel(trial, builds):
+    trial()
     assert builds == []

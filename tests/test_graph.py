@@ -142,7 +142,7 @@ class TestInterop:
         assert Graph(3) != Graph(4)
 
     def test_repr(self):
-        assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1, backend='bigint')"
+        assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
 
     def test_to_networkx(self):
         graph = Graph(4, [(0, 1), (1, 2)])
@@ -155,24 +155,21 @@ def _extracted_keys(graph: Graph) -> list[int]:
     return [u * graph.n + v for u, v in graph.edges()]
 
 
-@pytest.mark.parametrize("backend", ["bigint", "csr"])
 class TestEdgeKeys:
     """The memoized key array always equals a fresh extraction."""
 
-    def _built(self, backend: str) -> Graph:
-        return Graph.from_edge_arrays(
-            9, [0, 3, 5, 1, 8], [1, 2, 4, 7, 0], backend=backend
-        )
+    def _built(self) -> Graph:
+        return Graph.from_edge_arrays(9, [0, 3, 5, 1, 8], [1, 2, 4, 7, 0])
 
-    def test_from_edge_arrays_stores_keys(self, backend):
-        graph = self._built(backend)
+    def test_from_edge_arrays_stores_keys(self):
+        graph = self._built()
         keys = graph.edge_keys()
         assert keys is graph.edge_keys()
         assert keys.tolist() == _extracted_keys(graph)
         assert not keys.flags.writeable
 
-    def test_plain_graph_extracts_once(self, backend):
-        graph = Graph(6, [(4, 1), (0, 5), (2, 3)], backend=backend)
+    def test_plain_graph_extracts_once(self):
+        graph = Graph(6, [(4, 1), (0, 5), (2, 3)])
         keys = graph.edge_keys()
         assert keys is graph.edge_keys()
         assert keys.tolist() == [0 * 6 + 5, 1 * 6 + 4, 2 * 6 + 3]
@@ -187,25 +184,23 @@ class TestEdgeKeys:
         lambda g: g.add_edge_arrays([6, 2, 0], [5, 8, 1]),
         lambda g: g.add_edge_arrays([], []),
     ])
-    def test_mutators_keep_keys_fresh(self, backend, mutate):
-        graph = self._built(backend)
+    def test_mutators_keep_keys_fresh(self, mutate):
+        graph = self._built()
         graph.edge_keys()
         mutate(graph)
         assert graph.edge_keys().tolist() == _extracted_keys(graph)
         assert graph.edge_keys().size == graph.num_edges
 
-    def test_add_edge_arrays_merges_without_stored_keys(self, backend):
-        graph = Graph(8, [(0, 1)], backend=backend)
+    def test_add_edge_arrays_merges_without_stored_keys(self):
+        graph = Graph(8, [(0, 1)])
         assert graph.add_edge_arrays([1, 0, 5], [0, 7, 6]) == 2
         assert graph.num_edges == 3
         assert graph.edge_keys().tolist() == _extracted_keys(graph)
         assert graph == Graph(8, [(0, 1), (0, 7), (5, 6)])
 
-    def test_copy_and_conversion_keep_keys(self, backend):
-        graph = self._built(backend)
+    def test_copy_keeps_keys(self):
+        graph = self._built()
         clone = graph.copy()
         clone.add_edge(6, 7)
         assert clone.edge_keys().tolist() == _extracted_keys(clone)
         assert graph.edge_keys().tolist() == _extracted_keys(graph)
-        other = graph.to_backend("csr" if backend == "bigint" else "bigint")
-        assert other.edge_keys().tolist() == _extracted_keys(graph)

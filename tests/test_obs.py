@@ -295,7 +295,7 @@ class TestByteIdentity:
         assert parallel.counters["trial.ok"] == trials
         # Per-trial work counters are execution-placement invariant.
         for name in serial.counters:
-            if name.startswith(("kernel.select.", "generator.path.")):
+            if name.startswith("generator.path."):
                 assert parallel.counters.get(name) == serial.counters[name]
 
 
@@ -354,8 +354,9 @@ class TestSummarize:
 
     def test_metrics_sections_rendered(self, trace_path):
         report = summarize(load_trace(trace_path))
-        assert "Backend mix:" in report
+        assert "Cache effectiveness:" in report
         assert "Generator paths:" in report
+        assert "Backend mix:" not in report
         assert f"Trials: ok={len(GRID) * 2:g}" in report
 
     def test_without_metrics_snapshot_degrades_gracefully(self, tmp_path):

@@ -28,11 +28,15 @@ class TestCli:
         assert exit_code == 2
         assert "unknown row" in capsys.readouterr().err
 
-    def test_unknown_backend_exits_nonzero(self, capsys):
-        with pytest.raises(SystemExit) as raised:
-            main(["--backend", "packed"])
-        assert raised.value.code != 0
-        assert "invalid choice" in capsys.readouterr().err
+    def test_backend_option_is_gone(self):
+        """One kernel ships, so the CLI takes no kernel choice."""
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", "--backend", "csr"],
+            capture_output=True, text=True, timeout=300, env=_CHILD_ENV,
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --backend csr" in result.stderr
+        assert result.stdout == ""
 
     def test_rows_by_id_covers_all(self):
         from repro.analysis.table1 import ALL_ROWS

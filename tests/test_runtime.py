@@ -435,15 +435,14 @@ class TestInstanceCache:
         cache.get_or_build(("p",), lambda: disjoint)
         assert cache.stats()["instance_bytes"] == 2 * key_bytes
 
-    @pytest.mark.parametrize("backend", ["bigint", "csr"])
-    def test_instance_bytes_count_a_built_graphs_keys(self, backend):
+    def test_instance_bytes_count_a_built_graphs_keys(self):
         """Once its kernel is built a graph still holds its edge keys,
         and its size counts both."""
-        graph = gnd(2400, 6.0, seed=1, backend=backend)
+        graph = gnd(2400, 6.0, seed=1)
         key_bytes = graph.edge_keys().nbytes
         assert graph.nbytes == key_bytes
         graph.degree(0)  # builds the kernel
-        kernel_bytes = graph.kernel.memory_bytes()
+        kernel_bytes = graph._kernel.memory_bytes()
         assert graph.edge_keys().nbytes == key_bytes > 0
         assert graph.nbytes == kernel_bytes + key_bytes
         assert instance_nbytes(graph) == kernel_bytes + key_bytes
@@ -451,7 +450,7 @@ class TestInstanceCache:
         assert instance_nbytes(disjoint) == kernel_bytes + 2 * key_bytes
         # A mutation drops the keys: the kernel is all the graph holds.
         assert graph.remove_edge(*next(graph.edges()))
-        assert graph.nbytes == graph.kernel.memory_bytes()
+        assert graph.nbytes == graph._kernel.memory_bytes()
 
 
 class TestTrialTask:

@@ -4,7 +4,7 @@ The contract (module docstring of :mod:`repro.graphs.generators`): the
 ``vectorized`` knob on ``gnp``/``gnd``, ``tripartite_mu`` and
 ``powerlaw_host`` only trades implementations, never outputs — the
 sampled edge set is a function of the seed alone, identical across
-{scalar, vectorized} × {bigint, csr}.  These tests pin that
+{scalar, vectorized}.  These tests pin that
 contract with hypothesis over seeds and word-boundary vertex counts,
 cover both sides of the ``_VECTOR_MIN_EXPECTED`` auto-dispatch
 threshold, and pin the bulk planting / K_n fill rewrites against their
@@ -29,7 +29,6 @@ from repro.graphs.generators import (
     planted_disjoint_triangles,
     tripartite_mu,
 )
-from repro.graphs.kernels import get_kernel
 
 from oracles.instances import (
     planted_disjoint_triangles_reference,
@@ -57,15 +56,6 @@ class TestGnpIdentity:
             gnp(n, p, seed=seed, vectorized=True),
         )
 
-    @given(SEEDS)
-    @settings(max_examples=20, deadline=None)
-    def test_identical_across_backends(self, seed):
-        reference = gnp(129, 0.2, seed=seed, vectorized=False,
-                        backend="bigint")
-        for backend in ("bigint", "csr"):
-            assert gnp(129, 0.2, seed=seed, vectorized=True,
-                       backend=backend) == reference
-
     def test_auto_dispatch_crosses_threshold_transparently(self):
         # Below the threshold auto takes the scalar loop; force the
         # vectorized path and demand the same graph.
@@ -90,11 +80,10 @@ class TestGnpIdentity:
             gnd(150, 6.0, seed=3, vectorized=True),
         )
 
-    def test_p_one_is_complete_on_every_backend(self):
-        for backend in ("bigint", "csr"):
-            graph = gnp(65, 1.0, seed=9, backend=backend)
-            assert graph.num_edges == 65 * 64 // 2
-            assert graph == Graph.complete(65, backend="bigint")
+    def test_p_one_is_complete(self):
+        graph = gnp(65, 1.0, seed=9)
+        assert graph.num_edges == 65 * 64 // 2
+        assert graph == Graph.complete(65)
 
     def test_degenerate_sizes(self):
         assert gnp(0, 0.5, vectorized=True).num_edges == 0
@@ -136,15 +125,6 @@ class TestPowerlawHostIdentity:
             powerlaw_host(n, d, exponent=exponent, seed=seed,
                           vectorized=True),
         )
-
-    @given(SEEDS)
-    @settings(max_examples=15, deadline=None)
-    def test_identical_across_backends(self, seed):
-        reference = powerlaw_host(200, 4.0, seed=seed, vectorized=False)
-        for backend in ("bigint", "csr"):
-            built = powerlaw_host(200, 4.0, seed=seed, backend=backend)
-            assert built.backend == backend
-            assert built == reference
 
     def test_hub_zero_is_heaviest(self):
         graph = powerlaw_host(500, 4.0, exponent=2.2, seed=1)
@@ -204,11 +184,6 @@ class TestBulkPlantingIdentity:
         scalar = triangle_free_degree_spread_reference(
             n, d, max_degree, seed=seed
         )
-        # The bulk build hints its edge count, so ``auto`` picks the
-        # kernel for that density (csr for the sparse n = 40000 host).
-        assert get_kernel(
-            None, n, expected_edges=bulk.num_edges
-        ) is type(bulk.kernel)
         assert_identical(scalar, bulk)
 
     def test_pattern_plant_bulk_agrees(self):
@@ -272,22 +247,6 @@ class TestBulkPlantingIdentity:
         )
         assert empty.planted_copies == ()
         assert_identical(gen.gnd(300, 2.0, seed=2), empty.graph)
-
-    @pytest.mark.parametrize("backend", ["bigint", "csr"])
-    def test_plant_identical_on_every_backend(self, backend):
-        from repro.patterns.catalog import FOUR_CLIQUE
-        from repro.patterns.plant import planted_disjoint_subgraphs
-
-        auto = planted_disjoint_subgraphs(
-            400, FOUR_CLIQUE, 25, seed=9, background_degree=2.0
-        )
-        forced = planted_disjoint_subgraphs(
-            400, FOUR_CLIQUE, 25, seed=9, background_degree=2.0,
-            backend=backend,
-        )
-        assert forced.graph.backend == backend
-        assert forced.planted_copies == auto.planted_copies
-        assert_identical(auto.graph, forced.graph)
 
 
 class TestDegreeSpreadSampleReplay:
