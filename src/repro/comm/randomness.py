@@ -27,16 +27,13 @@ Two constructions sit behind the primitives:
   (``bernoulli_subset[_mask]``, ``sample_without_replacement[_mask]``,
   ``shuffled``, ``fork``).
 
-The subset primitives have two execution paths honouring the contract:
-
-* the **scalar** reference path draws one index at a time from
-  ``random.Random`` (the historical implementation, always available);
-* the **vectorized** path reads the very same MT19937 words in bulk
-  (``getrandbits`` on a copy of the generator), builds the 53-bit
-  doubles from the same word pairs ``random()`` uses, and replays the
-  geometric-skipping recurrence as array operations.  Selected indices
-  are equal element for element, so masks are byte-identical; the path
-  is taken automatically for draws big enough to amortize the copy.
+The Bernoulli subset primitives sample by geometric skipping over the
+universe, replayed as array operations: the MT19937 words of a
+per-call sub-stream are read in bulk, turned into the 53-bit doubles
+``random()`` would return from the same word pairs, and the skip
+recurrence runs as cumulative sums.  The per-index loop it replays is
+kept as a test oracle (``tests/oracles/comm.py``), which pins the
+masks and every later draw bit for bit.
 
 :meth:`SharedRandomness.batch` is the batched construction the trial
 runtime uses: one call yields every trial's coin stream for a grid
@@ -47,19 +44,16 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as _np
+
+from repro.graphs.generators import _WordStream
 
 __all__ = [
     "PublicOrder", "PublicPredicate", "SharedRandomness", "counter_key",
     "counter_key_grid", "counter_keys",
 ]
-
-#: Expected selected-index count below which the scalar loop beats the
-#: numpy path (copying the generator state costs a fixed ~tens of
-#: microseconds).
-_VECTOR_MIN_EXPECTED = 128
 
 # A large prime used to build per-call independent sub-streams from
 # (seed, tag) pairs without materializing n! permutations.  It is also
@@ -223,81 +217,18 @@ def _mask_from_indices(indices: Iterable[int], universe_size: int) -> int:
     return int.from_bytes(buffer, "little")
 
 
-def _geometric_indices(local: random.Random, universe_size: int,
-                       probability: float) -> Iterator[int]:
-    """Geometric skipping over ``range(universe_size)``: expected O(p·n).
-
-    ``probability`` must lie strictly in (0, 1); the caller handles the
-    endpoints in closed form.
-    """
-    index = -1
-    log_q = math.log1p(-probability)
-    if log_q == 0.0:
-        # probability is denormal-small: log1p underflows to -0.0; a gap
-        # division by it would raise — and no gap that large fits any
-        # finite universe, so nothing is selected.
-        return
-    while True:
-        raw_gap = math.log(max(local.random(), 1e-300)) / log_q
-        if raw_gap >= universe_size:
-            # Covers float overflow to inf at tiny probabilities, where
-            # an un-guarded int() would raise.
-            return
-        index += int(raw_gap) + 1
-        if index >= universe_size:
-            return
-        yield index
-
-
-class _WordStream:
-    """Doubles read in bulk from a ``random.Random`` stream, consuming it.
-
-    ``random_sample(k)`` equals ``[rng.random() for _ in range(k)]``
-    draw for draw: ``random()`` assembles a double as
-    ``((a >> 5) * 2^26 + (b >> 6)) / 2^53`` from two consecutive 32-bit
-    MT19937 outputs, and ``getrandbits(64 * k)`` hands out the next
-    ``2k`` outputs as 32-bit words, first word least significant.
-    """
-
-    __slots__ = ("_rng",)
-
-    def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-
-    def random_sample(self, size: int) -> "_np.ndarray":
-        words = _np.frombuffer(
-            self._rng.getrandbits(64 * size).to_bytes(8 * size, "little"),
-            dtype="<u4",
-        )
-        return (
-            (words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)
-        ) / 9007199254740992.0
-
-
-def _numpy_stream(local: random.Random) -> _WordStream:
-    """A double stream continuing ``local``'s exact MT19937 stream.
-
-    ``stream.random_sample(k)`` equals ``[local.random()] * k`` draw for
-    draw.  ``local`` itself is left untouched: the stream reads a copy,
-    so a caller that goes on drawing from ``local`` sees its own stream.
-    """
-    copy = random.Random()
-    copy.setstate(local.getstate())
-    return _WordStream(copy)
-
-
 def _geometric_indices_array(local: random.Random, universe_size: int,
                              probability: float) -> "_np.ndarray":
-    """:func:`_geometric_indices` as one vectorized pass, equal output.
+    """Geometric skipping over ``range(universe_size)``: expected O(p·n).
 
-    Uniform draws come in chunks straight from ``local``, which the
-    draw consumes: its callers build it for this one subset and throw
-    it away, so no copy of the MT state is taken.  Gaps, cumulative
+    ``probability`` must lie strictly in (0, 1); the callers handle the
+    endpoints in closed form.  Uniform draws come in chunks straight
+    from ``local``, which the draw consumes.  Gaps, cumulative
     positions, and the two termination conditions (a gap at least the
     universe, or a position past it) are array expressions.  Gap
     entries at or beyond the terminator carry clamped garbage, but the
     first terminator cuts them off before they are emitted — exactly
-    where the scalar generator returns.
+    where the per-index loop returns.
     """
     log_q = math.log1p(-probability)
     if log_q == 0.0:
@@ -309,9 +240,11 @@ def _geometric_indices_array(local: random.Random, universe_size: int,
     # slack so one pass almost always suffices.
     chunk = max(32, int(probability * universe_size * 1.25) + 16)
     while True:
-        raw = _np.log(
-            _np.maximum(stream.random_sample(chunk), 1e-300)
-        ) / log_q
+        # At denormal probabilities a gap overflows to inf: an overshoot.
+        with _np.errstate(over="ignore"):
+            raw = _np.log(
+                _np.maximum(stream.random_sample(chunk), 1e-300)
+            ) / log_q
         overshoot = raw >= universe_size
         steps = _np.where(
             overshoot, 1,
@@ -345,38 +278,28 @@ class SharedRandomness:
     seed:
         Seed of the public random string.  Protocol executions with equal
         seeds are bitwise identical.
-    vectorized:
-        ``None`` (default) lets big subset draws take the numpy path;
-        ``False`` forces the scalar reference path; ``True`` is the
-        default made explicit.  All settings produce identical samples —
-        the knob only trades implementations.
     """
 
-    def __init__(self, seed: int = 0, *, vectorized: bool | None = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._rng = random.Random(seed)
         self._draws = 0
-        self._vectorized = True if vectorized is None else vectorized
 
     @property
     def seed(self) -> int:
         return self._seed
 
     @classmethod
-    def batch(cls, seeds: Sequence[int], *,
-              vectorized: bool | None = None) -> list["SharedRandomness"]:
+    def batch(cls, seeds: Sequence[int]) -> list["SharedRandomness"]:
         """One coin stream per seed — the grid-point batched construction.
 
         Each returned instance is draw-for-draw identical to
         ``SharedRandomness(seed)``: a protocol run against stream ``i``
         produces the same record as a fresh per-trial run with
         ``seeds[i]``, which is what keeps the batched execution path
-        byte-identical to the per-trial one.  The heavy per-draw work
-        (the geometric-skipping subset recurrence) runs vectorized, so a
-        whole batch's public coins amount to one numpy pass per draw
-        rather than per-element scalar loops.
+        byte-identical to the per-trial one.
         """
-        return [cls(seed, vectorized=vectorized) for seed in seeds]
+        return [cls(seed) for seed in seeds]
 
     def fork(self, tag: int) -> "SharedRandomness":
         """An independent public sub-stream labelled by ``tag``.
@@ -457,7 +380,11 @@ class SharedRandomness:
             return set()
         if probability == 1.0:
             return set(range(universe_size))
-        return set(_geometric_indices(local, universe_size, probability))
+        return set(
+            _geometric_indices_array(
+                local, universe_size, probability
+            ).tolist()
+        )
 
     def bernoulli_subset_mask(self, universe_size: int, probability: float,
                               tag: int = 0) -> int:
@@ -473,16 +400,8 @@ class SharedRandomness:
             return 0
         if probability == 1.0:
             return (1 << universe_size) - 1
-        if (
-            self._vectorized
-            and probability * universe_size >= _VECTOR_MIN_EXPECTED
-        ):
-            return _mask_from_index_array(
-                _geometric_indices_array(local, universe_size, probability),
-                universe_size,
-            )
-        return _mask_from_indices(
-            _geometric_indices(local, universe_size, probability),
+        return _mask_from_index_array(
+            _geometric_indices_array(local, universe_size, probability),
             universe_size,
         )
 

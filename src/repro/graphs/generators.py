@@ -24,22 +24,17 @@ each story the paper tells:
 
 All generators take an explicit ``seed`` and are deterministic given it.
 
-The heavy samplers (``gnp``/``gnd``, ``tripartite_mu``,
-``powerlaw_host``) additionally carry a ``vectorized`` knob in the
-:class:`~repro.comm.randomness.SharedRandomness` style: ``None``
-(default) takes a numpy edge-array path when the expected draw volume
-clears :data:`_VECTOR_MIN_EXPECTED`, ``False`` forces the scalar
-reference loop, ``True`` forces the numpy path.  The vectorized paths
-read the scalar generator's exact MT19937 stream in bulk
-(:func:`repro.comm.randomness._numpy_stream`) and replay the same
-recurrences as array expressions, so the sampled edge set is
-draw-for-draw identical across {scalar, vectorized} — the knob only
-trades implementations, never outputs.
+The random samplers (``gnp``/``gnd``, ``tripartite_mu``,
+``bipartite_triangle_free``, ``powerlaw_host``) read their seeded
+MT19937 stream in bulk (:class:`_WordStream`) and evaluate their
+sampling recurrences as array expressions.  They draw exactly the
+uniforms the per-edge loops draw, in the same order, so each edge set
+is a function of the seed alone; those loops are kept as test oracles
+(``tests/oracles/instances.py``) and pin the array paths draw for draw.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 import random
@@ -48,8 +43,6 @@ from dataclasses import dataclass
 import numpy as _np
 
 from repro.graphs.graph import Graph
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 
 __all__ = [
     "gnp",
@@ -69,12 +62,6 @@ __all__ = [
     "embed_in_larger_graph",
 ]
 
-#: Expected scalar work (selected edges for geometric skipping, raw
-#: draws for dense Bernoulli sweeps) below which the scalar loop beats
-#: the vectorized path — the MT19937 state transplant plus array setup
-#: costs a fixed few tens of microseconds.
-_VECTOR_MIN_EXPECTED = 1024
-
 #: Uniform draws per numpy chunk on the dense Bernoulli paths; bounds
 #: peak draw-buffer memory without changing any sampled value.
 _DRAW_CHUNK = 1 << 20
@@ -82,44 +69,49 @@ _DRAW_CHUNK = 1 << 20
 _LOGGER = logging.getLogger(__name__)
 
 
-def _use_vectorized(vectorized: bool | None, expected_work: float,
-                    generator: str = "") -> bool:
-    if vectorized is None:
-        chosen = expected_work >= _VECTOR_MIN_EXPECTED
-    else:
-        chosen = bool(vectorized)
-    path = "vectorized" if chosen else "scalar"
-    obs_metrics.inc(f"generator.path.{path}")
-    obs_trace.event("generator.path", generator=generator, path=path,
-                    expected_work=expected_work,
-                    forced=vectorized is not None)
-    return chosen
+class _WordStream:
+    """Doubles read in bulk from a ``random.Random`` stream, consuming it.
 
-
-def _transplanted_stream(rng: random.Random):
-    """A bulk double stream continuing ``rng``'s exact MT19937 stream.
-
-    Imported lazily from the randomness module (call-time, so the
-    graphs package never imports the comm package at module load).
+    ``random_sample(k)`` equals ``[rng.random() for _ in range(k)]``
+    draw for draw: ``random()`` assembles a double as
+    ``((a >> 5) * 2^26 + (b >> 6)) / 2^53`` from two consecutive 32-bit
+    MT19937 outputs, and ``getrandbits(64 * k)`` hands out the next
+    ``2k`` outputs as 32-bit words, first word least significant.
+    Every caller builds ``rng`` for one sample and never draws from it
+    again, so no copy of its state is taken.  The subset draws of
+    :mod:`repro.comm.randomness` read their streams through it too; it
+    lives here because the graphs package never imports the comm
+    package.
     """
-    from repro.comm.randomness import _numpy_stream
 
-    return _numpy_stream(rng)
+    __slots__ = ("_rng",)
+
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
+
+    def random_sample(self, size: int) -> "_np.ndarray":
+        words = _np.frombuffer(
+            self._rng.getrandbits(64 * size).to_bytes(8 * size, "little"),
+            dtype="<u4",
+        )
+        return (
+            (words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)
+        ) / 9007199254740992.0
 
 
 def _gnp_edge_arrays(rng: random.Random, n: int, log_q: float,
                      total_pairs: int, expected: int):
-    """The scalar geometric-skipping recurrence as one vectorized pass.
+    """Geometric skipping over the upper-pair list, as array passes.
 
-    Chunked uniforms come from the transplanted stream; gaps and
-    cumulative pair indices are array expressions with the same
-    truncation and termination decisions as the scalar loop (a raw gap
-    at or past ``total_pairs`` clamps to a terminating step, exactly
-    where the scalar ``int()`` overshoot returns).  Unranking maps pair
-    index to (u, v) through the precomputed row-start table
+    Chunked uniforms come from ``rng``'s stream; gaps and cumulative
+    pair indices are array expressions with the same truncation and
+    termination decisions as the per-pair loop (a raw gap at or past
+    ``total_pairs`` clamps to a terminating step, exactly where the
+    loop's ``int()`` overshoot returns).  Unranking maps pair index to
+    (u, v) through the precomputed row-start table
     ``S[u] = u(n-1) - u(u-1)/2`` with one ``searchsorted``.
     """
-    stream = _transplanted_stream(rng)
+    stream = _WordStream(rng)
     chunks: list["_np.ndarray"] = []
     index = -1
     chunk = max(32, int(expected * 1.1) + 32)
@@ -144,57 +136,32 @@ def _gnp_edge_arrays(rng: random.Random, n: int, log_q: float,
     return us, vs
 
 
-def gnp(n: int, p: float, seed: int = 0, *,
-        vectorized: bool | None = None) -> Graph:
+def gnp(n: int, p: float, seed: int = 0) -> Graph:
     """Erdős–Rényi G(n, p).
 
-    Both execution paths sample by geometric skipping over the ordered
-    upper-pair list; the vectorized one replays the identical
-    recurrence on the transplanted RNG stream, so the edge set depends
-    only on the seed (see the module docstring's contract).
+    Samples by geometric skipping over the ordered upper-pair list, so
+    the work is proportional to the edges drawn, not to the pairs.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
-    rng = random.Random(seed)
     if p == 0.0 or n < 2:
         return Graph(n)
-    log_q = math.log1p(-p) if p < 1.0 else None
-    total_pairs = n * (n - 1) // 2
-    if log_q is None:
-        # p == 1.0: K_n via one bulk fill — the all-ones mask is built
-        # once, not rebuilt per vertex.
+    if p == 1.0:
+        # K_n via one bulk fill — the all-ones mask is built once, not
+        # rebuilt per vertex.
         return Graph.complete(n)
-    expected = int(p * total_pairs)
-    if _use_vectorized(vectorized, expected, "gnp"):
-        us, vs = _gnp_edge_arrays(rng, n, log_q, total_pairs, expected)
-        return Graph.from_edge_arrays(n, us, vs)
-    graph = Graph(n)
-    # Unranking state carried across hits: sampled indices are strictly
-    # increasing, so (u, row_start, row_len) only ever move forward —
-    # amortized O(1) per hit instead of O(n) re-unranking.
-    index = -1
-    u = 0
-    row_start = 0
-    row_len = n - 1
-    while True:
-        gap = int(math.log(max(rng.random(), 1e-300)) / log_q) + 1
-        index += gap
-        if index >= total_pairs:
-            return graph
-        while index - row_start >= row_len:
-            row_start += row_len
-            u += 1
-            row_len -= 1
-        graph.add_edge(u, u + 1 + (index - row_start))
+    total_pairs = n * (n - 1) // 2
+    us, vs = _gnp_edge_arrays(random.Random(seed), n, math.log1p(-p),
+                              total_pairs, int(p * total_pairs))
+    return Graph.from_edge_arrays(n, us, vs)
 
 
-def gnd(n: int, d: float, seed: int = 0, *,
-        vectorized: bool | None = None) -> Graph:
+def gnd(n: int, d: float, seed: int = 0) -> Graph:
     """Random graph with expected average degree ``d``."""
     if n < 2:
         return Graph(n)
     p = min(1.0, d / (n - 1))
-    return gnp(n, p, seed, vectorized=vectorized)
+    return gnp(n, p, seed)
 
 
 @dataclass(frozen=True)
@@ -329,8 +296,8 @@ def skewed_hub_graph(n: int, num_hubs: int, vees_per_hub: int,
     return graph
 
 
-def powerlaw_host(n: int, d: float, exponent: float = 2.5, seed: int = 0,
-                  *, vectorized: bool | None = None) -> Graph:
+def powerlaw_host(n: int, d: float, exponent: float = 2.5,
+                  seed: int = 0) -> Graph:
     """Chung–Lu style heavy-tailed host with expected average degree ≈ d.
 
     Vertex ``i`` carries weight ``w_i ∝ (i + 1)^(-1/(exponent - 1))`` —
@@ -349,8 +316,9 @@ def powerlaw_host(n: int, d: float, exponent: float = 2.5, seed: int = 0,
     degree-oblivious protocols — and at constant ``d`` it is the
     natural n = 10^6 sparse instance, built keys-first.
 
-    Deterministic given ``seed``; the ``vectorized`` knob follows the
-    module contract (identical edge sets on both paths).
+    Deterministic given ``seed``: the ``2 * round(n·d/2)`` endpoint
+    uniforms are drawn in one block and inverted with one
+    ``searchsorted``.
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
@@ -367,25 +335,14 @@ def powerlaw_host(n: int, d: float, exponent: float = 2.5, seed: int = 0,
     rng = random.Random(seed)
     cum = _np.cumsum(_np.arange(1, n + 1, dtype=_np.float64) ** (-alpha))
     total = float(cum[-1])
-    if _use_vectorized(vectorized, 2 * draws, "powerlaw_host"):
-        stream = _transplanted_stream(rng)
-        targets = stream.random_sample(2 * draws) * total
-        endpoints = _np.minimum(
-            _np.searchsorted(cum, targets, side="right"), n - 1
-        )
-        us = endpoints[0::2]
-        vs = endpoints[1::2]
-        keep = us != vs
-        return Graph.from_edge_arrays(n, us[keep], vs[keep])
-    edges: list[tuple[int, int]] = []
-    for _ in range(draws):
-        u = min(bisect.bisect_right(cum, rng.random() * total), n - 1)
-        v = min(bisect.bisect_right(cum, rng.random() * total), n - 1)
-        if u != v:
-            edges.append((u, v))
-    graph = Graph(n)
-    graph.add_edges(edges)
-    return graph
+    targets = _WordStream(rng).random_sample(2 * draws) * total
+    endpoints = _np.minimum(
+        _np.searchsorted(cum, targets, side="right"), n - 1
+    )
+    us = endpoints[0::2]
+    vs = endpoints[1::2]
+    keep = us != vs
+    return Graph.from_edge_arrays(n, us[keep], vs[keep])
 
 
 @dataclass(frozen=True)
@@ -410,8 +367,35 @@ def mu_parts(part_size: int) -> TripartiteParts:
     )
 
 
-def tripartite_mu(part_size: int, gamma: float, seed: int = 0,
-                  *, vectorized: bool | None = None
+def _bernoulli_blocks(rng: random.Random, n: int,
+                      blocks: tuple[tuple[range, range], ...],
+                      p: float) -> Graph:
+    """Each pair of each ``(part_a, part_b)`` block an edge w.p. ``p``.
+
+    One uniform per pair, row-major within a block and block after
+    block, compared ``< p``: the per-pair loop ``for u in part_a: for v
+    in part_b: rng.random() < p``.  The uniforms come from ``rng``'s
+    stream in chunks of at most :data:`_DRAW_CHUNK`, whole rows each.
+    """
+    stream = _WordStream(rng)
+    us_parts: list["_np.ndarray"] = [_np.empty(0, dtype=_np.int64)]
+    vs_parts: list["_np.ndarray"] = [_np.empty(0, dtype=_np.int64)]
+    for part_a, part_b in blocks:
+        width = len(part_b)
+        if width == 0:
+            continue
+        rows_per_chunk = max(1, _DRAW_CHUNK // width)
+        for offset in range(0, len(part_a), rows_per_chunk):
+            rows = min(rows_per_chunk, len(part_a) - offset)
+            hits = _np.nonzero(stream.random_sample(rows * width) < p)[0]
+            us_parts.append(part_a.start + offset + hits // width)
+            vs_parts.append(part_b.start + hits % width)
+    return Graph.from_edge_arrays(
+        n, _np.concatenate(us_parts), _np.concatenate(vs_parts)
+    )
+
+
+def tripartite_mu(part_size: int, gamma: float, seed: int = 0
                   ) -> tuple[Graph, TripartiteParts]:
     """Sample from the lower-bound distribution µ (Section 4.2.1).
 
@@ -420,79 +404,31 @@ def tripartite_mu(part_size: int, gamma: float, seed: int = 0,
     ``gamma / sqrt(n)`` where ``n = 3 * part_size`` is the total vertex
     count.  The expected average degree is Θ(gamma * sqrt(n)).
 
-    Every cross-part pair costs one uniform draw in row-major order on
-    both paths — the vectorized one draws the same uniforms in chunks
-    from the transplanted stream and keeps the ``< p`` comparison, so
-    pinned seeds reproduce the exact scalar graphs.
+    Every cross-part pair costs one uniform draw, row-major over the
+    part pairs (U, V1), (U, V2), (V1, V2) in that order.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     parts = mu_parts(part_size)
     n = parts.n
     p = min(1.0, gamma / math.sqrt(n))
-    rng = random.Random(seed)
-    part_pairs = (
+    blocks = (
         (parts.u_part, parts.v1_part),
         (parts.u_part, parts.v2_part),
         (parts.v1_part, parts.v2_part),
     )
-    total_draws = 3 * part_size * part_size
-    if _use_vectorized(vectorized, total_draws, "tripartite_mu"):
-        stream = _transplanted_stream(rng)
-        us_parts: list["_np.ndarray"] = []
-        vs_parts: list["_np.ndarray"] = []
-        for part_a, part_b in part_pairs:
-            width = len(part_b)
-            if width == 0:
-                continue
-            rows_per_chunk = max(1, _DRAW_CHUNK // width)
-            for offset in range(0, len(part_a), rows_per_chunk):
-                rows = min(rows_per_chunk, len(part_a) - offset)
-                draws = stream.random_sample(rows * width)
-                hits = _np.nonzero(draws < p)[0]
-                if hits.size:
-                    us_parts.append(part_a.start + offset + hits // width)
-                    vs_parts.append(part_b.start + hits % width)
-        if us_parts:
-            us = _np.concatenate(us_parts)
-            vs = _np.concatenate(vs_parts)
-        else:
-            us = vs = _np.empty(0, dtype=_np.int64)
-        graph = Graph.from_edge_arrays(n, us, vs)
-        return graph, parts
-    graph = Graph(n)
-    random_value = rng.random
-    for part_a, part_b in part_pairs:
-        for u in part_a:
-            # Accumulate u's sampled row as one mask, committed in bulk;
-            # the per-pair draw order is unchanged, so seeds reproduce
-            # the exact graphs of the per-edge implementation.
-            row = 0
-            for v in part_b:
-                if random_value() < p:
-                    row |= 1 << v
-            if row:
-                graph.add_neighbors(u, row)
-    return graph, parts
+    return _bernoulli_blocks(random.Random(seed), n, blocks, p), parts
 
 
 def bipartite_triangle_free(n: int, d: float, seed: int = 0) -> Graph:
     """A triangle-free control graph of average degree ≈ d (random bipartite)."""
-    rng = random.Random(seed)
     half = n // 2
-    graph = Graph(n)
     if half == 0 or n - half == 0:
-        return graph
+        return Graph(n)
     p = min(1.0, n * d / (2.0 * half * (n - half)))
-    random_value = rng.random
-    for u in range(half):
-        row = 0
-        for v in range(half, n):
-            if random_value() < p:
-                row |= 1 << v
-        if row:
-            graph.add_neighbors(u, row)
-    return graph
+    return _bernoulli_blocks(
+        random.Random(seed), n, ((range(half), range(half, n)),), p
+    )
 
 
 def planted_triangles_at_degree(n: int, num_triangles: int,

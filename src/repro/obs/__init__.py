@@ -11,7 +11,7 @@ Two layers, both zero-RNG-impact and both off by default:
 
 ``python -m repro.obs summarize <trace.jsonl|dir>`` renders a run
 report from a recorded trace (phase breakdown, per-row times, event
-and log counts, cache effectiveness, generator-path mix).
+and log counts, cache effectiveness, trial count).
 """
 
 from .metrics import (

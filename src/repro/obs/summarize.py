@@ -11,8 +11,8 @@ sibling files a forked run leaves behind — and prints:
   clock-read jitter,
 - the duration of each Table 1 ``row`` span, when the run had any,
 - event counts (log warnings by level, ...),
-- cache effectiveness and generator-path mix, read from
-  the end-of-run ``metrics`` snapshot event when one was recorded.
+- cache effectiveness and the trial count, read from the end-of-run
+  ``metrics`` snapshot event when one was recorded.
 """
 
 from __future__ import annotations
@@ -91,13 +91,6 @@ def _phase_rows(spans: list[dict]) -> tuple[list[tuple], float, float]:
     return rows, root_dur, covered
 
 
-def _counter_block(counters: dict, prefix: str) -> list[tuple[str, float]]:
-    hits = [(name[len(prefix):], value)
-            for name, value in sorted(counters.items())
-            if name.startswith(prefix)]
-    return hits
-
-
 def summarize(records: list[dict]) -> str:
     spans = [r for r in records if r["type"] == "span"]
     events = [r for r in records if r["type"] == "event"]
@@ -169,15 +162,6 @@ def summarize(records: list[dict]) -> str:
             )
         else:
             lines.append("  (no cache activity recorded)")
-        paths = _counter_block(counters, "generator.path.")
-        lines.append("")
-        lines.append("Generator paths:")
-        if paths:
-            lines.append(
-                "  " + "  ".join(f"{name}={value:g}" for name, value in paths)
-            )
-        else:
-            lines.append("  (no generator calls recorded)")
         trials = counters.get("trial.ok", 0)
         if trials:
             lines.append("")
@@ -185,7 +169,7 @@ def summarize(records: list[dict]) -> str:
     else:
         lines.append("")
         lines.append("(no metrics snapshot in trace — run with metrics enabled"
-                     " for cache/generator sections)")
+                     " for the cache section)")
     return "\n".join(lines)
 
 

@@ -6,14 +6,16 @@ pinned against, in the subsystem's own terms:
 * :mod:`oracles.graphs` — :class:`~oracles.graphs.SetGraph` (one
   ``set[int]`` per vertex) and the original triangle routines;
 * :mod:`oracles.comm` — :class:`~oracles.comm.SetPlayer`, the
-  set-dedup blackboard round, and :func:`~oracles.comm.set_players`,
-  which runs a protocol module on set players;
+  set-dedup blackboard round, :func:`~oracles.comm.set_players`,
+  which runs a protocol module on set players, and
+  :class:`~oracles.comm.ScalarSharedRandomness`, the per-index
+  Bernoulli subset loop;
 * :mod:`oracles.core` — the ``set[Edge]``-union referees;
 * :mod:`oracles.patterns` — the networkx VF2 matcher;
 * :mod:`oracles.streaming` — the per-edge streaming chain;
 * :mod:`oracles.lowerbounds` — the per-edge one-way protocol;
-* :mod:`oracles.instances` — the per-edge partition and planting loops
-  the edge-key array paths replay.
+* :mod:`oracles.instances` — the per-edge sampling, partition and
+  planting loops the edge-key array paths replay.
 
 The differential tests under ``tests/`` and the migration benchmarks
 under ``benchmarks/`` import this package; the shipped ``repro``

@@ -22,20 +22,30 @@ form) — so every protocol entry point runs unmodified on either
 backend.
 :func:`set_players` makes the swap: inside it, a protocol module's
 ``make_players`` builds set players.
+
+:class:`ScalarSharedRandomness` is the public-coin source with the
+per-index Bernoulli subset loop (:func:`geometric_indices_reference`)
+that :class:`~repro.comm.randomness.SharedRandomness` replays as array
+operations; ``tests/test_randomness.py`` pins the two draw for draw.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.comm.randomness import SharedRandomness, _mask_from_indices
 from repro.graphs.buckets import degrees_from_view, player_suspected_bucket
 from repro.graphs.graph import Edge, canonical_edge, mask_of
 
 __all__ = [
+    "ScalarSharedRandomness",
     "SetPlayer",
+    "geometric_indices_reference",
     "make_set_players",
     "set_players",
     "post_edges_in_turns_reference",
@@ -351,3 +361,57 @@ def post_edges_in_turns_reference(runtime, harvest, per_edge_bits: int,
         )
         posted.update(fresh)
     return posted
+
+
+def geometric_indices_reference(local: random.Random, universe_size: int,
+                                probability: float) -> Iterator[int]:
+    """Geometric skipping over ``range(universe_size)``: expected O(p·n).
+
+    ``probability`` must lie strictly in (0, 1); the caller handles the
+    endpoints in closed form.
+    """
+    index = -1
+    log_q = math.log1p(-probability)
+    if log_q == 0.0:
+        # probability is denormal-small: log1p underflows to -0.0; a gap
+        # division by it would raise — and no gap that large fits any
+        # finite universe, so nothing is selected.
+        return
+    while True:
+        raw_gap = math.log(max(local.random(), 1e-300)) / log_q
+        if raw_gap >= universe_size:
+            # Covers float overflow to inf at tiny probabilities, where
+            # an un-guarded int() would raise.
+            return
+        index += int(raw_gap) + 1
+        if index >= universe_size:
+            return
+        yield index
+
+
+class ScalarSharedRandomness(SharedRandomness):
+    """:class:`SharedRandomness` whose Bernoulli subsets draw one index
+    at a time through :func:`geometric_indices_reference`."""
+
+    def bernoulli_subset(self, universe_size: int, probability: float,
+                         tag: int = 0) -> set[int]:
+        local = self._bernoulli_local(probability, tag)
+        if probability == 0.0:
+            return set()
+        if probability == 1.0:
+            return set(range(universe_size))
+        return set(
+            geometric_indices_reference(local, universe_size, probability)
+        )
+
+    def bernoulli_subset_mask(self, universe_size: int, probability: float,
+                              tag: int = 0) -> int:
+        local = self._bernoulli_local(probability, tag)
+        if probability == 0.0:
+            return 0
+        if probability == 1.0:
+            return (1 << universe_size) - 1
+        return _mask_from_indices(
+            geometric_indices_reference(local, universe_size, probability),
+            universe_size,
+        )

@@ -75,19 +75,17 @@ from oracles.graphs import (
 )
 
 GENERATORS = {
-    "gnp_scalar": lambda: gnp(90, 0.08, seed=1, vectorized=False),
-    "gnp_vectorized": lambda: gnp(90, 0.08, seed=1, vectorized=True),
+    "gnp": lambda: gnp(90, 0.08, seed=1),
+    "gnp_small": lambda: gnp(30, 0.1, seed=16),
     "gnd": lambda: gnd(90, 5.0, seed=2),
     "planted_disjoint_triangles": lambda: planted_disjoint_triangles(
         90, 10, seed=3, background_degree=2.0).graph,
     "far_instance": lambda: far_instance(120, 6.0, 0.1, seed=5).graph,
     "skewed_hub_graph": lambda: skewed_hub_graph(
         90, 3, 8, seed=4, background_degree=1.0),
-    "powerlaw_host_scalar": lambda: powerlaw_host(
-        120, 4.0, seed=6, vectorized=False),
-    "powerlaw_host_vectorized": lambda: powerlaw_host(
-        120, 4.0, seed=6, vectorized=True),
+    "powerlaw_host": lambda: powerlaw_host(120, 4.0, seed=6),
     "tripartite_mu": lambda: tripartite_mu(24, 0.5, seed=7)[0],
+    "tripartite_mu_small": lambda: tripartite_mu(4, 1.3, seed=17)[0],
     "bipartite_triangle_free": lambda: bipartite_triangle_free(
         90, 4.0, seed=8),
     "planted_triangles_at_degree": lambda: planted_triangles_at_degree(

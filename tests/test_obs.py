@@ -293,10 +293,8 @@ class TestByteIdentity:
         trials = len(GRID) * 2
         assert serial.counters["trial.ok"] == trials
         assert parallel.counters["trial.ok"] == trials
-        # Per-trial work counters are execution-placement invariant.
-        for name in serial.counters:
-            if name.startswith("generator.path."):
-                assert parallel.counters.get(name) == serial.counters[name]
+        # Every counter is execution-placement invariant.
+        assert parallel.counters == serial.counters
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +353,7 @@ class TestSummarize:
     def test_metrics_sections_rendered(self, trace_path):
         report = summarize(load_trace(trace_path))
         assert "Cache effectiveness:" in report
-        assert "Generator paths:" in report
+        assert "Generator paths:" not in report
         assert "Backend mix:" not in report
         assert f"Trials: ok={len(GRID) * 2:g}" in report
 

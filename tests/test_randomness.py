@@ -1,5 +1,7 @@
 """Unit tests for shared public randomness (repro.comm.randomness)."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,9 @@ from repro.comm.randomness import (
     counter_key_grid,
     counter_keys,
 )
+from repro.graphs.generators import _WordStream
+
+from oracles.comm import ScalarSharedRandomness
 
 
 class TestDeterminism:
@@ -312,22 +317,18 @@ class TestSampling:
 
 
 class TestVectorizedEquivalence:
-    """The numpy-backed mask path is draw-identical to the scalar one.
+    """The array replay of the subset draws is the per-index loop.
 
-    Byte-identity of batched runs rests on this: whichever representation
-    a stream uses, every mask and every subsequent main-stream draw must
-    match the scalar reference bit for bit.
+    Byte-identity of every record rests on this: each mask and set, and
+    every later main-stream draw, must match the scalar oracle
+    (:class:`oracles.comm.ScalarSharedRandomness`) bit for bit.
     """
 
     UNIVERSES = [0, 1, 7, 100, 2000, 4093]
     PROBABILITIES = [0.0, 1e-12, 0.001, 0.05, 0.3, 0.9, 0.999999, 1.0]
 
     def _pair(self, seed):
-        pytest.importorskip("numpy")
-        return (
-            SharedRandomness(seed, vectorized=False),
-            SharedRandomness(seed, vectorized=True),
-        )
+        return ScalarSharedRandomness(seed), SharedRandomness(seed)
 
     def test_masks_identical_across_representations(self):
         for seed in (0, 1, 17):
@@ -337,6 +338,9 @@ class TestVectorizedEquivalence:
                     assert scalar.bernoulli_subset_mask(
                         universe, p, tag=3
                     ) == vector.bernoulli_subset_mask(universe, p, tag=3)
+                    assert scalar.bernoulli_subset(
+                        universe, p, tag=4
+                    ) == vector.bernoulli_subset(universe, p, tag=4)
 
     def test_closed_forms_skip_vectorization(self):
         scalar, vector = self._pair(5)
@@ -350,26 +354,20 @@ class TestVectorizedEquivalence:
         assert scalar.bernoulli_subset_mask(10**6, p, tag=2) == 0
         assert vector.bernoulli_subset_mask(10**6, p, tag=2) == 0
 
-    def test_forced_vector_path_matches_scalar(self, monkeypatch):
-        """Below-threshold draws take the scalar branch by default; force
-        the vector branch to prove equivalence there too."""
-        import repro.comm.randomness as rnd
-
-        pytest.importorskip("numpy")
+    def test_small_draws_match_scalar(self):
+        """Draws expecting a handful of indices, or none, take the same
+        array path and must match the loop there too."""
         for seed in (0, 3):
-            scalar = SharedRandomness(seed, vectorized=False)
-            monkeypatch.setattr(rnd, "_VECTOR_MIN_EXPECTED", 0)
-            vector = SharedRandomness(seed, vectorized=True)
+            scalar, vector = self._pair(seed)
             for universe in (1, 13, 200):
                 for p in (0.001, 0.4, 0.97):
                     assert scalar.bernoulli_subset_mask(
                         universe, p, tag=7
                     ) == vector.bernoulli_subset_mask(universe, p, tag=7)
-            monkeypatch.undo()
 
     def test_main_stream_order_unaffected(self):
         """Tagged mask draws must not perturb the main stream, whichever
-        backend produced them."""
+        implementation produced them."""
         scalar, vector = self._pair(11)
         a = scalar.random()
         scalar.bernoulli_subset_mask(4000, 0.3, tag=1)
@@ -380,30 +378,19 @@ class TestVectorizedEquivalence:
 
     @pytest.mark.parametrize("size", [0, 1, 7, 313, 5000])
     def test_word_stream_replays_random(self, size):
-        import random
-
-        from repro.comm.randomness import _numpy_stream
-
         for seed in (0, 8, 2**40 + 1):
             local = random.Random(seed)
             local.random()
-            state = local.getstate()
-            stream = _numpy_stream(local)
-            assert local.getstate() == state
+            twin = random.Random()
+            twin.setstate(local.getstate())
+            stream = _WordStream(local)
             first = stream.random_sample(size).tolist()
             second = stream.random_sample(3).tolist()
             assert first + second == [
-                local.random() for _ in range(size + 3)
+                twin.random() for _ in range(size + 3)
             ]
-
-    def test_vectorized_requires_numpy_guard(self):
-        import repro.comm.randomness as rnd
-
-        if rnd._np is None:
-            with pytest.raises(RuntimeError):
-                SharedRandomness(0, vectorized=True)
-        else:
-            SharedRandomness(0, vectorized=True)
+            # The stream consumed exactly the words those draws take.
+            assert local.getstate() == twin.getstate()
 
 
 class TestBatchConstruction:
@@ -425,11 +412,6 @@ class TestBatchConstruction:
     def test_batch_streams_independent(self):
         left, right = SharedRandomness.batch([1, 2])
         assert left.random() != right.random()
-
-    def test_batch_vectorized_flag_propagates(self):
-        pytest.importorskip("numpy")
-        for stream in SharedRandomness.batch([0, 1], vectorized=True):
-            assert stream._vectorized
 
     def test_empty_batch(self):
         assert SharedRandomness.batch([]) == []
@@ -465,12 +447,8 @@ class TestBatchHypothesis:
     )
     @settings(max_examples=40, deadline=None)
     def test_vectorized_scalar_equivalence(self, seed, universe, p):
-        import repro.comm.randomness as rnd
-
-        if rnd._np is None:
-            pytest.skip("numpy unavailable")
-        scalar = SharedRandomness(seed, vectorized=False)
-        vector = SharedRandomness(seed, vectorized=True)
+        scalar = ScalarSharedRandomness(seed)
+        vector = SharedRandomness(seed)
         assert scalar.bernoulli_subset_mask(
             universe, p, tag=2
         ) == vector.bernoulli_subset_mask(universe, p, tag=2)

@@ -1,14 +1,13 @@
-"""The vectorized generation plane is draw-for-draw the scalar one.
+"""The array generation plane is draw-for-draw the scalar one.
 
-The contract (module docstring of :mod:`repro.graphs.generators`): the
-``vectorized`` knob on ``gnp``/``gnd``, ``tripartite_mu`` and
-``powerlaw_host`` only trades implementations, never outputs — the
-sampled edge set is a function of the seed alone, identical across
-{scalar, vectorized}.  These tests pin that
-contract with hypothesis over seeds and word-boundary vertex counts,
-cover both sides of the ``_VECTOR_MIN_EXPECTED`` auto-dispatch
-threshold, and pin the bulk planting / K_n fill rewrites against their
-scalar twins (the per-edge builders in ``oracles.instances``).
+The contract (module docstring of :mod:`repro.graphs.generators`):
+``gnp``/``gnd``, ``tripartite_mu``, ``bipartite_triangle_free`` and
+``powerlaw_host`` read their seeded stream in bulk and replay the
+per-edge sampling loops as array expressions, so the sampled edge set
+is the one those loops draw.  These tests pin that contract against the
+loops (``oracles.instances``) with hypothesis over seeds and
+word-boundary vertex counts, and pin the bulk planting / K_n fill
+rewrites against their per-edge twins.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 from repro.graphs import Graph, powerlaw_host
 from repro.graphs import generators as gen
 from repro.graphs.generators import (
-    _VECTOR_MIN_EXPECTED,
+    bipartite_triangle_free,
     gnd,
     gnp,
     planted_disjoint_triangles,
@@ -31,8 +30,13 @@ from repro.graphs.generators import (
 )
 
 from oracles.instances import (
+    bipartite_triangle_free_reference,
+    gnd_reference,
+    gnp_reference,
     planted_disjoint_triangles_reference,
+    powerlaw_host_reference,
     triangle_free_degree_spread_reference,
+    tripartite_mu_reference,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**16)
@@ -51,34 +55,16 @@ class TestGnpIdentity:
     @given(BOUNDARY_N, st.sampled_from([0.01, 0.1, 0.35, 0.8]), SEEDS)
     @settings(max_examples=60, deadline=None)
     def test_scalar_equals_vectorized(self, n, p, seed):
-        assert_identical(
-            gnp(n, p, seed=seed, vectorized=False),
-            gnp(n, p, seed=seed, vectorized=True),
-        )
+        assert_identical(gnp_reference(n, p, seed=seed), gnp(n, p, seed=seed))
 
-    def test_auto_dispatch_crosses_threshold_transparently(self):
-        # Below the threshold auto takes the scalar loop; force the
-        # vectorized path and demand the same graph.
-        n_small = 40  # expected ≈ 78 < _VECTOR_MIN_EXPECTED
-        assert 0.1 * n_small * (n_small - 1) / 2 < _VECTOR_MIN_EXPECTED
-        assert_identical(
-            gnp(n_small, 0.1, seed=7),
-            gnp(n_small, 0.1, seed=7, vectorized=True),
-        )
-        # Above the threshold auto takes the vectorized path; force the
-        # scalar loop and demand the same graph.
-        n_big = 250  # expected ≈ 3112 > _VECTOR_MIN_EXPECTED
-        assert 0.1 * n_big * (n_big - 1) / 2 > _VECTOR_MIN_EXPECTED
-        assert_identical(
-            gnp(n_big, 0.1, seed=7, vectorized=False),
-            gnp(n_big, 0.1, seed=7),
-        )
+    @pytest.mark.parametrize("n", [40, 250])
+    def test_few_and_many_draws_match_reference(self, n):
+        # About 78 and 3112 expected edges: a one-chunk draw and one
+        # that needs the chunk's slack.
+        assert_identical(gnp_reference(n, 0.1, seed=7), gnp(n, 0.1, seed=7))
 
-    def test_gnd_threads_the_knob(self):
-        assert_identical(
-            gnd(150, 6.0, seed=3, vectorized=False),
-            gnd(150, 6.0, seed=3, vectorized=True),
-        )
+    def test_gnd_matches_reference(self):
+        assert_identical(gnd_reference(150, 6.0, seed=3), gnd(150, 6.0, seed=3))
 
     def test_p_one_is_complete(self):
         graph = gnp(65, 1.0, seed=9)
@@ -86,9 +72,9 @@ class TestGnpIdentity:
         assert graph == Graph.complete(65)
 
     def test_degenerate_sizes(self):
-        assert gnp(0, 0.5, vectorized=True).num_edges == 0
-        assert gnp(1, 0.5, vectorized=True).num_edges == 0
-        assert gnp(10, 0.0, vectorized=True).num_edges == 0
+        assert gnp(0, 0.5).num_edges == 0
+        assert gnp(1, 0.5).num_edges == 0
+        assert gnp(10, 0.0).num_edges == 0
 
 
 class TestTripartiteMuIdentity:
@@ -96,22 +82,31 @@ class TestTripartiteMuIdentity:
            st.sampled_from([0.5, 1.5, 4.0]), SEEDS)
     @settings(max_examples=40, deadline=None)
     def test_scalar_equals_vectorized(self, part_size, gamma, seed):
-        scalar, parts_s = tripartite_mu(
-            part_size, gamma, seed=seed, vectorized=False
-        )
-        vector, parts_v = tripartite_mu(
-            part_size, gamma, seed=seed, vectorized=True
-        )
+        scalar, parts_s = tripartite_mu_reference(part_size, gamma, seed=seed)
+        vector, parts_v = tripartite_mu(part_size, gamma, seed=seed)
         assert parts_s == parts_v
         assert_identical(scalar, vector)
 
     def test_chunked_draws_match_unchunked(self, monkeypatch):
         # Shrink the draw chunk so one part-pair spans many chunks; the
         # uniform stream (and hence the graph) must not notice.
-        reference, _ = tripartite_mu(30, 2.0, seed=11, vectorized=True)
+        reference, _ = tripartite_mu(30, 2.0, seed=11)
         monkeypatch.setattr(gen, "_DRAW_CHUNK", 64)
-        chunked, _ = tripartite_mu(30, 2.0, seed=11, vectorized=True)
+        chunked, _ = tripartite_mu(30, 2.0, seed=11)
         assert_identical(reference, chunked)
+
+
+class TestBipartiteTriangleFreeIdentity:
+    @given(st.sampled_from([5, 63, 64, 65, 129]),
+           st.sampled_from([0.5, 3.0, 200.0]), SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_scalar_equals_vectorized(self, n, d, seed):
+        assert_identical(bipartite_triangle_free_reference(n, d, seed=seed),
+                         bipartite_triangle_free(n, d, seed=seed))
+
+    def test_degenerate_sizes(self):
+        assert bipartite_triangle_free(0, 2.0).num_edges == 0
+        assert bipartite_triangle_free(1, 2.0).num_edges == 0
 
 
 class TestPowerlawHostIdentity:
@@ -120,10 +115,8 @@ class TestPowerlawHostIdentity:
     @settings(max_examples=40, deadline=None)
     def test_scalar_equals_vectorized(self, n, d, exponent, seed):
         assert_identical(
-            powerlaw_host(n, d, exponent=exponent, seed=seed,
-                          vectorized=False),
-            powerlaw_host(n, d, exponent=exponent, seed=seed,
-                          vectorized=True),
+            powerlaw_host_reference(n, d, exponent=exponent, seed=seed),
+            powerlaw_host(n, d, exponent=exponent, seed=seed),
         )
 
     def test_hub_zero_is_heaviest(self):
