@@ -9,7 +9,7 @@ coordinator model's k private copies.
 
 The runtime offers the deduplicating edge-posting round directly, since that
 is the only blackboard-specific behaviour the protocols need.  Posted edges
-are tracked on a *per-vertex posted-rows board* (the same mask-kernel
+are tracked on a *per-vertex posted-rows board* (the same row-mask
 representation as :class:`~repro.graphs.graph.Graph`), kept internally in
 canonical upper-triangular form — bit ``v`` of row ``u`` (``u < v``) marks
 edge ``{u, v}`` as posted, which is the only bit the dedup test ever

@@ -63,9 +63,9 @@ from repro.graphs.graph import (
     iter_bits,
     key_edges,
     mask_of,
+    or_edges_into_rows,
     unique_keys,
 )
-from repro.graphs.kernels.bigint import or_edges_into_rows
 
 __all__ = ["Player", "make_players"]
 
@@ -231,7 +231,7 @@ class Player:
         return frozenset(self.local_neighbor_array(v).tolist())
 
     def local_neighbor_mask(self, v: int) -> int:
-        """N_j(v) as a bitmask — the raw kernel word."""
+        """N_j(v) as a bitmask — the raw row word."""
         return self._row(v)
 
     def local_neighbor_array(self, v: int) -> np.ndarray:

@@ -27,7 +27,7 @@ union is of that kind; their unions are sparse samples.
 
 The H-freeness generalization, :func:`rows_union_subgraph_referee`,
 builds rows from the deduplicated key union
-(:func:`~repro.graphs.kernels.bigint.or_edges_into_rows`, the one row
+(:func:`~repro.graphs.graph.or_edges_into_rows`, the one row
 builder) and runs the mask-native monomorphism engine
 (:func:`repro.patterns.matcher.find_copy_in_rows`).
 
@@ -44,8 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.graphs.graph import closed_wedges, unique_keys
-from repro.graphs.kernels.bigint import or_edges_into_rows
+from repro.graphs.graph import closed_wedges, or_edges_into_rows, unique_keys
 from repro.graphs.triangles import Triangle
 from repro.obs import trace as obs_trace
 from repro.patterns.catalog import SubgraphPattern

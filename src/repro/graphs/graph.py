@@ -1,24 +1,22 @@
 """Compact undirected graph used throughout the reproduction.
 
 Vertices are integers ``0 .. n-1``; edges are canonical ordered pairs
-``(u, v)`` with ``u < v``.  The class is deliberately small and keeps
-only the *semantics* — validation, edge counting, canonical orientation;
-storage and bulk mask arithmetic live in the bigint *mask kernel*
-(:class:`repro.graphs.kernels.bigint.BigintKernel`): one
-arbitrary-precision Python int per vertex whose bit ``v`` is set iff
-edge ``{u, v}`` exists; ``has_edge`` is a shift-and-test, ``degree`` is
+``(u, v)`` with ``u < v``.  :class:`Graph` stores one arbitrary-precision
+Python int per vertex whose bit ``v`` is set iff edge ``{u, v}``
+exists: ``has_edge`` is a shift-and-test, ``degree`` is
 ``int.bit_count()``, and a common neighbourhood is a single ``&``
-executed word-at-a-time in C.
+executed word-at-a-time in C.  These int rows are also the exchange
+form every mask-native caller reads.
 
 Graphs built from edge arrays are *keys-first*, like the players cut
 from them: :meth:`Graph.from_edge_arrays` keeps the validated, sorted
-edge-key array, and the kernel is built from those keys the first time
-a query needs it — so its build time lands in the first reader's trace
-span, not the generator's.  ``n``, ``num_edges``, ``edge_keys``,
+edge-key array, and the rows are built from those keys the first time
+a query needs them — so their build time lands in the first reader's
+trace span, not the generator's.  ``n``, ``num_edges``, ``edge_keys``,
 ``average_degree``, ``nbytes``, ``copy``, ``==``, pickling and
 :meth:`Graph.add_edge_arrays` work on the keys alone; the scalar
 mutators build first, then mutate.  Most generated instances are only
-ever partitioned into players and never build a kernel, which is what
+ever partitioned into players and never build rows, which is what
 keeps hosts of n = 10^6 vertices cheap: an n-bit row per vertex would
 cost n²/8 bytes, the keys cost 8 bytes an edge.
 
@@ -29,23 +27,62 @@ edges; :class:`Graph` is the ground-truth union of those vectors, and
 Bulk primitives (:meth:`Graph.neighbor_mask`, :meth:`Graph.common_neighbors`,
 :meth:`Graph.add_edges`, :meth:`Graph.add_neighbors`,
 :meth:`Graph.adjacency_rows`, :meth:`Graph.induced_subgraph_mask_rows`,
-:meth:`Graph.edges_touching_mask`, :meth:`Graph.edge_keys`, plus the
-module-level :func:`iter_bits` / :func:`mask_of`) expose the masks and
-edge keys directly so the
-triangle layer, generators, bucketing, and the streaming reduction can stay
-on the fast path without reaching into private state.  A pure-Python
-``set``-based twin, ``SetGraph``, lives with the test oracles under
-``tests/oracles/`` for differential testing.
+:meth:`Graph.edge_keys`, plus the module-level :func:`iter_bits`,
+:func:`mask_of` and :func:`or_edges_into_rows`) expose the masks and
+edge keys directly so the triangle layer, generators, bucketing, the
+players and the streaming reduction can stay on the fast path without
+reaching into private state.  A pure-Python ``set``-based twin,
+``SetGraph``, lives with the test oracles under ``tests/oracles/`` for
+differential testing.
 """
-
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator
 
-from repro.graphs.kernels.base import Edge, iter_bits, mask_of
-from repro.graphs.kernels.bigint import BigintKernel
-
 __all__ = ["Graph", "canonical_edge", "iter_bits", "mask_of"]
+
+Edge = tuple[int, int]
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Yield the set-bit positions of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """The bitmask with exactly the bits in ``vertices`` set."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def or_edges_into_rows(rows: list[int], us, vs) -> None:
+    """Set both directions of every edge ``(us[i], vs[i])`` in ``rows``.
+
+    The one array-to-bignum builder: a keys-first graph's rows and a
+    player's whole row list (:meth:`~repro.comm.players.Player.adjacency_rows`)
+    share it.  A plain loop over ``tolist()`` values beats per-vertex
+    numpy byte buffers on sparse rows, where most vertices have few
+    neighbours.
+    """
+    for u, v in zip(us.tolist(), vs.tolist()):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+
+
+def _row_edges(rows: list[int]) -> Iterator[Edge]:
+    """The canonical edges of symmetric ``rows``, ascending."""
+    for u, mask in enumerate(rows):
+        upper = mask >> (u + 1)
+        while upper:
+            low = upper & -upper
+            yield (u, u + low.bit_length())
+            upper ^= low
 
 
 def unique_keys(keys):
@@ -121,50 +158,38 @@ class Graph:
         Optional iterable of edges (any orientation; canonicalized).
     """
 
-    # _built is the kernel once built, else None; an unbuilt graph
-    # always holds its _edge_keys, and the kernel is built from them.
-    __slots__ = ("_n", "_built", "_edge_count", "_edge_keys")
+    # _rows is the adjacency row list once built, else None; an unbuilt
+    # graph always holds its _edge_keys, and the rows are built from them.
+    __slots__ = ("_n", "_rows", "_edge_count", "_edge_keys")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self._n = n
-        self._built: BigintKernel | None = BigintKernel(n)
+        self._rows: list[int] | None = [0] * n
         self._edge_count = 0
         self._edge_keys = None
         for u, v in edges:
             self.add_edge(u, v)
 
     @classmethod
-    def _wrap(cls, n: int, kernel: BigintKernel | None, edge_count: int,
+    def _wrap(cls, n: int, rows: list[int] | None, edge_count: int,
               edge_keys=None) -> "Graph":
         graph = cls.__new__(cls)
         graph._n = n
-        graph._built = kernel
+        graph._rows = rows
         graph._edge_count = edge_count
         graph._edge_keys = edge_keys
         return graph
 
-    @property
-    def _kernel(self) -> BigintKernel:
-        """The mask kernel, built from the edge keys on first read."""
-        kernel = self._built
-        if kernel is None:
-            keys = self._edge_keys
-            n = self._n
-            kernel = self._built = BigintKernel.from_edge_array(
-                n, keys // n, keys % n
-            )
-        return kernel
-
     # The state is the slot tuple; a graph that holds its keys pickles
-    # without its kernel and rebuilds it on first read.
+    # without its rows and rebuilds them on first read.
     def __getstate__(self):
-        built = self._built if self._edge_keys is None else None
-        return (self._n, built, self._edge_count, self._edge_keys)
+        rows = self._rows if self._edge_keys is None else None
+        return (self._n, rows, self._edge_count, self._edge_keys)
 
     def __setstate__(self, state) -> None:
-        self._n, self._built, self._edge_count, self._edge_keys = state
+        self._n, self._rows, self._edge_count, self._edge_keys = state
 
     # ------------------------------------------------------------------
     # Construction
@@ -174,8 +199,11 @@ class Graph:
         u, v = canonical_edge(u, v)
         self._check_vertex(u)
         self._check_vertex(v)
-        if not self._kernel.set_edge(u, v):
+        rows = self.adjacency_rows()
+        if rows[u] >> v & 1:
             return False
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
         self._edge_count += 1
         self._edge_keys = None
         return True
@@ -200,10 +228,17 @@ class Graph:
             )
         if mask >> u & 1:
             raise ValueError(f"self-loop ({u}, {u}) is not a valid edge")
-        added = self._kernel.merge_row(u, mask)
-        if added:
-            self._edge_count += added
-            self._edge_keys = None
+        rows = self.adjacency_rows()
+        new = mask & ~rows[u]
+        if not new:
+            return 0
+        rows[u] |= new
+        bit_u = 1 << u
+        for v in iter_bits(new):
+            rows[v] |= bit_u
+        added = new.bit_count()
+        self._edge_count += added
+        self._edge_keys = None
         return added
 
     def remove_edge(self, u: int, v: int) -> bool:
@@ -211,8 +246,11 @@ class Graph:
         u, v = canonical_edge(u, v)
         self._check_vertex(u)
         self._check_vertex(v)
-        if not self._kernel.clear_edge(u, v):
+        rows = self.adjacency_rows()
+        if not rows[u] >> v & 1:
             return False
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
         self._edge_count -= 1
         self._edge_keys = None
         return True
@@ -220,13 +258,9 @@ class Graph:
     def copy(self) -> "Graph":
         """An independent copy; an unbuilt graph shares its read-only
         keys and stays unbuilt."""
-        kernel = None if self._built is None else self._built.copy()
-        return Graph._wrap(self._n, kernel, self._edge_count,
+        rows = None if self._rows is None else self._rows.copy()
+        return Graph._wrap(self._n, rows, self._edge_count,
                            self._edge_keys)
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
-        return cls(n, edges)
 
     @staticmethod
     def _canonical_keys(n: int, us, vs):
@@ -266,10 +300,10 @@ class Graph:
         any orientation with duplicates; they are canonicalized,
         deduplicated and validated once — O(m log m) array work instead
         of m Python-level inserts.  The graph keeps the canonical keys
-        as its :meth:`edge_keys`; the kernel's ``from_edge_array`` runs
-        on those keys the first time a query needs the kernel (see the
-        module docstring), so instances that are only partitioned never
-        build one.  The result equals ``Graph(n, zip(us, vs))``.
+        as its :meth:`edge_keys`; :func:`or_edges_into_rows` turns them
+        into rows the first time a query needs rows (see the module
+        docstring), so instances that are only partitioned never build
+        them.  The result equals ``Graph(n, zip(us, vs))``.
         """
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
@@ -281,8 +315,8 @@ class Graph:
 
         The array twin of :meth:`add_edges`: the input is filtered
         against :meth:`edge_keys` and the memoized keys absorb the new
-        edges.  A built kernel merges them in one call; an unbuilt
-        graph merges keys only and stays unbuilt.
+        edges.  Built rows take them in one :func:`or_edges_into_rows`
+        call; an unbuilt graph merges keys only and stays unbuilt.
         """
         import numpy as np
 
@@ -292,8 +326,8 @@ class Graph:
         fresh = np.setdiff1d(keys, old, assume_unique=True)
         if fresh.size == 0:
             return 0
-        if self._built is not None:
-            self._built.merge_edge_array(fresh // n, fresh % n)
+        if self._rows is not None:
+            or_edges_into_rows(self._rows, fresh // n, fresh % n)
         merged = np.sort(np.concatenate((old, fresh)))
         merged.flags.writeable = False
         self._edge_keys = merged
@@ -309,10 +343,7 @@ class Graph:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         total = n * (n - 1) // 2
         full = (1 << n) - 1
-        kernel = BigintKernel.from_rows(
-            n, (full ^ (1 << u) for u in range(n))
-        )
-        return cls._wrap(n, kernel, total)
+        return cls._wrap(n, [full ^ (1 << u) for u in range(n)], total)
 
     # ------------------------------------------------------------------
     # Queries
@@ -330,15 +361,16 @@ class Graph:
     def nbytes(self) -> int:
         """Approximate adjacency-storage bytes this graph holds.
 
-        The kernel's ``memory_bytes()`` once built, plus the bytes of
-        the edge-key array while the graph holds it (an unbuilt graph
-        holds only the keys).  Surfaced per instance in
-        ``InstanceCache.stats()`` so sweep logs show memory at scale.
+        The ``sys.getsizeof`` sum of the rows once built (a bookkeeping
+        estimate of the bignum digits, not an allocator measurement),
+        plus the bytes of the edge-key array while the graph holds it
+        (an unbuilt graph holds only the keys).  Surfaced per instance
+        in ``InstanceCache.stats()`` so sweep logs show memory at scale.
         """
         keys = self._edge_keys
         total = 0 if keys is None else int(keys.nbytes)
-        if self._built is not None:
-            total += int(self._built.memory_bytes())
+        if self._rows is not None:
+            total += sum(sys.getsizeof(row) for row in self._rows)
         return total
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -346,35 +378,44 @@ class Graph:
             return False
         self._check_vertex(u)
         self._check_vertex(v)
-        return self._kernel.has_edge(u, v)
+        return bool(self.adjacency_rows()[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return self._kernel.popcount(v)
+        return self.adjacency_rows()[v].bit_count()
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
-        return frozenset(iter_bits(self._kernel.row(v)))
+        return frozenset(iter_bits(self.adjacency_rows()[v]))
 
     def neighbor_mask(self, v: int) -> int:
-        """N(v) as a bitmask — the kernel row in exchange form."""
+        """N(v) as a bitmask — row ``v`` in exchange form."""
         self._check_vertex(v)
-        return self._kernel.row(v)
+        return self.adjacency_rows()[v]
 
     def adjacency_rows(self) -> list[int]:
         """The adjacency masks, indexed by vertex — treat as READ-ONLY.
 
-        This is the live kernel list: the hot loops index it directly
-        to skip per-call bounds checks; mutating it would desynchronise
-        the edge count and the symmetry invariant.
+        Built from the edge keys on first read.  This is the live row
+        list: the hot loops index it directly to skip per-call bounds
+        checks; mutating it would desynchronise the edge count and the
+        symmetry invariant.
         """
-        return self._kernel.rows()
+        rows = self._rows
+        if rows is None:
+            keys = self._edge_keys
+            n = self._n
+            rows = [0] * n
+            or_edges_into_rows(rows, keys // n, keys % n)
+            self._rows = rows
+        return rows
 
     def common_neighbors(self, u: int, v: int) -> int:
-        """N(u) ∩ N(v) as a bitmask: one kernel AND."""
+        """N(u) ∩ N(v) as a bitmask: one AND of two rows."""
         self._check_vertex(u)
         self._check_vertex(v)
-        return self._kernel.row_and(u, v)
+        rows = self.adjacency_rows()
+        return rows[u] & rows[v]
 
     def average_degree(self) -> float:
         """``2|E| / n`` — the ``d`` of the paper's complexity bounds."""
@@ -384,14 +425,14 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """All edges in canonical orientation, ascending."""
-        return self._kernel.iter_edges()
+        return _row_edges(self.adjacency_rows())
 
     def edge_keys(self):
         """The edges as a sorted read-only int64 array of ``u * n + v``.
 
         The array form of :meth:`edges` (same order: canonical ``u < v``,
         ascending).  Graphs built from edge arrays already hold it;
-        otherwise it is extracted from the kernel once and memoized
+        otherwise it is extracted from the rows once and memoized
         until the next mutation.
         """
         keys = self._edge_keys
@@ -400,7 +441,7 @@ class Graph:
 
             n = self._n
             keys = np.fromiter(
-                (u * n + v for u, v in self._kernel.iter_edges()),
+                (u * n + v for u, v in _row_edges(self._rows)),
                 dtype=np.int64, count=self._edge_count,
             )
             keys.flags.writeable = False
@@ -417,12 +458,7 @@ class Graph:
         return set(self.edges())
 
     def degrees(self) -> list[int]:
-        return self._kernel.popcounts()
-
-    def isolated_vertices(self) -> list[int]:
-        return [
-            v for v, deg in enumerate(self._kernel.popcounts()) if not deg
-        ]
+        return [row.bit_count() for row in self.adjacency_rows()]
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -437,73 +473,11 @@ find_triangle_in_rows` or the patterns matcher — no edge tuples are
         materialised.
         """
         self._check_mask(vertex_mask)
-        rows = [0] * self._n
-        kernel = self._kernel
+        rows = self.adjacency_rows()
+        induced = [0] * self._n
         for u in iter_bits(vertex_mask):
-            rows[u] = kernel.row(u) & vertex_mask
-        return rows
-
-    def edges_touching_mask(self, vertex_mask: int) -> list[int]:
-        """Adjacency rows of the subgraph of edges meeting a vertex mask.
-
-        Mask-native twin of :meth:`edges_touching`: the result contains
-        exactly the edges with at least one endpoint in ``vertex_mask``,
-        as symmetric per-vertex rows (outside endpoints keep only their
-        bits towards the mask).
-        """
-        self._check_mask(vertex_mask)
-        rows = [0] * self._n
-        kernel = self._kernel
-        for u in iter_bits(vertex_mask):
-            row = kernel.row(u)
-            rows[u] |= row
-            bit_u = 1 << u
-            for v in iter_bits(row & ~vertex_mask):
-                rows[v] |= bit_u
-        return rows
-
-    def induced_subgraph_edges(self, vertices: Iterable[int]) -> set[Edge]:
-        """Compatibility wrapper over :meth:`induced_subgraph_mask_rows`.
-
-        Returns the induced edges as a set of canonical tuples; new
-        callers should take the mask-rows form and stay on the kernel.
-        """
-        vertex_mask = self._checked_mask(vertices)
-        found: set[Edge] = set()
-        for u in iter_bits(vertex_mask):
-            inner = (self._kernel.row(u) & vertex_mask) >> (u + 1)
-            while inner:
-                low = inner & -inner
-                found.add((u, u + low.bit_length()))
-                inner ^= low
-        return found
-
-    def edges_touching(self, vertices: Iterable[int]) -> set[Edge]:
-        """Compatibility wrapper over :meth:`edges_touching_mask`.
-
-        Returns the touching edges as a set of canonical tuples; new
-        callers should take the mask-rows form and stay on the kernel.
-        """
-        vertex_mask = self._checked_mask(vertices)
-        found: set[Edge] = set()
-        for u in iter_bits(vertex_mask):
-            for v in iter_bits(self._kernel.row(u)):
-                found.add((u, v) if u < v else (v, u))
-        return found
-
-    def subgraph(self, vertices: Iterable[int]) -> "Graph":
-        """Induced subgraph, preserving vertex ids (others become isolated)."""
-        vertex_mask = self._checked_mask(vertices)
-        kernel, edge_count = self._kernel.induced(vertex_mask)
-        return Graph._wrap(self._n, kernel, edge_count)
-
-    def union(self, other: "Graph") -> "Graph":
-        if other.n != self._n:
-            raise ValueError(
-                f"vertex-count mismatch: {self._n} vs {other.n}"
-            )
-        kernel, edge_count = self._kernel.union_with(other._kernel)
-        return Graph._wrap(self._n, kernel, edge_count)
+            induced[u] = rows[u] & vertex_mask
+        return induced
 
     # ------------------------------------------------------------------
     # Dunder / misc
@@ -518,11 +492,11 @@ find_triangle_in_rows` or the patterns matcher — no edge tuples are
         if self._n != other._n:
             return False
         if self._edge_keys is not None or other._edge_keys is not None:
-            # A key-holding side compares by keys: no kernel is built.
+            # A key-holding side compares by keys: no rows are built.
             import numpy as np
 
             return np.array_equal(self.edge_keys(), other.edge_keys())
-        return self._kernel.rows_equal(other._kernel)
+        return self._rows == other._rows
 
     def __hash__(self) -> int:  # pragma: no cover - graphs used as dict keys rarely
         return hash((self._n, frozenset(self.edges())))
@@ -539,10 +513,3 @@ find_triangle_in_rows` or the patterns matcher — no edge tuples are
             raise ValueError(
                 f"vertex mask has bits outside [0, {self._n})"
             )
-
-    def _checked_mask(self, vertices: Iterable[int]) -> int:
-        mask = 0
-        for v in vertices:
-            self._check_vertex(v)
-            mask |= 1 << v
-        return mask

@@ -18,11 +18,11 @@ The packing lower bound is what generators use to *certify* that a produced
 instance really satisfies the promise, so protocol correctness tests never
 depend on an uncertified farness claim.
 
-Everything here runs on the bitset kernel: a common neighbourhood is one
+Everything here runs on bitset rows: a common neighbourhood is one
 ``&`` of two adjacency masks, and enumeration walks set bits in ascending
 order, so all outputs are deterministic (vertices ascending) and match the
 order-normalized set-based oracles under ``tests/oracles/`` bit for bit.
-These scans build a graph's kernel; on a large keys-first host the
+These scans build a graph's rows; on a large keys-first host the
 simultaneous referee instead finds a triangle on the sorted edge keys
 (:func:`repro.core.referee.key_union_triangle_referee`).
 """

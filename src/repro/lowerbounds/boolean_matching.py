@@ -133,7 +133,7 @@ def reduction_graph(instance: BMInstance
     committed in a single bulk :meth:`~repro.graphs.graph.Graph.add_neighbors`
     — and Bob's gadget edges accumulate as per-vertex rows (one bit per
     side edge, keyed at the lower endpoint) committed row by row, so the
-    reduction is assembled on the mask kernel instead of edge-at-a-time.
+    reduction is assembled on adjacency rows instead of edge-at-a-time.
     The returned edge sets are enumerated back from those rows.
     """
     n_vertices = 1 + 4 * instance.n

@@ -10,8 +10,9 @@ file.  Two record types:
     a coherent parent/child chain of its own.
 
 ``event``
-    A point-in-time occurrence (a kernel selection, a log warning)
-    attached to the innermost open span of the emitting thread, if any.
+    A point-in-time occurrence attached to the innermost open span of
+    the emitting thread, if any.  Two kinds are emitted: ``metrics``
+    (a metrics snapshot) and ``log`` (a mirrored ``repro`` log record).
 
 As with metrics, the recorder is installed as a module global
 (:func:`set_recorder` / :func:`use_recorder`, or

@@ -85,8 +85,8 @@ def _plant_images(graph: Graph, pattern: SubgraphPattern,
     :meth:`~repro.graphs.graph.Graph.add_edge_arrays` call.
 
     The array path costs O(edges) and merges edge keys only on a graph
-    whose kernel is not built yet, so planting never builds the host's
-    kernel (n-bit row masks at large n).  No randomness is drawn.
+    whose rows are not built yet, so planting never builds the host's
+    rows (n-bit masks at large n).  No randomness is drawn.
     """
     members = np.asarray(images, dtype=np.int64).reshape(
         len(images), pattern.num_vertices

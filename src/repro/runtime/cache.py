@@ -60,7 +60,7 @@ def instance_nbytes(value: Any, _depth: int = 0) -> int:
     """Best-effort adjacency bytes held by a cached instance.
 
     Recognises anything exposing an integer ``nbytes`` (``Graph``
-    reports its kernel's ``memory_bytes`` once built plus its edge-key
+    reports the size of its adjacency rows once built plus its edge-key
     array's bytes while it holds one, so sizing builds nothing;
     ``EdgePartition`` adds its view key arrays to its graph's),
     follows a ``graph`` attribute (``PlantedInstance``), and sums over

@@ -10,7 +10,7 @@ grows with the reservoir, which is exactly the space/success trade-off the
 Ω(n^{1/4}) lower bound constrains on µ-distributed inputs.
 
 Both finders index their stored edges as per-vertex bitmasks (the same
-kernel representation as :class:`~repro.graphs.graph.Graph`), so in the
+row-mask representation as :class:`~repro.graphs.graph.Graph`), so in the
 per-edge and row forms an arrival's closure check is a single ``&`` of
 two ints.  :meth:`ReservoirTriangleFinder.process_keys` runs a whole
 canonical edge-key stream without per-edge Python: it replays the slot

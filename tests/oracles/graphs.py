@@ -2,8 +2,8 @@
 
 :class:`SetGraph` is the pre-bitset implementation of
 :class:`~repro.graphs.graph.Graph` — one ``set[int]`` per vertex — kept as
-an executable specification.  It exposes the same query API (including the
-bulk mask primitives, computed the slow way), so:
+an executable specification.  It exposes the :class:`Graph` queries the
+differential tests compare (the mask ones computed the slow way), so:
 
 * property tests drive random edge-op sequences through both backends and
   assert they never disagree (``tests/test_graph_kernel.py``),
@@ -64,18 +64,6 @@ class SetGraph:
         self._edge_count += 1
         return True
 
-    def add_edges(self, edges: Iterable[Edge]) -> int:
-        return sum(self.add_edge(u, v) for u, v in edges)
-
-    def add_neighbors(self, u: int, mask: int) -> int:
-        added = 0
-        bits = 0
-        while mask >> bits:
-            if mask >> bits & 1:
-                added += self.add_edge(u, bits)
-            bits += 1
-        return added
-
     def remove_edge(self, u: int, v: int) -> bool:
         u, v = canonical_edge(u, v)
         self._check_vertex(u)
@@ -108,10 +96,6 @@ class SetGraph:
         self._check_vertex(u)
         self._check_vertex(v)
         return v in self._adjacency[u]
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._adjacency[v])
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
@@ -149,14 +133,6 @@ class SetGraph:
 
     def degrees(self) -> list[int]:
         return [len(adj) for adj in self._adjacency]
-
-    def isolated_vertices(self) -> list[int]:
-        return [v for v in range(self._n) if not self._adjacency[v]]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetGraph):
-            return NotImplemented
-        return self._n == other._n and self._adjacency == other._adjacency
 
     def __repr__(self) -> str:
         return f"SetGraph(n={self._n}, m={self._edge_count})"

@@ -1,18 +1,20 @@
-"""Keys-first graphs: the kernel is built from the edge keys on first read.
+"""Keys-first graphs: the rows are built from the edge keys on first read.
 
 A graph from :meth:`Graph.from_edge_arrays` holds its sorted edge keys
-and builds the kernel only when a query needs it.  These tests pin that
-a deferred graph answers every public query exactly as one built edge
-by edge (through mutations made after deferral and a pickle round
-trip), and that the key-only operations, the Table 1 paths that need
-no kernel and the large-n keys path (partition plus key referee) never
-build one.  Builds are counted at ``BigintKernel.from_edge_array``, the
-one entry point a deferred build goes through.
+and builds its adjacency rows only when a query needs them.  These
+tests pin that a deferred graph answers every public query exactly as
+one built edge by edge (through mutations made after deferral and a
+pickle round trip), and that the key-only operations, the Table 1 paths
+that need no rows and the large-n keys path (partition plus key
+referee) never build them.  Builds are counted at ``graph.py``'s
+:func:`~repro.graphs.graph.or_edges_into_rows`, the one function a
+deferred row build goes through.
 """
 
 from __future__ import annotations
 
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +23,8 @@ from repro.analysis.table1 import _MuSampleBuilder, far_disjoint_instance
 from repro.core.referee import key_union_triangle_referee
 from repro.core.simultaneous_low import SimLowParams, find_triangle_sim_low
 from repro.graphs import Graph, mask_of
+from repro.graphs import graph as graph_module
 from repro.graphs.generators import far_instance
-from repro.graphs.kernels import BigintKernel
 from repro.graphs.partition import partition_disjoint
 from repro.runtime.cache import InstanceCache
 
@@ -34,16 +36,20 @@ MASKS = (0, mask_of(range(0, N, 3)), mask_of((1, 2, 63, 64, 65)),
 
 @pytest.fixture
 def builds(monkeypatch):
-    """One entry per kernel built by ``from_edge_array``."""
+    """One entry per call of ``or_edges_into_rows`` inside ``Graph``.
+
+    Each deferred row build is one call.  ``add_edge_arrays`` on a
+    built graph calls it too, but only after a build was counted, so an
+    empty list still means no graph built rows.
+    """
     calls: list[str] = []
-    build = BigintKernel.from_edge_array
+    build = graph_module.or_edges_into_rows
 
-    def counted(n, us, vs):
+    def counted(rows, us, vs):
         calls.append("bigint")
-        return build(n, us, vs)
+        return build(rows, us, vs)
 
-    monkeypatch.setattr(BigintKernel, "from_edge_array",
-                        staticmethod(counted))
+    monkeypatch.setattr(graph_module, "or_edges_into_rows", counted)
     return calls
 
 
@@ -62,7 +68,6 @@ def deferred_and_eager(edges) -> tuple[Graph, Graph]:
 
 def answers(graph: Graph) -> dict:
     """Every public query of ``graph`` on a fixed probe set."""
-    other = Graph(N, [(0, 1), (5, 6), (63, 64)])
     return {
         "n": graph.n,
         "num_edges": graph.num_edges,
@@ -71,7 +76,6 @@ def answers(graph: Graph) -> dict:
         "edges": list(graph.edges()),
         "edge_set": graph.edge_set(),
         "degrees": graph.degrees(),
-        "isolated": graph.isolated_vertices(),
         "rows": list(graph.adjacency_rows()),
         "has_edge": [graph.has_edge(u, v) for u in VERTICES for v in VERTICES],
         "contains": [(u, v) in graph for u in VERTICES for v in VERTICES
@@ -82,11 +86,6 @@ def answers(graph: Graph) -> dict:
         "common": [graph.common_neighbors(u, v)
                    for u in VERTICES for v in VERTICES],
         "induced_rows": [graph.induced_subgraph_mask_rows(m) for m in MASKS],
-        "touching_rows": [graph.edges_touching_mask(m) for m in MASKS],
-        "induced_edges": graph.induced_subgraph_edges(VERTICES),
-        "touching": graph.edges_touching(VERTICES),
-        "subgraph": graph.subgraph(VERTICES).edge_keys().tolist(),
-        "union": graph.union(other).edge_keys().tolist(),
         "hash": hash(graph),
         "repr": repr(graph),
     }
@@ -98,7 +97,7 @@ class TestDeferredEqualsEager:
         deferred, eager = deferred_and_eager(random_edges(seed))
         assert deferred == eager and eager == deferred
         assert answers(deferred) == answers(eager)
-        assert deferred._kernel.rows_equal(eager._kernel)
+        assert deferred.adjacency_rows() == eager.adjacency_rows()
 
     def test_mutations_after_deferral(self, seed, builds):
         deferred, eager = deferred_and_eager(random_edges(seed))
@@ -119,7 +118,7 @@ class TestDeferredEqualsEager:
         assert deferred.add_neighbors(5, mask) == eager.add_neighbors(5, mask)
         assert builds == ["bigint"]
         assert answers(deferred) == answers(eager)
-        # A built graph still merges arrays into its kernel.
+        # A built graph still merges arrays into its rows.
         more = random_edges(seed + 200, 40)
         assert deferred.add_edge_arrays(
             np.array([v for _, v in more]), np.array([u for u, _ in more])
@@ -145,9 +144,9 @@ class TestDeferredEqualsEager:
     def test_built_graph_pickles_without_its_kernel(self, seed, builds):
         deferred, eager = deferred_and_eager(random_edges(seed))
         assert deferred.degrees() == eager.degrees()
-        # Built, the graph holds its kernel and still its edge keys.
-        assert deferred.nbytes == (deferred._kernel.memory_bytes()
-                                   + deferred.edge_keys().nbytes)
+        # Built, the graph holds its rows and still its edge keys.
+        row_bytes = sum(map(sys.getsizeof, deferred.adjacency_rows()))
+        assert deferred.nbytes == row_bytes + deferred.edge_keys().nbytes
         assert len(pickle.dumps(deferred)) == len(pickle.dumps(
             Graph.from_edge_arrays(N, *divmod(deferred.edge_keys(), N))
         ))
@@ -201,7 +200,7 @@ def _sim_low_trial() -> None:
 
 
 def _key_referee_at_large_n() -> None:
-    """The large-n path: a kernel here would hold n²/8 bytes of rows
+    """The large-n path: built rows here would hold n²/8 bytes
     (about 1.2 GB); partition and key referee need none."""
     graph = far_instance(100_000, 6.0, 0.2, seed=3).graph
     partition = partition_disjoint(graph, k=3, seed=4)

@@ -1,5 +1,8 @@
 """Unit tests for the core graph type (repro.graphs.graph)."""
 
+import sys
+
+import numpy as np
 import pytest
 
 from repro.graphs.graph import Graph, canonical_edge
@@ -93,10 +96,6 @@ class TestQueries:
         graph = Graph(3, [(0, 1)])
         assert graph.degrees() == [1, 1, 0]
 
-    def test_isolated_vertices(self):
-        graph = Graph(4, [(0, 1)])
-        assert graph.isolated_vertices() == [2, 3]
-
     def test_has_edge_self_loop_false(self):
         graph = Graph(3, [(0, 1)])
         assert not graph.has_edge(1, 1)
@@ -109,30 +108,23 @@ class TestQueries:
 
 
 class TestDerivedGraphs:
-    def test_induced_subgraph_edges(self):
-        graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert graph.induced_subgraph_edges({0, 1, 2}) == {(0, 1), (1, 2)}
-
-    def test_edges_touching(self):
-        graph = Graph(5, [(0, 1), (1, 2), (3, 4)])
-        assert graph.edges_touching({1}) == {(0, 1), (1, 2)}
-
-    def test_subgraph_preserves_ids(self):
-        graph = Graph(5, [(0, 1), (2, 3)])
-        sub = graph.subgraph({2, 3})
-        assert sub.n == 5
-        assert sub.has_edge(2, 3)
-        assert not sub.has_edge(0, 1)
-
-    def test_union(self):
-        a = Graph(4, [(0, 1)])
-        b = Graph(4, [(1, 2)])
-        merged = a.union(b)
-        assert merged.edge_set() == {(0, 1), (1, 2)}
-
-    def test_union_size_mismatch_rejected(self):
+    def test_induced_mask_outside_range_rejected(self):
         with pytest.raises(ValueError):
-            Graph(3).union(Graph(4))
+            Graph(3).induced_subgraph_mask_rows(1 << 3)
+
+
+class TestConversionRoundTrip:
+    """Rows and edge keys convert exactly at every word boundary."""
+
+    @pytest.mark.parametrize("bit", [0, 1, 63, 64, 127, 128, 191])
+    def test_word_boundary_bits(self, bit):
+        scalar = Graph(bit + 2, [(bit, bit + 1)])
+        assert scalar.neighbor_mask(bit + 1) == 1 << bit
+        keys_first = Graph.from_edge_arrays(
+            bit + 2, np.array([bit + 1]), np.array([bit])
+        )
+        assert keys_first.neighbor_mask(bit + 1) == 1 << bit
+        assert keys_first == scalar
 
 
 class TestInterop:
@@ -145,10 +137,16 @@ class TestInterop:
         assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
 
     def test_to_networkx(self):
+        pytest.importorskip("networkx")
         graph = Graph(4, [(0, 1), (1, 2)])
         nx_graph = to_networkx(graph)
         assert nx_graph.number_of_nodes() == 4
         assert nx_graph.number_of_edges() == 2
+
+    def test_to_networkx_error_names_reference_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError, match=r"reference"):
+            to_networkx(Graph(3, [(0, 1)]))
 
 
 def _extracted_keys(graph: Graph) -> list[int]:

@@ -436,21 +436,22 @@ class TestInstanceCache:
         assert cache.stats()["instance_bytes"] == 2 * key_bytes
 
     def test_instance_bytes_count_a_built_graphs_keys(self):
-        """Once its kernel is built a graph still holds its edge keys,
+        """Once its rows are built a graph still holds its edge keys,
         and its size counts both."""
         graph = gnd(2400, 6.0, seed=1)
         key_bytes = graph.edge_keys().nbytes
         assert graph.nbytes == key_bytes
-        graph.degree(0)  # builds the kernel
-        kernel_bytes = graph._kernel.memory_bytes()
+        graph.degree(0)  # builds the rows
+        row_bytes = sum(map(sys.getsizeof, graph.adjacency_rows()))
         assert graph.edge_keys().nbytes == key_bytes > 0
-        assert graph.nbytes == kernel_bytes + key_bytes
-        assert instance_nbytes(graph) == kernel_bytes + key_bytes
+        assert graph.nbytes == row_bytes + key_bytes
+        assert instance_nbytes(graph) == row_bytes + key_bytes
         disjoint = partition_disjoint(graph, 3, seed=2)
-        assert instance_nbytes(disjoint) == kernel_bytes + 2 * key_bytes
-        # A mutation drops the keys: the kernel is all the graph holds.
+        assert instance_nbytes(disjoint) == row_bytes + 2 * key_bytes
+        # A mutation drops the keys: the rows are all the graph holds.
         assert graph.remove_edge(*next(graph.edges()))
-        assert graph.nbytes == graph._kernel.memory_bytes()
+        assert graph.nbytes == sum(
+            map(sys.getsizeof, graph.adjacency_rows()))
 
 
 class TestTrialTask:

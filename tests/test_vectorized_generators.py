@@ -199,7 +199,7 @@ class TestBulkPlantingIdentity:
     ])
     def test_small_plant_leaves_keys_first_host_unbuilt(self, name):
         """A few copies on a large keys-first host merge edge keys only:
-        planting never builds the host's kernel, and the planted graph
+        planting never builds the host's rows, and the planted graph
         equals the per-edge construction."""
         from repro.patterns import catalog
         from repro.patterns.plant import planted_disjoint_subgraphs
@@ -208,7 +208,7 @@ class TestBulkPlantingIdentity:
         bulk = planted_disjoint_subgraphs(
             5000, pattern, 12, seed=4, background_degree=1.5
         )
-        assert bulk.graph._built is None
+        assert bulk.graph._rows is None
         scalar = gen.gnd(5000, 1.5, seed=5)
         for image in bulk.planted_copies:
             for u, v in pattern.edges:
@@ -223,7 +223,7 @@ class TestBulkPlantingIdentity:
             5000, [(TRIANGLE, 10), (FIVE_CYCLE, 6)], seed=2,
             background_degree=1.5,
         )
-        assert mixed.graph._built is None
+        assert mixed.graph._rows is None
         scalar = gen.gnd(5000, 1.5, seed=3)
         for pattern, images in mixed.placements:
             for image in images:
