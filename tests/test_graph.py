@@ -1,11 +1,14 @@
 """Unit tests for the core graph type (repro.graphs.graph)."""
 
+import pickle
 import sys
 
 import numpy as np
 import pytest
 
-from repro.graphs.graph import Graph, canonical_edge
+from repro.graphs.graph import (
+    Graph, canonical_edge, iter_bits, mask_of, or_edges_into_rows,
+)
 
 from oracles.graphs import to_networkx
 
@@ -18,6 +21,28 @@ class TestCanonicalEdge:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             canonical_edge(3, 3)
+
+
+class TestBitHelpers:
+    def test_iter_bits_ascending_across_words(self):
+        vertices = [0, 63, 64, 127, 200]
+        assert list(iter_bits(mask_of(reversed(vertices)))) == vertices
+
+    def test_iter_bits_of_zero_is_empty(self):
+        assert list(iter_bits(0)) == []
+        assert mask_of(()) == 0
+
+    def test_or_edges_into_rows_sets_both_directions(self):
+        rows = [0] * 70
+        us, vs = np.array([0, 65]), np.array([65, 3])
+        or_edges_into_rows(rows, us, vs)
+        expected = [0] * 70
+        expected[0] = 1 << 65
+        expected[3] = 1 << 65
+        expected[65] = (1 << 0) | (1 << 3)
+        assert rows == expected
+        or_edges_into_rows(rows, us, vs)  # repeated edges change nothing
+        assert rows == expected
 
 
 class TestConstruction:
@@ -34,6 +59,16 @@ class TestConstruction:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             Graph(-1)
+
+    def test_complete(self):
+        graph = Graph.complete(5)
+        pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        assert graph == Graph(5, pairs)
+        assert graph.num_edges == 10
+        assert graph.degrees() == [4] * 5
+        assert Graph.complete(0).num_edges == 0
+        with pytest.raises(ValueError):
+            Graph.complete(-1)
 
     def test_duplicate_edges_ignored(self):
         graph = Graph(3)
@@ -92,6 +127,20 @@ class TestQueries:
         assert all(u < v for u, v in edges)
         assert len(set(edges)) == 3
 
+    def test_neighbor_mask_and_common_neighbors(self):
+        graph = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        assert graph.neighbor_mask(2) == mask_of((0, 1, 3))
+        assert graph.common_neighbors(0, 1) == 1 << 2
+        assert graph.common_neighbors(1, 3) == 1 << 2
+        assert graph.common_neighbors(0, 3) == 1 << 2
+        assert graph.common_neighbors(2, 3) == 0
+        with pytest.raises(ValueError):
+            graph.common_neighbors(0, 4)
+
+    def test_edge_set(self):
+        graph = Graph(4, [(1, 0), (3, 2)])
+        assert graph.edge_set() == {(0, 1), (2, 3)}
+
     def test_degrees_vector(self):
         graph = Graph(3, [(0, 1)])
         assert graph.degrees() == [1, 1, 0]
@@ -108,6 +157,20 @@ class TestQueries:
 
 
 class TestDerivedGraphs:
+    EDGES = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]
+
+    def test_induced_mask_rows(self):
+        graph = Graph(5, self.EDGES)
+        rows = graph.induced_subgraph_mask_rows(mask_of((0, 2, 3)))
+        assert rows == [1 << 2, 0, mask_of((0, 3)), 1 << 2, 0]
+
+    def test_induced_mask_rows_of_keys_first_graph(self):
+        us, vs = zip(*self.EDGES)
+        keys_first = Graph.from_edge_arrays(5, np.array(us), np.array(vs))
+        mask = mask_of((1, 2, 3, 4))
+        assert keys_first.induced_subgraph_mask_rows(mask) == \
+            Graph(5, self.EDGES).induced_subgraph_mask_rows(mask)
+
     def test_induced_mask_outside_range_rejected(self):
         with pytest.raises(ValueError):
             Graph(3).induced_subgraph_mask_rows(1 << 3)
@@ -132,6 +195,19 @@ class TestInterop:
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
         assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
         assert Graph(3) != Graph(4)
+
+    def test_plain_graph_pickles_with_its_rows(self):
+        graph = Graph(70, [(0, 69), (3, 64)])
+        thawed = pickle.loads(pickle.dumps(graph))
+        assert thawed == graph
+        assert thawed.adjacency_rows() == graph.adjacency_rows()
+
+    def test_kernel_names_stub(self):
+        """``repro.graphs.kernels`` survives for a benchmark set-up
+        import; its one name is the row storage Graph uses."""
+        from repro.graphs.kernels import kernel_names
+
+        assert kernel_names() == ("bigint",)
 
     def test_repr(self):
         assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
